@@ -269,6 +269,26 @@ def _output_path(arg: str | None, default_name: str) -> Path:
 # subcommands
 
 
+def _emit_series(
+    args: argparse.Namespace,
+    default_stem: str,
+    n: int,
+    k: int,
+    scheme: CoinScheme,
+    series: RunSeries,
+) -> int:
+    """Write the series file and its summary, and print the summary line."""
+    out = _output_path(args.output, f"{default_stem}.{args.format}")
+    if args.format == "csv":
+        write_series_csv(out, series)
+    else:
+        write_series_json(out, series)
+    summary = _summary_dict(n, k, scheme, series)
+    out.with_suffix(".summary.json").write_text(json.dumps(summary, indent=1) + "\n")
+    print(json.dumps(summary))
+    return EXIT_OK
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.block is None) == (args.cells is None):
         raise ConfigError("pass exactly one marked-set descriptor: --block or --cells")
@@ -292,20 +312,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         record_overlap=not args.no_overlap,
         stop_at_halt=args.stop_at_halt,
     )
-
-    out = _output_path(args.output, f"series.{args.format}")
-    if args.format == "csv":
-        write_series_csv(out, series)
-    else:
-        write_series_json(out, series)
-    summary = _summary_dict(n, len(marked), scheme, series)
-    summary_path = out.with_suffix(".summary.json")
-    summary_path.write_text(json.dumps(summary, indent=1) + "\n")
-    print(json.dumps(summary))
-    return EXIT_OK
+    return _emit_series(args, "series", n, len(marked), scheme, series)
 
 
-def _verify_grid(args: argparse.Namespace) -> tuple[dict, float]:
+def _verify_grid(args: argparse.Namespace) -> dict:
     n = args.n
     spec = _parse_block(args.block, n)
     try:
@@ -316,7 +326,6 @@ def _verify_grid(args: argparse.Namespace) -> tuple[dict, float]:
         raise ConfigError(f"--block: {exc}")
     conds = check_conditions(candidate, tol=args.tolerance)
     after = step(candidate.state, CoinScheme.GROVER, candidate.marked)
-    residual = float(np.max(np.abs(after.amp - candidate.state.amp)))
     dec = decompose_initial(n, candidate)
     report = {
         "target": "grid-block",
@@ -327,7 +336,7 @@ def _verify_grid(args: argparse.Namespace) -> tuple[dict, float]:
             "zero_sum_marked": conds[1],
             "facing_equal": conds[2],
         },
-        "residual": residual,
+        "residual": float(np.max(np.abs(after.amp - candidate.state.amp))),
         "delta_norm_sq": float(_fmt(dec.delta_norm_sq)),
         "tolerance": args.tolerance,
     }
@@ -336,17 +345,20 @@ def _verify_grid(args: argparse.Namespace) -> tuple[dict, float]:
         m = dense_step_matrix(n, CoinScheme.GROVER, candidate.marked, cap=cap)
         flat = candidate.state.flatten()
         report["oracle_residual"] = float(np.max(np.abs(m @ flat - flat)))
-    return report, residual
+    return report
 
 
-def _verify_graph(args: argparse.Namespace) -> tuple[dict, float]:
+def _verify_graph(args: argparse.Namespace) -> dict:
     if args.graph_two_marked:
         if args.k is None:
             raise ConfigError("--graph-two-marked needs --k")
         g, marked, state = build_two_marked(args.k)
         target = f"graph-two-marked k={args.k}"
     elif args.graph_three:
-        l12, l23, l31 = _parse_int_list(args.graph_three, "--graph-three")[:3]
+        vals = _parse_int_list(args.graph_three, "--graph-three")
+        if len(vals) != 3:
+            raise ConfigError("--graph-three takes 'l12,l23,l31'")
+        l12, l23, l31 = vals
         g, marked, state = build_generic_three(GenericThreeSpec(l12, l23, l31))
         target = f"graph-three l=({l12},{l23},{l31})"
     else:
@@ -358,7 +370,6 @@ def _verify_graph(args: argparse.Namespace) -> tuple[dict, float]:
 
     conds = graph_check_conditions(state, marked, tol=args.tolerance)
     after = graph_step(state, marked, CoinScheme.GROVER)
-    residual = float(np.max(np.abs(after.amp - state.amp)))
     dec = decompose_graph_initial(state, marked)
     report = {
         "target": target,
@@ -370,7 +381,7 @@ def _verify_graph(args: argparse.Namespace) -> tuple[dict, float]:
             "zero_sum_marked": conds[1],
             "arc_symmetric": conds[2],
         },
-        "residual": residual,
+        "residual": float(np.max(np.abs(after.amp - state.amp))),
         "delta_norm_sq": float(_fmt(dec.delta_norm_sq)),
         "tolerance": args.tolerance,
     }
@@ -378,7 +389,7 @@ def _verify_graph(args: argparse.Namespace) -> tuple[dict, float]:
     if g.arc_count <= cap:
         m = graph_dense_step_matrix(g, marked, CoinScheme.GROVER, cap=cap)
         report["oracle_residual"] = float(np.max(np.abs(m @ state.amp - state.amp)))
-    return report, residual
+    return report
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -396,11 +407,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if grid_target:
         if args.n is None:
             raise ConfigError("--block needs --n")
-        report, residual = _verify_grid(args)
+        report = _verify_grid(args)
     else:
-        report, residual = _verify_graph(args)
+        report = _verify_graph(args)
 
-    report["passed"] = residual <= args.tolerance
+    tol = args.tolerance
+    report["passed"] = (
+        report["residual"] <= tol
+        and all(report["conditions"].values())
+        and report.get("oracle_residual", 0.0) <= tol
+    )
     text = json.dumps(report, indent=1)
     print(text)
     if args.output:
@@ -413,18 +429,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     sizes = _parse_int_list(args.sizes, "--sizes")
     sides = _parse_int_list(args.blocks, "--blocks")
     coins = _parse_coins(args.coins)
-    try:
-        report = reproduce_tables(
-            sizes,
-            sides,
-            coins,
-            large_n_opt_in=args.large,
-            time_budget_s=args.budget,
-            horizon_for=(lambda n: args.horizon) if args.horizon else None,
-            max_workers=args.workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    report = reproduce_tables(
+        sizes,
+        sides,
+        coins,
+        large_n_opt_in=args.large,
+        time_budget_s=args.budget,
+        horizon=args.horizon,
+    )
 
     row_dicts = [
         {
@@ -477,10 +489,7 @@ def cmd_graph_sim(args: argparse.Namespace) -> int:
         marked = parse_vertex_ids(marked_path.read_text())
     else:
         marked = []
-    try:
-        vs = g.check_marked(marked)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    vs = g.check_marked(marked)
     scheme = CoinScheme(args.coin)
     horizon = args.horizon if args.horizon is not None else max(
         1, math.ceil(4.0 * math.sqrt(g.n * max(1.0, math.log(g.n))))
@@ -488,15 +497,7 @@ def cmd_graph_sim(args: argparse.Namespace) -> int:
     series = run_graph_walk(
         g, vs, scheme, horizon, record_overlap=not args.no_overlap
     )
-    out = _output_path(args.output, f"graph_series.{args.format}")
-    if args.format == "csv":
-        write_series_csv(out, series)
-    else:
-        write_series_json(out, series)
-    summary = _summary_dict(g.n, len(vs), scheme, series)
-    out.with_suffix(".summary.json").write_text(json.dumps(summary, indent=1) + "\n")
-    print(json.dumps(summary))
-    return EXIT_OK
+    return _emit_series(args, "graph_series", g.n, len(vs), scheme, series)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--horizon", type=int, help="per-run step cap (default 4*sqrt(N ln N))")
     tab.add_argument("--large", action="store_true", help="allow grid sides >= 500")
     tab.add_argument("--budget", type=float, help="wall-clock budget in seconds")
-    tab.add_argument("--workers", type=int, default=1, help="parallel table cells")
     tab.add_argument("--output", help="output path prefix (default 'table')")
     tab.add_argument("--format", choices=["csv", "json"], default="csv")
     tab.set_defaults(func=cmd_table)
@@ -564,12 +564,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OddOddBlockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IMPOSSIBLE
+    except ValueError as exc:  # ConfigError, or an invalid input the library rejected
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

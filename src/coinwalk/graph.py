@@ -16,12 +16,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grid import CoinScheme, OracleTooLargeError
+from .stationary import Decomposition
 
 __all__ = [
     "DEFAULT_GRAPH_ORACLE_CAP",
     "GenericThreeSpec",
     "Graph",
-    "GraphDecomposition",
     "GraphState",
     "InvalidGraphError",
     "build_generic_three",
@@ -300,18 +300,9 @@ def graph_check_conditions(
     return cond1, cond2, cond3
 
 
-@dataclass
-class GraphDecomposition:
-    """Split of the uniform start state: psi0 = stationary + delta."""
-
-    stationary: GraphState
-    delta: GraphState
-    delta_norm_sq: float
-
-
 def decompose_graph_initial(
     state: GraphState, marked: Iterable[int]
-) -> GraphDecomposition:
+) -> Decomposition:
     """Split psi0 against a stationary witness.
 
     The witness is first rescaled so its unmarked-side amplitude matches the
@@ -332,7 +323,7 @@ def decompose_graph_initial(
     a0 = 1.0 / math.sqrt(g.arc_count)
     phi = state.amp * (a0 / baseline)
     delta = graph_uniform_state(g).amp - phi
-    return GraphDecomposition(
+    return Decomposition(
         GraphState(g, phi), GraphState(g, delta), float(np.dot(delta, delta))
     )
 

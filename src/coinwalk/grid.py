@@ -100,16 +100,10 @@ class MarkedSet:
     """Set of marked cells with a dense boolean membership plane.
 
     Coordinates are reduced modulo n; duplicates collapse. ``xs``/``ys`` hold
-    the cells in sorted order for deterministic kernels, and ``block``
-    optionally records the rectangular descriptor a block constructor used.
+    the cells in sorted order for deterministic kernels.
     """
 
-    def __init__(
-        self,
-        n: int,
-        cells: Iterable[tuple[int, int]] = (),
-        block: tuple[tuple[int, int], int, int] | None = None,
-    ):
+    def __init__(self, n: int, cells: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError(f"grid side must be positive, got {n}")
         reduced = sorted({(x % n, y % n) for x, y in cells})
@@ -119,7 +113,6 @@ class MarkedSet:
         self.ys = np.array([c[1] for c in reduced], dtype=np.intp)
         self.mask = np.zeros((n, n), dtype=bool)
         self.mask[self.xs, self.ys] = True
-        self.block = block
 
     @classmethod
     def empty(cls, n: int) -> "MarkedSet":
@@ -138,7 +131,7 @@ class MarkedSet:
             )
         ox, oy = origin
         cells = [((ox + i) % n, (oy + j) % n) for i in range(width) for j in range(height)]
-        return cls(n, cells, block=((ox % n, oy % n), width, height))
+        return cls(n, cells)
 
     def __contains__(self, cell: tuple[int, int]) -> bool:
         x, y = cell
@@ -177,20 +170,10 @@ def apply_query(state: GridState, marked: MarkedSet) -> GridState:
 
 
 def apply_coin(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
-    """Per-cell coin with the query folded in.
-
-    Unmarked cells get Grover diffusion (alpha -> s/2 - alpha with s the
-    cell's amplitude sum); marked cells get the scheme's effective coin:
-    -I under AKR, -D (alpha -> alpha - s/2) under GROVER.
-    """
+    """Per-cell coin with the query folded in; see :func:`_coin_into`."""
     _check_grid(state, marked)
-    s = state.amp.sum(axis=2)
-    out = 0.5 * s[:, :, None] - state.amp
-    if len(marked):
-        if scheme is CoinScheme.AKR:
-            out[marked.xs, marked.ys] = -state.amp[marked.xs, marked.ys]
-        else:
-            out[marked.xs, marked.ys] *= -1.0
+    out = state.amp.copy()
+    _coin_into(out, scheme, marked, np.empty((state.n, state.n)))
     return GridState(state.n, out)
 
 
@@ -222,12 +205,17 @@ def _coin_into(
     marked: MarkedSet,
     half_sum: np.ndarray,
 ) -> None:
-    """Effective coin applied in place on ``work``; ``half_sum`` is (n, n) scratch."""
+    """Effective coin applied in place on ``work``; ``half_sum`` is (n, n) scratch.
+
+    Unmarked cells get Grover diffusion (alpha -> s/2 - alpha with s the
+    cell's amplitude sum); marked cells get the scheme's effective coin:
+    -I under AKR, -D (alpha -> alpha - s/2) under GROVER.
+    """
     np.sum(work, axis=2, out=half_sum)
     half_sum *= 0.5
     saved = None
     if scheme is CoinScheme.AKR and len(marked):
-        saved = work[marked.xs, marked.ys].copy()
+        saved = work[marked.xs, marked.ys]
     np.subtract(half_sum[:, :, None], work, out=work)
     if len(marked):
         if scheme is CoinScheme.AKR:
@@ -241,9 +229,13 @@ def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
 
     The operator equals S C Q where Q flips marked signs and C is the
     conditional coin (D at unmarked cells; I under AKR / D under GROVER at
-    marked cells), which is exactly ``apply_shift(apply_coin(state))``.
+    marked cells).
     """
-    return apply_shift(apply_coin(state, scheme, marked))
+    _check_grid(state, marked)
+    src = state.amp.copy()
+    dst = np.empty_like(src)
+    step_into(src, dst, scheme, marked, np.empty((state.n, state.n)))
+    return GridState(state.n, dst)
 
 
 def step_into(
@@ -256,7 +248,6 @@ def step_into(
     """Allocation-light step kernel for hot loops.
 
     Mutates ``src`` (coin phase) and writes the shifted result into ``dst``.
-    Produces bitwise the same values as :func:`step`.
     """
     _coin_into(src, scheme, marked, half_sum)
     _shift_into(src, dst)

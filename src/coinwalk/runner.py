@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -89,39 +88,26 @@ def centered_block(n: int, width: int, height: int) -> MarkedSet:
     return MarkedSet.from_block(n, (n // 2 - width // 2, n // 2 - height // 2), width, height)
 
 
-def run_walk(
-    n: int,
-    marked: MarkedSet,
-    scheme: CoinScheme,
+def _drive(
+    amp: np.ndarray,
+    advance: Callable[[np.ndarray], np.ndarray],
+    marked_prob: Callable[[np.ndarray], float],
     horizon: int,
-    record_overlap: bool = True,
-    stop_at_halt: bool = False,
+    record_overlap: bool,
+    stop_at_halt: bool,
 ) -> RunSeries:
-    """Run the torus walk from the uniform state for up to ``horizon`` steps.
+    """The halt-rule loop shared by every target.
 
-    The overlap with the start state is tracked every step (it is one array
-    reduction) to detect the halt crossing; ``record_overlap`` only controls
-    whether the series is kept. With ``stop_at_halt`` the run ends right
-    after the crossing and the series is truncated there.
+    ``amp`` is the uniform start state and ``advance`` returns the state one
+    step later; it may overwrite its argument, so the loop never reads a
+    state again after advancing it. The overlap with the start state is tracked every step (it
+    is one array reduction) to detect the halt crossing; ``record_overlap``
+    only controls whether the series is kept. With ``stop_at_halt`` the run
+    ends right after the crossing and the series is truncated there.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    state = uniform_state(n)
-    if marked.n != n:
-        raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
-    a0 = 1.0 / math.sqrt(4.0 * n * n)
-
-    amp = state.amp
-    out = np.empty_like(amp)
-    half = np.empty((n, n))
+    a0 = float(amp.flat[0])
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
-
-    def marked_prob(a: np.ndarray) -> float:
-        if not len(marked):
-            return 0.0
-        sel = a[marked.xs, marked.ys]
-        return float(np.sum(sel * sel))
 
     prob[0] = marked_prob(amp)
     overlap_now = a0 * float(amp.sum())
@@ -131,8 +117,7 @@ def run_walk(
     halt_step: int | None = None
     steps_done = horizon
     for t in range(1, horizon + 1):
-        step_into(amp, out, scheme, marked, half)
-        amp, out = out, amp
+        amp = advance(amp)
         prob[t] = marked_prob(amp)
         overlap_now = a0 * float(amp.sum())
         if ov is not None:
@@ -151,6 +136,39 @@ def run_walk(
     return RunSeries(prob, ov, peak_step, peak_probability, halt_step, halt_probability)
 
 
+def run_walk(
+    n: int,
+    marked: MarkedSet,
+    scheme: CoinScheme,
+    horizon: int,
+    record_overlap: bool = True,
+    stop_at_halt: bool = False,
+) -> RunSeries:
+    """Run the torus walk from the uniform state for up to ``horizon`` steps.
+
+    See :func:`_drive` for the halt rule and the two flags.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    amp = uniform_state(n).amp
+    if marked.n != n:
+        raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
+    spare = np.empty_like(amp)
+    half = np.empty((n, n))
+
+    def advance(a: np.ndarray) -> np.ndarray:
+        nonlocal spare
+        out, spare = spare, a
+        step_into(a, out, scheme, marked, half)
+        return out
+
+    def marked_prob(a: np.ndarray) -> float:
+        sel = a[marked.xs, marked.ys]
+        return float(np.sum(sel * sel))
+
+    return _drive(amp, advance, marked_prob, horizon, record_overlap, stop_at_halt)
+
+
 def run_graph_walk(
     g: Graph,
     marked: Iterable[int],
@@ -164,44 +182,19 @@ def run_graph_walk(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     vs = g.check_marked(marked)
     idxs = g.marked_arc_indices(vs)
-    psi0 = graph_uniform_state(g)
-    a0 = psi0.amp[0]
-    state = psi0.copy()
 
-    prob = np.empty(horizon + 1)
-    ov = np.empty(horizon + 1) if record_overlap else None
-
-    def marked_prob(s: GraphState) -> float:
-        if not idxs.size:
-            return 0.0
-        sel = s.amp[idxs]
+    def marked_prob(a: np.ndarray) -> float:
+        sel = a[idxs]
         return float(np.dot(sel, sel))
 
-    prob[0] = marked_prob(state)
-    overlap_now = a0 * float(state.amp.sum())
-    if ov is not None:
-        ov[0] = overlap_now
-
-    halt_step: int | None = None
-    steps_done = horizon
-    for t in range(1, horizon + 1):
-        state = graph_step(state, vs, scheme)
-        prob[t] = marked_prob(state)
-        overlap_now = a0 * float(state.amp.sum())
-        if ov is not None:
-            ov[t] = overlap_now
-        if halt_step is None and overlap_now <= 0.0:
-            halt_step = t
-            if stop_at_halt:
-                steps_done = t
-                break
-
-    prob = prob[: steps_done + 1]
-    if ov is not None:
-        ov = ov[: steps_done + 1]
-    peak_step, peak_probability = detect_peak(prob)
-    halt_probability = float(prob[halt_step]) if halt_step is not None else None
-    return RunSeries(prob, ov, peak_step, peak_probability, halt_step, halt_probability)
+    return _drive(
+        graph_uniform_state(g).amp,
+        lambda a: graph_step(GraphState(g, a), vs, scheme).amp,
+        marked_prob,
+        horizon,
+        record_overlap,
+        stop_at_halt,
+    )
 
 
 @dataclass(frozen=True)
@@ -247,14 +240,14 @@ def reproduce_tables(
     *,
     large_n_opt_in: bool = False,
     time_budget_s: float | None = None,
-    horizon_for: Callable[[int], int] | None = None,
-    max_workers: int = 1,
+    horizon: int | None = None,
 ) -> TableReport:
     """Run the (n, k, scheme) grid of halt-rule measurements and their ratios.
 
-    Sizes at or above ``LARGE_N_THRESHOLD`` require ``large_n_opt_in``. A wall
-    clock budget, when given, is checked before each cell; cells that do not
-    run are listed as truncation markers instead of raising.
+    Sizes at or above ``LARGE_N_THRESHOLD`` require ``large_n_opt_in``. Each
+    run stops at ``horizon`` steps (default :func:`default_horizon` of its
+    size). A wall clock budget, when given, is checked before each cell;
+    cells that do not run are listed as truncation markers instead of raising.
     """
     if not sizes:
         raise ValueError("no grid sizes given")
@@ -268,65 +261,41 @@ def reproduce_tables(
                 f"grid size {n} is above the desk-scale threshold "
                 f"{LARGE_N_THRESHOLD}; pass large_n_opt_in=True to run it"
             )
-    horizon_for = horizon_for or default_horizon
 
-    cells = [
-        (n, side, scheme) for n in sizes for side in block_sides for scheme in schemes
-    ]
     started = time.monotonic()
     report = TableReport()
-
-    def out_of_budget() -> bool:
-        return time_budget_s is not None and time.monotonic() - started > time_budget_s
-
-    def run_cell(cell: tuple[int, int, CoinScheme]) -> TableRow | str:
-        n, side, scheme = cell
-        marked = centered_block(n, side, side)
-        series = run_walk(
-            n, marked, scheme, horizon_for(n), record_overlap=False, stop_at_halt=True
-        )
-        if series.halt_step is None:
-            return (
-                f"n={n} k={side * side} {scheme.value}: overlap never crossed zero "
-                f"within {horizon_for(n)} steps (exceptional configuration?)"
-            )
-        return TableRow(
-            n=n,
-            k=side * side,
-            scheme=scheme,
-            steps=series.halt_step,
-            probability=series.halt_probability,
-            runtime=runtime_metric(series.halt_step, series.halt_probability),
-        )
-
-    results: list[TableRow | str] = []
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = []
-            for cell in cells:
-                if out_of_budget():
-                    n, side, scheme = cell
-                    results.append(
-                        f"n={n} k={side * side} {scheme.value}: skipped, time budget exceeded"
+    for n in sizes:
+        cap = horizon if horizon is not None else default_horizon(n)
+        for side in block_sides:
+            for scheme in schemes:
+                cell = f"n={n} k={side * side} {scheme.value}"
+                if time_budget_s is not None and time.monotonic() - started > time_budget_s:
+                    report.truncated.append(f"{cell}: skipped, time budget exceeded")
+                    continue
+                series = run_walk(
+                    n,
+                    centered_block(n, side, side),
+                    scheme,
+                    cap,
+                    record_overlap=False,
+                    stop_at_halt=True,
+                )
+                if series.halt_step is None:
+                    report.truncated.append(
+                        f"{cell}: overlap never crossed zero "
+                        f"within {cap} steps (exceptional configuration?)"
                     )
                     continue
-                futures.append(pool.submit(run_cell, cell))
-            results.extend(f.result() for f in futures)
-    else:
-        for cell in cells:
-            if out_of_budget():
-                n, side, scheme = cell
-                results.append(
-                    f"n={n} k={side * side} {scheme.value}: skipped, time budget exceeded"
+                report.rows.append(
+                    TableRow(
+                        n=n,
+                        k=side * side,
+                        scheme=scheme,
+                        steps=series.halt_step,
+                        probability=series.halt_probability,
+                        runtime=runtime_metric(series.halt_step, series.halt_probability),
+                    )
                 )
-                continue
-            results.append(run_cell(cell))
-
-    for r in results:
-        if isinstance(r, TableRow):
-            report.rows.append(r)
-        else:
-            report.truncated.append(r)
 
     report.rows.sort(key=lambda r: (r.n, r.k, r.scheme.value))
     by_cell = {(r.n, r.k, r.scheme): r for r in report.rows}

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import Direction, GridState, MarkedSet, uniform_state
-from .grid import _shift_into
+from .grid import Direction, GridState, MarkedSet, _shift_into, uniform_state
+
+if TYPE_CHECKING:
+    from .graph import GraphState
 
 __all__ = [
     "BlockSpec",
@@ -52,14 +54,6 @@ class BlockSpec:
     width: int
     height: int
 
-    def cells(self, n: int) -> list[tuple[int, int]]:
-        ox, oy = self.origin
-        return [
-            ((ox + i) % n, (oy + j) % n)
-            for i in range(self.width)
-            for j in range(self.height)
-        ]
-
     def marked_set(self, n: int) -> MarkedSet:
         return MarkedSet.from_block(n, self.origin, self.width, self.height)
 
@@ -75,10 +69,10 @@ class StationaryCandidate:
 
 @dataclass
 class Decomposition:
-    """Split of the uniform start state: psi0 = stationary + delta."""
+    """Split of the uniform start state: psi0 = stationary + delta (torus or graph)."""
 
-    stationary: GridState
-    delta: GridState
+    stationary: GridState | GraphState
+    delta: GridState | GraphState
     delta_norm_sq: float
 
 

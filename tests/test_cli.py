@@ -127,6 +127,13 @@ class TestVerify:
         # residual is never <= -1, so the verification must report failure
         assert run_cli("verify", "--n", "10", "--block", "1x2", "--tolerance", "-1") == 1
 
+    def test_failed_condition_fails_verify(self, monkeypatch, capsys):
+        monkeypatch.setattr("coinwalk.cli.check_conditions", lambda *a, **k: (True, False, True))
+        assert run_cli("verify", "--n", "12", "--block", "2x2") == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["residual"] <= report["tolerance"]
+        assert report["passed"] is False
+
     def test_needs_exactly_one_target(self):
         assert run_cli("verify", "--n", "10") == 2
         assert run_cli("verify", "--graph-two-marked", "--graph-ring", "3,2", "--k", "1") == 2
@@ -223,6 +230,30 @@ class TestGraphSim:
             "graph-sim", "--graph", str(graph_file), "--marked-file", str(marked_file),
             "--coin", "akr",
         ) == 2
+
+
+class TestInvalidInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "1", "--block", "1x1", "--coin", "akr"],
+            ["simulate", "--n", "10", "--block", "2x2", "--coin", "akr", "--horizon", "0"],
+            ["verify", "--graph-three", "1,2"],
+            ["verify", "--graph-three", "1,2,3,4"],
+            ["verify", "--graph-ring", "1,1"],
+            ["graph-sim", "--graph", "{self_loop}", "--coin", "grover"],
+            ["table", "--sizes", "10", "--blocks", "2", "--horizon", "0"],
+        ],
+    )
+    def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COINWALK_OUTPUT_DIR", str(tmp_path))
+        graph_file = tmp_path / "loop.txt"
+        graph_file.write_text("0 1\n1 1\n")
+        argv = [a.format(self_loop=graph_file) for a in argv]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestRoundTrips:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from coinwalk.graph import torus_graph
 from coinwalk.grid import CoinScheme, MarkedSet, marked_probability, step, uniform_state
 from coinwalk.runner import (
     RunSeries,
@@ -9,6 +12,7 @@ from coinwalk.runner import (
     default_horizon,
     detect_peak,
     reproduce_tables,
+    run_graph_walk,
     run_walk,
     runtime_metric,
 )
@@ -91,6 +95,19 @@ class TestRunWalk:
         with pytest.raises(ValueError):
             run_walk(10, MarkedSet.empty(10), CoinScheme.AKR, 0)
 
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    def test_torus_graph_walk_matches_grid_walk(self, scheme):
+        # one halt-rule loop serves both targets; only the summation order differs
+        n = 12
+        marked = centered_block(n, 3, 3)
+        horizon = default_horizon(n)
+        grid = run_walk(n, marked, scheme, horizon)
+        graph = run_graph_walk(torus_graph(n), [x * n + y for x, y in marked], scheme, horizon)
+        assert grid.halt_step is not None
+        assert (graph.halt_step, graph.peak_step) == (grid.halt_step, grid.peak_step)
+        np.testing.assert_allclose(graph.probability, grid.probability, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(graph.overlap, grid.overlap, rtol=0, atol=1e-12)
+
 
 class TestDefaultHorizon:
     def test_monotone_and_covers_tabulated_steps(self):
@@ -130,12 +147,23 @@ class TestReproduceTables:
 
     def test_even_block_yields_truncation_marker(self):
         # exceptional configuration: the overlap never crosses zero
-        report = reproduce_tables([20], [2], horizon_for=lambda n: 150)
+        report = reproduce_tables([20], [2], horizon=150)
         grover_markers = [m for m in report.truncated if "grover" in m]
         assert grover_markers
 
-    def test_parallel_matches_serial(self):
-        serial = reproduce_tables([40], [3])
-        parallel = reproduce_tables([40], [3], max_workers=2)
-        assert serial.rows == parallel.rows
-        assert serial.ratios == parallel.ratios
+    def test_table_rows_equal_single_runs(self):
+        report = reproduce_tables([40], [3, 5])
+        assert report.complete and len(report.rows) == 4
+        for row in report.rows:
+            side = math.isqrt(row.k)
+            series = run_walk(
+                40,
+                centered_block(40, side, side),
+                row.scheme,
+                default_horizon(40),
+                stop_at_halt=True,
+            )
+            assert (row.steps, row.probability) == (
+                series.halt_step,
+                series.halt_probability,
+            )
