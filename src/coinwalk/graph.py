@@ -113,12 +113,11 @@ class Graph:
 
     def marked_arc_indices(self, marked: Iterable[int]) -> np.ndarray:
         """Indices of all arcs whose tail vertex is marked."""
-        vs = self.check_marked(marked)
-        if not vs:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(
-            [np.arange(self.offsets[v], self.offsets[v + 1], dtype=np.intp) for v in vs]
-        )
+        vs = np.array(self.check_marked(marked), dtype=np.intp)
+        counts = self.degrees[vs]
+        # a running counter, shifted per run so vertex v's run starts at offsets[v]
+        run_start = np.repeat(self.offsets[vs] - (np.cumsum(counts) - counts), counts)
+        return run_start + np.arange(run_start.size, dtype=np.intp)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.arc_count // 2})"
@@ -210,16 +209,19 @@ def graph_step(
     already folded in, exactly as on the grid.
     """
     g = state.graph
-    amp = state.amp
+    return GraphState(g, _step_arcs(g, state.amp, g.marked_arc_indices(marked), scheme))
+
+
+def _step_arcs(g: Graph, amp: np.ndarray, idxs: np.ndarray, scheme: CoinScheme) -> np.ndarray:
+    """:func:`graph_step` on the arc amplitudes, given the marked arcs ``idxs``."""
     sums = np.add.reduceat(amp, g.offsets[:-1])
     coin = np.repeat(2.0 * sums / g.degrees, g.degrees) - amp
-    idxs = g.marked_arc_indices(marked)
     if idxs.size:
         if scheme is CoinScheme.AKR:
             coin[idxs] = -amp[idxs]
         else:
             coin[idxs] = -coin[idxs]
-    return GraphState(g, coin[g.partner])
+    return coin[g.partner]
 
 
 def graph_dense_step_matrix(

@@ -73,7 +73,7 @@ class CoinScheme(Enum):
 class GridState:
     """Walker state on an n x n torus.
 
-    ``amp`` has shape (n, n, 4) and is indexed [x, y, direction] with real
+    ``amp`` has shape (4, n, n) and is indexed [direction, x, y] with real
     double-precision amplitudes (every operator here is real orthogonal).
     """
 
@@ -88,19 +88,20 @@ class GridState:
 
     def flatten(self) -> np.ndarray:
         """Amplitudes in the oracle basis order: x-major, then y, then direction."""
-        return self.amp.reshape(-1).copy()
+        return np.moveaxis(self.amp, 0, -1).flatten()
 
     @classmethod
     def from_flat(cls, n: int, vec: np.ndarray) -> "GridState":
         """Inverse of :meth:`flatten`."""
-        return cls(n, np.asarray(vec, dtype=float).reshape((n, n, 4)).copy())
+        return cls(n, np.moveaxis(np.asarray(vec, dtype=float).reshape((n, n, 4)), -1, 0).copy())
 
 
 class MarkedSet:
     """Set of marked cells with a dense boolean membership plane.
 
     Coordinates are reduced modulo n; duplicates collapse. ``xs``/``ys`` hold
-    the cells in sorted order for deterministic kernels.
+    the cells in sorted order for deterministic kernels. ``flat`` indexes their
+    amplitudes in a flattened (4, n, n) array, cell by cell, four directions each.
     """
 
     def __init__(self, n: int, cells: Iterable[tuple[int, int]] = ()):
@@ -113,6 +114,7 @@ class MarkedSet:
         self.ys = np.array([c[1] for c in reduced], dtype=np.intp)
         self.mask = np.zeros((n, n), dtype=bool)
         self.mask[self.xs, self.ys] = True
+        self.flat = ((self.xs * n + self.ys)[:, None] + n * n * np.arange(4)).reshape(-1)
 
     @classmethod
     def empty(cls, n: int) -> "MarkedSet":
@@ -146,6 +148,11 @@ class MarkedSet:
     def __repr__(self) -> str:
         return f"MarkedSet(n={self.n}, k={len(self.cells)})"
 
+    def probability(self, amp: np.ndarray) -> float:
+        """Marked-set probability of a (4, n, n) amplitude array."""
+        sel = amp.reshape(-1)[self.flat]
+        return float(np.sum(sel * sel))
+
 
 def _check_grid(state: GridState, marked: MarkedSet) -> None:
     if marked.n != state.n:
@@ -157,15 +164,14 @@ def uniform_state(n: int) -> GridState:
     if n < 2:
         raise ValueError(f"grid side must be at least 2, got {n}")
     a = 1.0 / math.sqrt(4.0 * n * n)
-    return GridState(n, np.full((n, n, 4), a, dtype=float))
+    return GridState(n, np.full((4, n, n), a, dtype=float))
 
 
 def apply_query(state: GridState, marked: MarkedSet) -> GridState:
     """Flip the sign of every amplitude at marked cells."""
     _check_grid(state, marked)
     out = state.amp.copy()
-    if len(marked):
-        out[marked.xs, marked.ys] *= -1.0
+    out.reshape(-1)[marked.flat] *= -1.0
     return GridState(state.n, out)
 
 
@@ -189,14 +195,14 @@ def _shift_into(src: np.ndarray, dst: np.ndarray) -> None:
     up, down, left, right = Direction.UP, Direction.DOWN, Direction.LEFT, Direction.RIGHT
     # UP amplitude moves to the cell above and becomes DOWN, and so on;
     # the single seam row/column carries the torus wrap.
-    dst[:, :-1, down] = src[:, 1:, up]
-    dst[:, -1, down] = src[:, 0, up]
-    dst[:, 1:, up] = src[:, :-1, down]
-    dst[:, 0, up] = src[:, -1, down]
-    dst[:-1, :, right] = src[1:, :, left]
-    dst[-1, :, right] = src[0, :, left]
-    dst[1:, :, left] = src[:-1, :, right]
-    dst[0, :, left] = src[-1, :, right]
+    dst[down, :, :-1] = src[up, :, 1:]
+    dst[down, :, -1] = src[up, :, 0]
+    dst[up, :, 1:] = src[down, :, :-1]
+    dst[up, :, 0] = src[down, :, -1]
+    dst[right, :-1] = src[left, 1:]
+    dst[right, -1] = src[left, 0]
+    dst[left, 1:] = src[right, :-1]
+    dst[left, 0] = src[right, -1]
 
 
 def _coin_into(
@@ -211,17 +217,17 @@ def _coin_into(
     cell's amplitude sum); marked cells get the scheme's effective coin:
     -I under AKR, -D (alpha -> alpha - s/2) under GROVER.
     """
-    np.sum(work, axis=2, out=half_sum)
+    np.add(work[0], work[1], out=half_sum)
+    half_sum += work[2]
+    half_sum += work[3]
     half_sum *= 0.5
-    saved = None
-    if scheme is CoinScheme.AKR and len(marked):
-        saved = work[marked.xs, marked.ys]
-    np.subtract(half_sum[:, :, None], work, out=work)
-    if len(marked):
-        if scheme is CoinScheme.AKR:
-            work[marked.xs, marked.ys] = -saved
-        else:
-            work[marked.xs, marked.ys] *= -1.0
+    flat = work.reshape(-1)  # a view, since work is C-contiguous
+    if scheme is CoinScheme.AKR:
+        kept = flat[marked.flat]
+    np.subtract(half_sum, work, out=work)
+    if scheme is CoinScheme.GROVER:
+        kept = flat[marked.flat]
+    flat[marked.flat] = -kept
 
 
 def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
@@ -247,7 +253,8 @@ def step_into(
 ) -> None:
     """Allocation-light step kernel for hot loops.
 
-    Mutates ``src`` (coin phase) and writes the shifted result into ``dst``.
+    ``src`` and ``dst`` are C-contiguous (4, n, n) arrays. Mutates ``src``
+    (coin phase) and writes the shifted result into ``dst``.
     """
     _coin_into(src, scheme, marked, half_sum)
     _shift_into(src, dst)
@@ -303,10 +310,7 @@ def dense_step_matrix(
 def marked_probability(state: GridState, marked: MarkedSet) -> float:
     """Probability of measuring the location register inside the marked set."""
     _check_grid(state, marked)
-    if not len(marked):
-        return 0.0
-    sel = state.amp[marked.xs, marked.ys]
-    return float(np.sum(sel * sel))
+    return marked.probability(state.amp)
 
 
 def overlap(a: GridState, b: GridState) -> float:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphState, graph_step, graph_uniform_state
+from .graph import Graph, _step_arcs, graph_uniform_state
 from .grid import CoinScheme, MarkedSet, step_into, uniform_state
 
 __all__ = [
@@ -162,11 +162,7 @@ def run_walk(
         step_into(a, out, scheme, marked, half)
         return out
 
-    def marked_prob(a: np.ndarray) -> float:
-        sel = a[marked.xs, marked.ys]
-        return float(np.sum(sel * sel))
-
-    return _drive(amp, advance, marked_prob, horizon, record_overlap, stop_at_halt)
+    return _drive(amp, advance, marked.probability, horizon, record_overlap, stop_at_halt)
 
 
 def run_graph_walk(
@@ -189,7 +185,7 @@ def run_graph_walk(
 
     return _drive(
         graph_uniform_state(g).amp,
-        lambda a: graph_step(GraphState(g, a), vs, scheme).amp,
+        lambda a: _step_arcs(g, a, idxs, scheme),
         marked_prob,
         horizon,
         record_overlap,

@@ -107,7 +107,7 @@ def build_domino_state(
         marked = MarkedSet.from_block(n, (x, y), 2, 1)
     else:
         marked = MarkedSet.from_block(n, (x, y), 1, 2)
-    amp = np.full((n, n, 4), a, dtype=float)
+    amp = np.full((4, n, n), a, dtype=float)
     _place_domino(amp, n, (x, y), horizontal, a)
     return StationaryCandidate(GridState(n, amp), marked, a)
 
@@ -118,11 +118,11 @@ def _place_domino(
     """Write the -3a facing pair of one domino into ``amp``."""
     x, y = cell[0] % n, cell[1] % n
     if horizontal:
-        amp[x, y, Direction.RIGHT] = -3.0 * a
-        amp[(x + 1) % n, y, Direction.LEFT] = -3.0 * a
+        amp[Direction.RIGHT, x, y] = -3.0 * a
+        amp[Direction.LEFT, (x + 1) % n, y] = -3.0 * a
     else:
-        amp[x, y, Direction.DOWN] = -3.0 * a
-        amp[x, (y + 1) % n, Direction.UP] = -3.0 * a
+        amp[Direction.DOWN, x, y] = -3.0 * a
+        amp[Direction.UP, x, (y + 1) % n] = -3.0 * a
 
 
 def _ring_cycle(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
@@ -165,10 +165,10 @@ def build_block_layered(
         )
     marked = block.marked_set(n)
     ox, oy = block.origin
-    amp = np.full((n, n, 4), a, dtype=float)
+    amp = np.full((4, n, n), a, dtype=float)
 
     def assign(i: int, j: int, d: Direction, value: float) -> None:
-        amp[(ox + i) % n, (oy + j) % n, d] = value
+        amp[d, (ox + i) % n, (oy + j) % n] = value
 
     x0, y0, x1, y1 = 0, 0, m - 1, l - 1
     while x1 - x0 >= 1 and y1 - y0 >= 1:
@@ -223,7 +223,7 @@ def build_block_tiling(
         missing = sorted(marked.cells - covered)
         raise InvalidTilingError(f"tiling leaves {len(missing)} block cells uncovered")
 
-    amp = np.full((n, n, 4), a, dtype=float)
+    amp = np.full((4, n, n), a, dtype=float)
     for cell, horizontal in tiling:
         _place_domino(amp, n, cell, horizontal, a)
     return StationaryCandidate(GridState(n, amp), marked, a)
@@ -244,16 +244,12 @@ def check_conditions(
     amp = candidate.state.amp
     marked = candidate.marked
 
-    unmarked = amp[~marked.mask]
+    unmarked = amp[:, ~marked.mask]
     cond1 = unmarked.size == 0 or bool(
         np.max(np.abs(unmarked - unmarked.mean())) <= tol
     )
 
-    if len(marked):
-        sums = amp[marked.xs, marked.ys].sum(axis=1)
-        cond2 = bool(np.max(np.abs(sums)) <= tol)
-    else:
-        cond2 = True
+    cond2 = bool(np.all(np.abs(amp[:, marked.xs, marked.ys].sum(axis=0)) <= tol))
 
     shifted = np.empty_like(amp)
     _shift_into(amp, shifted)

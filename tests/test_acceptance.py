@@ -185,10 +185,10 @@ class TestCriterion6:
             k = int(rng.integers(0, n * n + 1))
             marked = MarkedSet(n, [tuple(map(int, rng.integers(0, n, 2))) for _ in range(k)])
             scheme = AKR if trial % 2 else GROVER
-            v = rng.normal(size=(n, n, 4))
+            v = rng.normal(size=(n, n, 4))  # oracle basis order (x, y, d)
             v /= np.linalg.norm(v)
             m = dense_step_matrix(n, scheme, marked)
-            got = step(GridState(n, v.copy()), scheme, marked).flatten()
+            got = step(GridState.from_flat(n, v.reshape(-1)), scheme, marked).flatten()
             worst_grid = max(worst_grid, float(np.max(np.abs(got - m @ v.reshape(-1)))))
 
         worst_graph = 0.0
@@ -301,7 +301,7 @@ class TestCriterion9:
         half = np.empty((n, n))
 
         def total(sel, a):
-            s = a[sel.xs, sel.ys]
+            s = a[:, sel.xs, sel.ys]
             return float(np.sum(s * s))
 
         best_prob = total(marked, amp)

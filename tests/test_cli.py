@@ -13,8 +13,36 @@ from coinwalk.cli import (
 )
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+class TestGoldenOutputs:
+    """Written files stay byte-identical to the recorded copies in tests/data."""
+
+    @pytest.mark.parametrize(
+        "argv,files",
+        [
+            (
+                ["table", "--sizes", "40", "--blocks", "3,5", "--coins", "akr,grover",
+                 "--output", "{out}/table"],
+                ["table_rows.csv", "table_ratios.csv"],
+            ),
+            (
+                ["simulate", "--n", "20", "--block", "3x3", "--coin", "grover",
+                 "--output", "{out}/series.csv"],
+                ["series.csv", "series.summary.json"],
+            ),
+        ],
+        ids=["table", "simulate"],
+    )
+    def test_files_byte_identical(self, argv, files, tmp_path):
+        assert run_cli(*(a.format(out=tmp_path) for a in argv)) == 0
+        for name in files:
+            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 class TestSimulate:

@@ -22,7 +22,7 @@ RNG = np.random.default_rng(20240517)
 
 
 def random_state(n, rng=RNG):
-    v = rng.normal(size=(n, n, 4))
+    v = rng.normal(size=(4, n, n))
     return GridState(n, v / np.linalg.norm(v))
 
 
@@ -68,7 +68,7 @@ class TestMarkedSet:
 class TestUniformState:
     def test_n2_all_quarter(self):
         st = uniform_state(2)
-        assert_array_equal(st.amp, np.full((2, 2, 4), 0.25))
+        assert_array_equal(st.amp, np.full((4, 2, 2), 0.25))
 
     def test_n100_amplitude(self):
         st = uniform_state(100)
@@ -91,8 +91,8 @@ class TestQuery:
     def test_sign_flip(self):
         st = uniform_state(2)
         out = apply_query(st, MarkedSet(2, [(0, 0)]))
-        assert_array_equal(out.amp[0, 0], [-0.25] * 4)
-        assert_array_equal(out.amp[1, 1], [0.25] * 4)
+        assert_array_equal(out.amp[:, 0, 0], [-0.25] * 4)
+        assert_array_equal(out.amp[:, 1, 1], [0.25] * 4)
 
     def test_involution(self):
         st = random_state(5)
@@ -107,10 +107,10 @@ class TestCoin:
         assert_allclose(out.amp, st.amp, atol=1e-15)
 
     def test_first_column_of_diffusion(self):
-        amp = np.zeros((2, 2, 4))
-        amp[0, 0, Direction.UP] = 1.0
+        amp = np.zeros((4, 2, 2))
+        amp[Direction.UP, 0, 0] = 1.0
         out = apply_coin(GridState(2, amp), CoinScheme.GROVER, MarkedSet.empty(2))
-        assert_allclose(out.amp[0, 0], [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
+        assert_allclose(out.amp[:, 0, 0], [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
     def test_marked_grover_zero_sum_fixed(self):
         # oracle: explicit -D multiply on the zero-sum vector (a, a, a, -3a)
@@ -118,15 +118,15 @@ class TestCoin:
         v = np.array([0.1, 0.1, 0.1, -0.3])
         assert_allclose(-d @ v, v, atol=1e-16)
 
-        amp = np.full((3, 3, 4), 0.1)
-        amp[1, 1] = v
+        amp = np.full((4, 3, 3), 0.1)
+        amp[:, 1, 1] = v
         out = apply_coin(GridState(3, amp), CoinScheme.GROVER, MarkedSet(3, [(1, 1)]))
-        assert_allclose(out.amp[1, 1], v, atol=1e-15)
+        assert_allclose(out.amp[:, 1, 1], v, atol=1e-15)
 
     def test_marked_akr_negates(self):
         st = random_state(4)
         out = apply_coin(st, CoinScheme.AKR, MarkedSet(4, [(2, 3)]))
-        assert_array_equal(out.amp[2, 3], -st.amp[2, 3])
+        assert_array_equal(out.amp[:, 2, 3], -st.amp[:, 2, 3])
 
     @pytest.mark.parametrize("scheme", list(CoinScheme))
     def test_coin_is_involution(self, scheme):
@@ -146,10 +146,10 @@ class TestShift:
         assert_array_equal(apply_shift(apply_shift(st)).amp, st.amp)
 
     def test_unit_mass_moves_right(self):
-        amp = np.zeros((2, 2, 4))
-        amp[0, 0, Direction.RIGHT] = 1.0
+        amp = np.zeros((4, 2, 2))
+        amp[Direction.RIGHT, 0, 0] = 1.0
         out = apply_shift(GridState(2, amp))
-        assert out.amp[1, 0, Direction.LEFT] == 1.0
+        assert out.amp[Direction.LEFT, 1, 0] == 1.0
         assert np.sum(np.abs(out.amp)) == 1.0
 
     def test_shift_table(self):
@@ -160,10 +160,10 @@ class TestShift:
             (Direction.LEFT, (-1, 0)),
             (Direction.RIGHT, (1, 0)),
         ]:
-            amp = np.zeros((n, n, 4))
-            amp[2, 3, d] = 1.0
+            amp = np.zeros((4, n, n))
+            amp[d, 2, 3] = 1.0
             out = apply_shift(GridState(n, amp))
-            assert out.amp[(2 + dx) % n, (3 + dy) % n, d.opposite] == 1.0
+            assert out.amp[d.opposite, (2 + dx) % n, (3 + dy) % n] == 1.0
 
 
 class TestStep:
@@ -206,9 +206,9 @@ class TestStep:
         moved_cells = [((x + dx) % n, (y + dy) % n) for x, y in cells]
         for scheme in CoinScheme:
             stepped = step(st, scheme, MarkedSet(n, cells)).amp
-            translated = GridState(n, np.roll(st.amp, (dx, dy), axis=(0, 1)))
+            translated = GridState(n, np.roll(st.amp, (dx, dy), axis=(1, 2)))
             stepped_translated = step(translated, scheme, MarkedSet(n, moved_cells)).amp
-            assert_array_equal(np.roll(stepped, (dx, dy), axis=(0, 1)), stepped_translated)
+            assert_array_equal(np.roll(stepped, (dx, dy), axis=(1, 2)), stepped_translated)
 
 
 class TestDenseOracle:
@@ -257,8 +257,22 @@ class TestRoundTripHelpers:
     def test_flatten_ordering(self):
         # index (x * n + y) * 4 + d
         n = 3
-        amp = np.arange(n * n * 4, dtype=float).reshape(n, n, 4)
+        amp = np.arange(n * n * 4, dtype=float).reshape(4, n, n)
         st = GridState(n, amp)
         flat = st.flatten()
-        assert flat[(2 * n + 1) * 4 + Direction.LEFT] == amp[2, 1, Direction.LEFT]
+        assert flat[(2 * n + 1) * 4 + Direction.LEFT] == amp[Direction.LEFT, 2, 1]
         assert_array_equal(GridState.from_flat(n, flat).amp, amp)
+
+    def test_oracle_basis_order_pinned(self):
+        # the dense oracle's basis index (x * n + y) * 4 + d is amp[d, x, y]
+        n = 3
+        for x in range(n):
+            for y in range(n):
+                for d in Direction:
+                    v = np.zeros(4 * n * n)
+                    v[(x * n + y) * 4 + d] = 1.0
+                    st = GridState.from_flat(n, v)
+                    assert st.amp.shape == (4, n, n)
+                    assert st.amp[d, x, y] == 1.0
+                    assert np.sum(np.abs(st.amp)) == 1.0
+                    assert_array_equal(st.flatten(), v)

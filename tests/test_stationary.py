@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from coinwalk.grid import CoinScheme, GridState, MarkedSet, step, uniform_state
+from coinwalk.grid import CoinScheme, Direction, GridState, MarkedSet, step, uniform_state
 from coinwalk.runner import run_walk
 from coinwalk.stationary import (
     BlockSpec,
@@ -112,7 +112,7 @@ class TestLayeredConstruction:
         assert residual(c) <= 1e-12
         # perimeter-facing amplitudes of the outer ring sit at -a
         a = c.baseline
-        assert c.state.amp[3, 3, 3] == -a  # origin corner points right at its ring neighbor
+        assert c.state.amp[Direction.RIGHT, 3, 3] == -a  # origin corner points right at its ring neighbor
 
     def test_1x4_is_two_dominoes(self):
         n = 9
@@ -201,7 +201,7 @@ class TestConditions:
 
     def test_perturbation_detected(self):
         c = build_block_layered(10, BlockSpec((2, 2), 4, 5))
-        c.state.amp[2, 2, 0] += 1e-6
+        c.state.amp[Direction.UP, 2, 2] += 1e-6
         assert not all(check_conditions(c))
 
     def test_sufficiency_on_random_tilings(self):
@@ -240,7 +240,7 @@ class TestDecomposition:
         assert_allclose(
             dec.stationary.amp + dec.delta.amp, uniform_state(n).amp, atol=1e-15
         )
-        off_block = dec.delta.amp[~c.marked.mask]
+        off_block = dec.delta.amp[:, ~c.marked.mask]
         assert np.all(off_block == 0.0)
 
     def test_empty_marked_gives_zero_delta(self):
