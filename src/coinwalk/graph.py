@@ -9,6 +9,7 @@ two, three, and ring-of-r marked vertices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -49,18 +50,18 @@ class InvalidGraphError(ValueError):
 class Graph:
     """Simple undirected graph with a fixed arc ordering.
 
-    Neighbors are stored sorted ascending; arc (i, j) gets the position of j
-    within vertex i's neighbor list, offset by the degree prefix sum. The
-    ``partner`` array maps each arc to its reverse, which is what the shift
-    permutes.
+    Arc k runs from ``tail[k]`` to ``head[k]``; arcs are sorted by
+    (tail, head), so vertex v's arcs fill ``offsets[v]:offsets[v + 1]`` in
+    ascending neighbor order. The ``partner`` array maps each arc to its
+    reverse, which is what the shift permutes. Build one with
+    :meth:`from_edges`.
     """
 
-    def __init__(self, n: int, adjacency: list[list[int]]):
-        self.n = n
-        self.adjacency = [sorted(nbrs) for nbrs in adjacency]
-        self.degrees = np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.intp)
+    def __init__(self, n: int, tail: np.ndarray, head: np.ndarray):
         if n == 0:
             raise InvalidGraphError("graph has no vertices")
+        self.n, self.tail, self.head = n, tail, head
+        self.degrees = np.bincount(tail, minlength=n)
         isolated = np.flatnonzero(self.degrees == 0)
         if isolated.size:
             raise InvalidGraphError(
@@ -68,38 +69,52 @@ class Graph:
             )
         self.offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(self.degrees, out=self.offsets[1:])
-        self.arcs: list[tuple[int, int]] = [
-            (i, j) for i in range(n) for j in self.adjacency[i]
-        ]
-        self._arc_pos = {arc: k for k, arc in enumerate(self.arcs)}
-        self.partner = np.array(
-            [self._arc_pos[(j, i)] for (i, j) in self.arcs], dtype=np.intp
-        )
+        # arc keys tail * n + head ascend strictly, so a reverse arc is one search away
+        self._keys = tail * n + head
+        self.partner = np.searchsorted(self._keys, head * n + tail)
+
+    @functools.cached_property
+    def arcs(self) -> list[tuple[int, int]]:
+        """The arcs as (tail, head) pairs, in arc order."""
+        return list(zip(self.tail.tolist(), self.head.tolist()))
 
     @property
     def arc_count(self) -> int:
         """Total number of arcs; equals deg(G) = 2|E|."""
-        return len(self.arcs)
+        return self.tail.size
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adjacency: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidGraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InvalidGraphError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InvalidGraphError(f"parallel edge ({u}, {v})")
-            seen.add(key)
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        return cls(n, [sorted(s) for s in adjacency])
+        """Graph on vertices 0..n-1; the first bad edge in input order is reported."""
+        try:
+            e = np.array([(u, v) for u, v in edges], dtype=np.intp).reshape(-1, 2)
+        except OverflowError:
+            raise InvalidGraphError("vertex id too large for an index array") from None
+        u, v = e[:, 0], e[:, 1]
+        out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        repeated = np.ones(keys.size, dtype=bool)
+        repeated[np.unique(keys, return_index=True)[1]] = False
+        bad = np.flatnonzero(out_of_range | (u == v) | repeated)
+        if bad.size:
+            k = bad[0]
+            bu, bv = int(u[k]), int(v[k])
+            if out_of_range[k]:
+                raise InvalidGraphError(f"edge ({bu}, {bv}) out of range for n={n}")
+            if bu == bv:
+                raise InvalidGraphError(f"self-loop at vertex {bu}")
+            raise InvalidGraphError(f"parallel edge ({bu}, {bv})")
+        arc_keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        tail, head = np.divmod(arc_keys, n)
+        return cls(n, tail, head)
 
     def arc_index(self, i: int, j: int) -> int:
-        return self._arc_pos[(i, j)]
+        """Position of arc (i, j); KeyError when i and j are not adjacent."""
+        key = i * self.n + j
+        k = int(np.searchsorted(self._keys, key))
+        if 0 <= i < self.n and 0 <= j < self.n and k < self.arc_count and self._keys[k] == key:
+            return k
+        raise KeyError((i, j))
 
     def arc_slice(self, v: int) -> slice:
         return slice(int(self.offsets[v]), int(self.offsets[v + 1]))
@@ -213,15 +228,23 @@ def graph_step(
 
 
 def _step_arcs(g: Graph, amp: np.ndarray, idxs: np.ndarray, scheme: CoinScheme) -> np.ndarray:
-    """:func:`graph_step` on the arc amplitudes, given the marked arcs ``idxs``."""
-    sums = np.add.reduceat(amp, g.offsets[:-1])
-    coin = np.repeat(2.0 * sums / g.degrees, g.degrees) - amp
+    """:func:`graph_step` on the arc amplitudes, given the marked arcs ``idxs``.
+
+    The coin sends arc k to 2 s / d at its tail minus amp[k], and the shift
+    moves that onto ``partner[k]``, whose head is that tail; so the output is
+    two gathers from the per-vertex values and the amplitudes, and only the
+    marked arcs are fixed up afterwards. The per-vertex sums stay on
+    ``reduceat``: ``bincount`` adds in another order, which moves the exact
+    zero residual of the stationary witnesses to about 6e-17.
+    """
+    mean2 = 2.0 * np.add.reduceat(amp, g.offsets[:-1]) / g.degrees
+    out = np.take(mean2, g.head) - np.take(amp, g.partner)
     if idxs.size:
         if scheme is CoinScheme.AKR:
-            coin[idxs] = -amp[idxs]
+            out[g.partner[idxs]] = -amp[idxs]
         else:
-            coin[idxs] = -coin[idxs]
-    return coin[g.partner]
+            out[g.partner[idxs]] = amp[idxs] - mean2[g.tail[idxs]]
+    return out
 
 
 def graph_dense_step_matrix(
@@ -260,16 +283,19 @@ def graph_dense_step_matrix(
 
 def graph_marked_probability(state: GraphState, marked: Iterable[int]) -> float:
     """Probability of measuring the location register on a marked vertex."""
-    idxs = state.graph.marked_arc_indices(marked)
-    if not idxs.size:
-        return 0.0
-    sel = state.amp[idxs]
+    return _arc_probability(state.amp, state.graph.marked_arc_indices(marked))
+
+
+def _arc_probability(amp: np.ndarray, idxs: np.ndarray) -> float:
+    """Squared norm of the amplitudes on arcs ``idxs``."""
+    sel = amp[idxs]
     return float(np.dot(sel, sel))
 
 
 def graph_overlap(a: GraphState, b: GraphState) -> float:
     """Real inner product of two states on the same graph."""
-    if a.graph is not b.graph and a.graph.arcs != b.graph.arcs:
+    ga, gb = a.graph, b.graph
+    if ga is not gb and not (np.array_equal(ga.tail, gb.tail) and np.array_equal(ga.head, gb.head)):
         raise ValueError("states live on different graphs")
     return float(np.dot(a.amp, b.amp))
 
@@ -312,14 +338,12 @@ def decompose_graph_initial(
     the marked-to-marked arcs only.
     """
     g = state.graph
-    vs = set(g.check_marked(marked))
-    baseline = None
-    for k, (i, j) in enumerate(g.arcs):
-        if i not in vs or j not in vs:
-            baseline = float(state.amp[k])
-            break
-    if baseline is None:
+    is_marked = np.zeros(g.n, dtype=bool)
+    is_marked[np.array(g.check_marked(marked), dtype=np.intp)] = True
+    free = np.flatnonzero(~(is_marked[g.tail] & is_marked[g.head]))
+    if not free.size:
         raise ValueError("witness has no arc with an unmarked endpoint")
+    baseline = float(state.amp[free[0]])
     if baseline == 0.0:
         raise ValueError("witness unmarked baseline is zero; cannot rescale")
     a0 = 1.0 / math.sqrt(g.arc_count)

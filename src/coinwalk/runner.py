@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _step_arcs, graph_uniform_state
+from .graph import Graph, _arc_probability, _step_arcs, graph_uniform_state
 from .grid import CoinScheme, MarkedSet, step_into, uniform_state
 
 __all__ = [
@@ -176,17 +176,11 @@ def run_graph_walk(
     """Graph-target variant of :func:`run_walk`, starting from the arc-uniform state."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    vs = g.check_marked(marked)
-    idxs = g.marked_arc_indices(vs)
-
-    def marked_prob(a: np.ndarray) -> float:
-        sel = a[idxs]
-        return float(np.dot(sel, sel))
-
+    idxs = g.marked_arc_indices(marked)
     return _drive(
         graph_uniform_state(g).amp,
         lambda a: _step_arcs(g, a, idxs, scheme),
-        marked_prob,
+        lambda a: _arc_probability(a, idxs),
         horizon,
         record_overlap,
         stop_at_halt,

@@ -36,11 +36,20 @@ class TestGoldenOutputs:
                  "--output", "{out}/series.csv"],
                 ["series.csv", "series.summary.json"],
             ),
+            *(
+                (
+                    ["graph-sim", "--graph", "{data}/graph.txt", "--marked-file",
+                     "{data}/graph_marked.txt", "--coin", coin, "--horizon", "300",
+                     "--output", f"{{out}}/graph_{coin}.csv"],
+                    [f"graph_{coin}.csv", f"graph_{coin}.summary.json"],
+                )
+                for coin in ("akr", "grover")
+            ),
         ],
-        ids=["table", "simulate"],
+        ids=["table", "simulate", "graph-akr", "graph-grover"],
     )
     def test_files_byte_identical(self, argv, files, tmp_path):
-        assert run_cli(*(a.format(out=tmp_path) for a in argv)) == 0
+        assert run_cli(*(a.format(out=tmp_path, data=DATA) for a in argv)) == 0
         for name in files:
             assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
@@ -271,13 +280,16 @@ class TestInvalidInputs:
             ["verify", "--graph-ring", "1,1"],
             ["graph-sim", "--graph", "{self_loop}", "--coin", "grover"],
             ["table", "--sizes", "10", "--blocks", "2", "--horizon", "0"],
+            ["graph-sim", "--graph", "{huge_id}", "--coin", "grover"],
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COINWALK_OUTPUT_DIR", str(tmp_path))
         graph_file = tmp_path / "loop.txt"
         graph_file.write_text("0 1\n1 1\n")
-        argv = [a.format(self_loop=graph_file) for a in argv]
+        huge_file = tmp_path / "huge.txt"
+        huge_file.write_text("0 1\n1 99999999999999999999\n")
+        argv = [a.format(self_loop=graph_file, huge_id=huge_file) for a in argv]
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from coinwalk.graph import (
@@ -48,6 +51,31 @@ def random_simple_graph(rng, n_lo=4, n_hi=13, p=0.4):
     return Graph.from_edges(n, edges)
 
 
+@st.composite
+def shuffled_edge_lists(draw):
+    """A random simple graph with no isolated vertex, its edges in random order and direction."""
+    n = draw(st.integers(2, 12))
+    chosen = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
+    covered = {v for edge in chosen for v in edge}
+    chosen |= {tuple(sorted((v, (v + 1) % n))) for v in range(n) if v not in covered}
+    edges = draw(st.permutations(sorted(chosen)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+
+
+def brute_force_arcs(n, edges):
+    """Arc order, offsets, degrees and reverse arcs from per-vertex neighbor lists."""
+    adjacency = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    arcs = [(i, j) for i in range(n) for j in sorted(adjacency[i])]
+    position = {arc: k for k, arc in enumerate(arcs)}
+    degrees = [len(nbrs) for nbrs in adjacency]
+    offsets = [0, *itertools.accumulate(degrees)]
+    return arcs, offsets, degrees, [position[(j, i)] for i, j in arcs]
+
+
 def residual(g, marked, state, scheme=CoinScheme.GROVER):
     return float(np.max(np.abs(graph_step(state, marked, scheme).amp - state.amp)))
 
@@ -62,6 +90,40 @@ class TestGraphStructure:
             Graph.from_edges(3, [(0, 3)])
         with pytest.raises(InvalidGraphError):
             Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(0, 1), (1, 0), (0, 5)], "parallel edge (1, 0)"),
+            ([(0, 1), (1, 2), (2, 1), (1, 1)], "parallel edge (2, 1)"),
+            ([(0, 1), (2, 2), (1, 0), (0, 5)], "self-loop at vertex 2"),
+            ([(0, 5), (1, 1), (0, 1), (1, 0)], "edge (0, 5) out of range for n=3"),
+            ([(0, 1), (1, 2), (-1, 2), (2, 2)], "edge (-1, 2) out of range for n=3"),
+        ],
+    )
+    def test_first_bad_edge_in_input_order(self, edges, message):
+        with pytest.raises(InvalidGraphError) as err:
+            Graph.from_edges(3, edges)
+        assert str(err.value) == message
+
+    @settings(deadline=None)
+    @given(shuffled_edge_lists())
+    def test_matches_brute_force_construction(self, case):
+        n, edges = case
+        g = Graph.from_edges(n, edges)
+        arcs, offsets, degrees, partner = brute_force_arcs(n, edges)
+        assert g.arcs == arcs
+        assert g.offsets.tolist() == offsets
+        assert g.degrees.tolist() == degrees
+        assert g.partner.tolist() == partner
+        assert [g.arc_index(i, j) for i, j in arcs] == list(range(len(arcs)))
+
+    def test_arc_index_rejects_non_arcs(self):
+        g = triangle()
+        # 0 * 3 + 5 is the key of arc (1, 2), so the range check must catch it
+        for i, j in [(0, 0), (0, 5), (-1, 2), (3, 0)]:
+            with pytest.raises(KeyError):
+                g.arc_index(i, j)
 
     def test_partner_is_involution(self):
         g = random_simple_graph(np.random.default_rng(0))
@@ -252,7 +314,7 @@ class TestSymmetricRing:
         g, marked, st = build_symmetric_ring(3, 3)
         a = 1.0 / math.sqrt(g.arc_count)
         assert st.amp[g.arc_index(0, 1)] == pytest.approx(-3 * a)
-        private = g.adjacency[0][-1]  # highest-numbered neighbor is private
+        private = int(g.head[g.arc_slice(0)][-1])  # highest-numbered neighbor is private
         assert st.amp[g.arc_index(0, private)] == pytest.approx(2 * a)
 
     def test_invalid_args(self):

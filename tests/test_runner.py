@@ -1,10 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from coinwalk.graph import torus_graph
+from coinwalk.graph import parse_edge_list, parse_vertex_ids, torus_graph
 from coinwalk.grid import CoinScheme, MarkedSet, marked_probability, step, uniform_state
 from coinwalk.runner import (
     RunSeries,
@@ -16,6 +17,32 @@ from coinwalk.runner import (
     run_walk,
     runtime_metric,
 )
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def edge_pair_walk(n, edges, marked, scheme, horizon):
+    """Reference walk written without ``coinwalk.graph``.
+
+    Arc 2e runs along edge e as listed and arc 2e + 1 against it, so the
+    shift swaps neighbouring pairs; vertex sums come from ``bincount``.
+    Returns the probability and overlap series.
+    """
+    tail = np.asarray(edges).ravel()
+    degrees = np.bincount(tail, minlength=n)
+    on_marked = np.isin(tail, marked)
+    amp = np.full(tail.size, 1.0 / math.sqrt(tail.size))
+    a0 = amp[0]
+    prob, overlap = [], []
+    for t in range(horizon + 1):
+        if t:
+            coin = (2.0 * np.bincount(tail, weights=amp, minlength=n) / degrees)[tail] - amp
+            coin[on_marked] = -amp[on_marked] if scheme is CoinScheme.AKR else -coin[on_marked]
+            amp = coin.reshape(-1, 2)[:, ::-1].ravel()
+        prob.append(float(amp[on_marked] @ amp[on_marked]))
+        overlap.append(a0 * float(amp.sum()))
+    return np.array(prob), np.array(overlap)
 
 
 class TestDetectPeak:
@@ -107,6 +134,22 @@ class TestRunWalk:
         assert (graph.halt_step, graph.peak_step) == (grid.halt_step, grid.peak_step)
         np.testing.assert_allclose(graph.probability, grid.probability, rtol=0, atol=1e-12)
         np.testing.assert_allclose(graph.overlap, grid.overlap, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    def test_graph_walk_matches_edge_pair_walk(self, scheme):
+        # irregular graph whose marked set holds its degree-14 hub
+        text = (DATA / "graph.txt").read_text()
+        g = parse_edge_list(text)
+        marked = parse_vertex_ids((DATA / "graph_marked.txt").read_text())
+        edges = [tuple(map(int, line.split())) for line in text.splitlines() if not line.startswith("#")]
+        assert int(g.degrees[marked].max()) == int(g.degrees.max()) == 14
+        horizon = 300
+        series = run_graph_walk(g, marked, scheme, horizon)
+        prob, overlap = edge_pair_walk(g.n, edges, marked, scheme, horizon)
+        assert series.halt_step == int(np.argmax(overlap <= 0.0))
+        assert series.peak_step == int(np.argmax(prob))
+        np.testing.assert_allclose(series.probability, prob, rtol=1e-12)
+        np.testing.assert_allclose(series.overlap, overlap, rtol=1e-12)
 
 
 class TestDefaultHorizon:
