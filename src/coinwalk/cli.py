@@ -94,16 +94,24 @@ def _fmt(x: float) -> str:
 # file formats
 
 
+# rows formatted per write: one join per chunk without holding the whole file
+_CSV_CHUNK = 1024
+
+
 def write_series_csv(path: Path, series: RunSeries) -> None:
+    # the bytes csv.writer gives: no field needs quoting, lines end in \r\n
     with_overlap = series.overlap is not None
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "probability", "overlap"] if with_overlap else ["step", "probability"])
-        for t, p in enumerate(series.probability):
-            row = [str(t), _fmt(p)]
+        fh.write("step,probability,overlap\r\n" if with_overlap else "step,probability\r\n")
+        for start in range(0, len(series.probability), _CSV_CHUNK):
+            stop = start + _CSV_CHUNK
+            prob = series.probability[start:stop].tolist()
             if with_overlap:
-                row.append(_fmt(series.overlap[t]))
-            writer.writerow(row)
+                rows = zip(range(start, stop), prob, series.overlap[start:stop].tolist())
+                lines = [f"{t},{_fmt(p)},{_fmt(o)}\r\n" for t, p, o in rows]
+            else:
+                lines = [f"{t},{_fmt(p)}\r\n" for t, p in enumerate(prob, start)]
+            fh.write("".join(lines))
 
 
 def read_series_csv(path: Path) -> dict:

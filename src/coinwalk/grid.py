@@ -102,6 +102,8 @@ class MarkedSet:
     Coordinates are reduced modulo n; duplicates collapse. ``xs``/``ys`` hold
     the cells in sorted order for deterministic kernels. ``flat`` indexes their
     amplitudes in a flattened (4, n, n) array, cell by cell, four directions each.
+    ``flat1`` holds the positions of the same amplitudes, in the same order, in a
+    state held in frame 1 (see :func:`_coin_frame1_into`).
     """
 
     def __init__(self, n: int, cells: Iterable[tuple[int, int]] = ()):
@@ -115,6 +117,10 @@ class MarkedSet:
         self.mask = np.zeros((n, n), dtype=bool)
         self.mask[self.xs, self.ys] = True
         self.flat = ((self.xs * n + self.ys)[:, None] + n * n * np.arange(4)).reshape(-1)
+        # frame 1 stores direction d of cell (x, y) in plane d ^ 1 of cell (x + dx, y + dy)
+        xs1 = (self.xs[:, None] + _DX) % n
+        ys1 = (self.ys[:, None] + _DY) % n
+        self.flat1 = ((np.arange(4) ^ 1) * n * n + xs1 * n + ys1).reshape(-1)
 
     @classmethod
     def empty(cls, n: int) -> "MarkedSet":
@@ -148,9 +154,9 @@ class MarkedSet:
     def __repr__(self) -> str:
         return f"MarkedSet(n={self.n}, k={len(self.cells)})"
 
-    def probability(self, amp: np.ndarray) -> float:
-        """Marked-set probability of a (4, n, n) amplitude array."""
-        sel = amp.reshape(-1)[self.flat]
+    def probability(self, amp: np.ndarray, frame: int = 0) -> float:
+        """Marked-set probability of a (4, n, n) amplitude array held in ``frame``."""
+        sel = amp.reshape(-1)[self.flat1 if frame else self.flat]
         return float(np.sum(sel * sel))
 
 
@@ -228,6 +234,59 @@ def _coin_into(
     if scheme is CoinScheme.GROVER:
         kept = flat[marked.flat]
     flat[marked.flat] = -kept
+
+
+def _coin_frame1_into(
+    work: np.ndarray,
+    scheme: CoinScheme,
+    marked: MarkedSet,
+    half_sum: np.ndarray,
+    seam: np.ndarray,
+) -> None:
+    """The coin of :func:`_coin_into` on a state held in frame 1, in place.
+
+    Frame 1 is the shift done as a relabel: after :func:`_coin_into`, the
+    shifted state's amplitude of direction ``d`` at a cell is the one still
+    stored in plane ``d ^ 1`` of the neighbour the shift takes it from:
+
+        DOWN[x, y] = work[UP, x, y+1]      UP[x, y] = work[DOWN, x, y-1]
+        RIGHT[x, y] = work[LEFT, x+1, y]   LEFT[x, y] = work[RIGHT, x-1, y]
+
+    Each coined amplitude is written back where it was read, so the next
+    shift is again a relabel and leaves the state in frame 0. Arithmetic and
+    add order match :func:`_coin_into`, so every amplitude is bit-identical to
+    ``step_into``. ``half_sum`` is (n, n) and ``seam`` (n,) scratch.
+    """
+    up, down, left, right = work
+    flat, h_flat = work.reshape(-1), half_sum.reshape(-1)
+    up_flat, down_flat = up.reshape(-1), down.reshape(-1)
+    # UP + DOWN of cell (x, y) sit at down[x, y-1] and up[x, y+1]: one flat
+    # offset op for the bulk, the seam columns y = 0 and n-1 wrap the torus
+    np.add(down_flat[:-2], up_flat[2:], out=h_flat[1:-1])
+    np.add(down[:, -1], up[:, 1], out=half_sum[:, 0])
+    np.add(down[:, -2], up[:, 0], out=half_sum[:, -1])
+    half_sum[1:] += right[:-1]
+    half_sum[0] += right[-1]
+    half_sum[:-1] += left[1:]
+    half_sum[-1] += left[0]
+    half_sum *= 0.5
+    if scheme is CoinScheme.AKR:
+        kept = flat[marked.flat1]
+    # the flat writes of the y-displaced planes run over their seam column
+    # before it is read, so each seam goes through the scratch first
+    np.subtract(half_sum[:, 0], down[:, -1], out=seam)
+    np.subtract(h_flat[1:], down_flat[:-1], out=down_flat[:-1])
+    down[:, -1] = seam
+    np.subtract(half_sum[:, -1], up[:, 0], out=seam)
+    np.subtract(h_flat[:-1], up_flat[1:], out=up_flat[1:])
+    up[:, 0] = seam
+    np.subtract(half_sum[:-1], left[1:], out=left[1:])
+    np.subtract(half_sum[-1], left[0], out=left[0])
+    np.subtract(half_sum[1:], right[:-1], out=right[:-1])
+    np.subtract(half_sum[0], right[-1], out=right[-1])
+    if scheme is CoinScheme.GROVER:
+        kept = flat[marked.flat1]
+    flat[marked.flat1] = -kept
 
 
 def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, _arc_probability, _step_arcs, graph_uniform_state
-from .grid import CoinScheme, MarkedSet, step_into, uniform_state
+from .grid import CoinScheme, MarkedSet, _coin_frame1_into, _coin_into, uniform_state
 
 __all__ = [
     "LARGE_N_THRESHOLD",
@@ -88,6 +88,14 @@ def centered_block(n: int, width: int, height: int) -> MarkedSet:
     return MarkedSet.from_block(n, (n // 2 - width // 2, n // 2 - height // 2), width, height)
 
 
+class _OutOfTime(Exception):
+    """A run passed its wall-clock deadline; ``args[0]`` is the step it stopped after."""
+
+
+# steps between deadline checks; a torus step at n=200 takes about 0.2 ms
+_DEADLINE_EVERY = 64
+
+
 def _drive(
     amp: np.ndarray,
     advance: Callable[[np.ndarray], np.ndarray],
@@ -95,6 +103,7 @@ def _drive(
     horizon: int,
     record_overlap: bool,
     stop_at_halt: bool,
+    deadline: float | None = None,
 ) -> RunSeries:
     """The halt-rule loop shared by every target.
 
@@ -103,8 +112,13 @@ def _drive(
     state again after advancing it. The overlap with the start state is tracked every step (it
     is one array reduction) to detect the halt crossing; ``record_overlap``
     only controls whether the series is kept. With ``stop_at_halt`` the run
-    ends right after the crossing and the series is truncated there.
+    ends right after the crossing and the series is truncated there. With a
+    ``deadline`` (a ``time.monotonic()`` value) the clock is read every
+    ``_DEADLINE_EVERY`` steps and the run raises :class:`_OutOfTime` once it
+    has passed.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     a0 = float(amp.flat[0])
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
@@ -127,6 +141,8 @@ def _drive(
             if stop_at_halt:
                 steps_done = t
                 break
+        if deadline is not None and t % _DEADLINE_EVERY == 0 and time.monotonic() > deadline:
+            raise _OutOfTime(t)
 
     prob = prob[: steps_done + 1]
     if ov is not None:
@@ -134,6 +150,36 @@ def _drive(
     peak_step, peak_probability = detect_peak(prob)
     halt_probability = float(prob[halt_step]) if halt_step is not None else None
     return RunSeries(prob, ov, peak_step, peak_probability, halt_step, halt_probability)
+
+
+def _torus_walk(
+    n: int, marked: MarkedSet, scheme: CoinScheme
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], float]]:
+    """Start state, step and marked-probability gather of the torus walk for :func:`_drive`.
+
+    The state stays in one buffer and the shift is never copied: after an
+    even number of steps it is in frame 0 and :func:`grid._coin_into` takes it
+    to frame 1; after an odd number it is in frame 1 and
+    :func:`grid._coin_frame1_into` takes it back to frame 0. The gather reads
+    the marked amplitudes through the current frame's index.
+    """
+    amp = uniform_state(n).amp
+    if marked.n != n:
+        raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
+    half = np.empty((n, n))
+    seam = np.empty(n)
+    frame = 0
+
+    def advance(a: np.ndarray) -> np.ndarray:
+        nonlocal frame
+        if frame:
+            _coin_frame1_into(a, scheme, marked, half, seam)
+        else:
+            _coin_into(a, scheme, marked, half)
+        frame ^= 1
+        return a
+
+    return amp, advance, lambda a: marked.probability(a, frame)
 
 
 def run_walk(
@@ -146,23 +192,14 @@ def run_walk(
 ) -> RunSeries:
     """Run the torus walk from the uniform state for up to ``horizon`` steps.
 
-    See :func:`_drive` for the halt rule and the two flags.
+    See :func:`_drive` for the halt rule and the two flags. Probabilities are
+    bit-identical to a composition of :func:`grid.step` calls. The overlap of
+    an odd step sums the same amplitudes in another order (the state is held
+    shifted, see :func:`_torus_walk`) and can differ in the last bit, about
+    3e-16 at most; where the overlap is zero up to rounding, that can move the
+    halt step.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    amp = uniform_state(n).amp
-    if marked.n != n:
-        raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
-    spare = np.empty_like(amp)
-    half = np.empty((n, n))
-
-    def advance(a: np.ndarray) -> np.ndarray:
-        nonlocal spare
-        out, spare = spare, a
-        step_into(a, out, scheme, marked, half)
-        return out
-
-    return _drive(amp, advance, marked.probability, horizon, record_overlap, stop_at_halt)
+    return _drive(*_torus_walk(n, marked, scheme), horizon, record_overlap, stop_at_halt)
 
 
 def run_graph_walk(
@@ -174,8 +211,6 @@ def run_graph_walk(
     stop_at_halt: bool = False,
 ) -> RunSeries:
     """Graph-target variant of :func:`run_walk`, starting from the arc-uniform state."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
     idxs = g.marked_arc_indices(marked)
     return _drive(
         graph_uniform_state(g).amp,
@@ -236,8 +271,9 @@ def reproduce_tables(
 
     Sizes at or above ``LARGE_N_THRESHOLD`` require ``large_n_opt_in``. Each
     run stops at ``horizon`` steps (default :func:`default_horizon` of its
-    size). A wall clock budget, when given, is checked before each cell;
-    cells that do not run are listed as truncation markers instead of raising.
+    size). A wall clock budget, when given, is checked before each cell and
+    every ``_DEADLINE_EVERY`` steps inside it; cells that do not finish in it
+    are listed as truncation markers instead of raising.
     """
     if not sizes:
         raise ValueError("no grid sizes given")
@@ -252,24 +288,29 @@ def reproduce_tables(
                 f"{LARGE_N_THRESHOLD}; pass large_n_opt_in=True to run it"
             )
 
-    started = time.monotonic()
+    deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
     report = TableReport()
     for n in sizes:
         cap = horizon if horizon is not None else default_horizon(n)
         for side in block_sides:
             for scheme in schemes:
                 cell = f"n={n} k={side * side} {scheme.value}"
-                if time_budget_s is not None and time.monotonic() - started > time_budget_s:
+                if deadline is not None and time.monotonic() > deadline:
                     report.truncated.append(f"{cell}: skipped, time budget exceeded")
                     continue
-                series = run_walk(
-                    n,
-                    centered_block(n, side, side),
-                    scheme,
-                    cap,
-                    record_overlap=False,
-                    stop_at_halt=True,
-                )
+                try:
+                    series = _drive(
+                        *_torus_walk(n, centered_block(n, side, side), scheme),
+                        cap,
+                        record_overlap=False,
+                        stop_at_halt=True,
+                        deadline=deadline,
+                    )
+                except _OutOfTime as stop:
+                    report.truncated.append(
+                        f"{cell}: stopped after {stop.args[0]} steps, time budget exceeded"
+                    )
+                    continue
                 if series.halt_step is None:
                     report.truncated.append(
                         f"{cell}: overlap never crossed zero "

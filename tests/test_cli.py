@@ -1,7 +1,9 @@
+import csv
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coinwalk.cli import (
@@ -10,7 +12,9 @@ from coinwalk.cli import (
     read_series_json,
     read_table_csv,
     read_table_json,
+    write_series_csv,
 )
+from coinwalk.runner import RunSeries
 
 
 DATA = Path(__file__).parent / "data"
@@ -309,6 +313,24 @@ class TestRoundTrips:
         reread = read_series_csv(out)
         assert reread == data
         assert "." in first.splitlines()[2]  # plain decimal point, no locale
+
+    @pytest.mark.parametrize("with_overlap", [True, False])
+    def test_series_csv_matches_csv_writer(self, tmp_path, with_overlap):
+        # several write chunks long, with values that need every .9g form
+        rng = np.random.default_rng(3)
+        prob = rng.random(2500) ** 9
+        prob[:4] = [0.0, 1.0, 1e-300, 0.25]
+        overlap = rng.normal(size=2500) if with_overlap else None
+        write_series_csv(tmp_path / "s.csv", RunSeries(prob, overlap, 0, 0.0, None, None))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "probability", "overlap"][: 3 if with_overlap else 2])
+            for t in range(prob.size):
+                row = [t, format(prob[t], ".9g")]
+                if with_overlap:
+                    row.append(format(overlap[t], ".9g"))
+                writer.writerow(row)
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_series_json_matches_csv(self, tmp_path):
         csv_out = tmp_path / "s.csv"

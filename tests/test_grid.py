@@ -17,6 +17,7 @@ from coinwalk.grid import (
     step,
     uniform_state,
 )
+from coinwalk.grid import _coin_frame1_into, _coin_into
 
 RNG = np.random.default_rng(20240517)
 
@@ -209,6 +210,23 @@ class TestStep:
             translated = GridState(n, np.roll(st.amp, (dx, dy), axis=(1, 2)))
             stepped_translated = step(translated, scheme, MarkedSet(n, moved_cells)).amp
             assert_array_equal(np.roll(stepped, (dx, dy), axis=(1, 2)), stepped_translated)
+
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_frame_kernels_match_two_steps(self, n):
+        # the coin in frame 0 then the frame-1 coin equal two full steps, bit for bit
+        rng = np.random.default_rng(n)
+        for scheme in CoinScheme:
+            st = random_state(n, rng)
+            marked = MarkedSet(n, [(0, 0), (n - 1, 1), (1, n - 1), (n // 2, n // 2)])
+            work = st.amp.copy()
+            _coin_into(work, scheme, marked, np.empty((n, n)))
+            shifted = apply_shift(GridState(n, work)).amp
+            once = step(st, scheme, marked)
+            assert_array_equal(shifted, once.amp)
+            assert marked.probability(work, 1) == marked_probability(once, marked)
+            _coin_frame1_into(work, scheme, marked, np.empty((n, n)), np.empty(n))
+            assert_array_equal(work, step(once, scheme, marked).amp)
 
 
 class TestDenseOracle:

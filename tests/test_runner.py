@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from coinwalk.graph import parse_edge_list, parse_vertex_ids, torus_graph
@@ -43,6 +45,18 @@ def edge_pair_walk(n, edges, marked, scheme, horizon):
         prob.append(float(amp[on_marked] @ amp[on_marked]))
         overlap.append(a0 * float(amp.sum()))
     return np.array(prob), np.array(overlap)
+
+
+@st.composite
+def seam_walks(draw):
+    """Small torus, marked set with cells on both seams, coin and horizon."""
+    n = draw(st.integers(2, 9))
+    coord = st.integers(0, n - 1)
+    edge = st.sampled_from([0, n - 1])
+    cells = draw(st.lists(st.tuples(coord, coord), max_size=n * n // 2))
+    cells += [(draw(edge), draw(coord)), (draw(coord), draw(edge))]
+    scheme = draw(st.sampled_from(list(CoinScheme)))
+    return n, MarkedSet(n, cells), scheme, draw(st.integers(1, 40))
 
 
 class TestDetectPeak:
@@ -88,14 +102,36 @@ class TestRunWalk:
         series = run_walk(10, centered_block(10, 2, 1), CoinScheme.GROVER, 5)
         assert series.overlap[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_matches_pure_step_composition(self):
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    def test_matches_pure_step_composition(self, scheme):
         n, horizon = 8, 30
         marked = MarkedSet(n, [(1, 1), (5, 2)])
-        series = run_walk(n, marked, CoinScheme.AKR, horizon)
-        st = uniform_state(n)
+        series = run_walk(n, marked, scheme, horizon)
+        state = uniform_state(n)
         for t in range(horizon + 1):
-            assert series.probability[t] == marked_probability(st, marked)
-            st = step(st, CoinScheme.AKR, marked)
+            assert series.probability[t] == marked_probability(state, marked)
+            state = step(state, scheme, marked)
+
+    @settings(deadline=None, max_examples=150)
+    @given(seam_walks())
+    def test_frames_match_step_composition(self, walk):
+        # run_walk holds odd steps shifted; only the odd overlaps' sum order may differ
+        n, marked, scheme, horizon = walk
+        series = run_walk(n, marked, scheme, horizon)
+        state = uniform_state(n)
+        a0 = state.amp[0, 0, 0]
+        prob, overlap = np.empty(horizon + 1), np.empty(horizon + 1)
+        for t in range(horizon + 1):
+            prob[t] = marked_probability(state, marked)
+            overlap[t] = a0 * float(state.amp.sum())
+            state = step(state, scheme, marked)
+        assert_array_equal(series.probability, prob)
+        assert_array_equal(series.overlap[::2], overlap[::2])
+        np.testing.assert_allclose(series.overlap[1::2], overlap[1::2], rtol=0, atol=1e-15)
+        crossed = np.flatnonzero(overlap <= 0.0)
+        halt = int(crossed[0]) if crossed.size else None
+        if not np.any(np.abs(overlap[: horizon + 1 if halt is None else halt + 1]) < 1e-15):
+            assert series.halt_step == halt
 
     def test_deterministic_reruns_bit_identical(self):
         kwargs = dict(n=30, marked=centered_block(30, 3, 3), scheme=CoinScheme.GROVER, horizon=120)
@@ -187,6 +223,14 @@ class TestReproduceTables:
         assert not report.complete
         assert not report.rows
         assert len(report.truncated) == 2
+
+    def test_budget_stops_a_running_cell(self):
+        # an n=300 cell runs for about a second: the first is stopped inside the
+        # walk instead of finishing past the budget, the second is skipped
+        report = reproduce_tables([300], [3], time_budget_s=0.05)
+        assert not report.rows
+        assert len(report.truncated) == 2
+        assert all(m.endswith("time budget exceeded") for m in report.truncated)
 
     def test_even_block_yields_truncation_marker(self):
         # exceptional configuration: the overlap never crosses zero
