@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -84,10 +85,15 @@ class Graph:
         return self.tail.size
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Graph on vertices 0..n-1; the first bad edge in input order is reported."""
+    def from_edges(cls, n: int, edges: "Iterable[tuple[int, int]] | np.ndarray") -> "Graph":
+        """Graph on vertices 0..n-1; the first bad edge in input order is reported.
+
+        ``edges`` is an iterable of pairs or an ``(m, 2)`` integer array.
+        """
+        if not isinstance(edges, np.ndarray):
+            edges = [(u, v) for u, v in edges]
         try:
-            e = np.array([(u, v) for u, v in edges], dtype=np.intp).reshape(-1, 2)
+            e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         except OverflowError:
             raise InvalidGraphError("vertex id too large for an index array") from None
         u, v = e[:, 0], e[:, 1]
@@ -152,8 +158,38 @@ class GraphState:
         return float(np.sqrt(np.dot(self.amp, self.amp)))
 
 
+# ids of at most 18 digits fit in int64; anything else takes the line loop
+_PLAIN_EDGES = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*[0-9]{1,18} [0-9]{1,18}\n?")
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Graph from plain text: one ``u v`` pair per line, 0-based ids, ``#`` comments."""
+    """Graph from plain text: one ``u v`` pair per line, 0-based ids, ``#`` comments.
+
+    Text of nothing but ``u v`` lines is converted in one array call (see
+    :func:`_plain_edge_array`); any other text goes through
+    :func:`_parse_edge_lines`, which names the first bad line.
+    """
+    edges = _plain_edge_array(text)
+    if edges is not None:
+        return Graph.from_edges(int(edges.max()) + 1, edges)
+    return Graph.from_edges(*_parse_edge_lines(text))
+
+
+def _plain_edge_array(text: str) -> np.ndarray | None:
+    r"""The ``(m, 2)`` edges of text made only of ``u v`` lines, else None.
+
+    A line is two ASCII-digit ids of at most 18 digits and one space, ended
+    by ``\n`` (optional on the last line). Every such text is one the line
+    loop accepts with the same edges; blank lines, comments, ``\r``, signs,
+    underscores, non-ASCII digits and longer ids all return None.
+    """
+    if _PLAIN_EDGES.fullmatch(text) is None:
+        return None
+    return np.array(text.split(), dtype=np.int64).reshape(-1, 2)
+
+
+def _parse_edge_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edges of an edge list, read line by line."""
     edges: list[tuple[int, int]] = []
     top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -173,7 +209,7 @@ def parse_edge_list(text: str) -> Graph:
         top = max(top, u, v)
     if not edges:
         raise InvalidGraphError("edge list is empty")
-    return Graph.from_edges(top + 1, edges)
+    return top + 1, edges
 
 
 def parse_vertex_ids(text: str) -> list[int]:
@@ -245,6 +281,61 @@ def _step_arcs(g: Graph, amp: np.ndarray, idxs: np.ndarray, scheme: CoinScheme) 
         else:
             out[g.partner[idxs]] = amp[idxs] - mean2[g.tail[idxs]]
     return out
+
+
+# numpy's pairwise sum adds fewer than 8 terms one by one, so reduceat sums a
+# segment of degree d <= 8 as c0 + (((c1 + c2) + c3) + ...)
+_SEQUENTIAL_DEGREE = 8
+
+
+def _degree_buckets(
+    g: Graph,
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
+    """The arc layout :func:`runner.run_graph_walk` runs in, with its vertex sums.
+
+    Vertex blocks are ordered by ``(min(degree, 9), id)`` and each vertex's
+    arcs keep their order, so the vertices of each degree d <= 8 fill one
+    contiguous ``(count, d)`` block and the rest one contiguous tail. Returns
+    ``order`` (vertex ``i`` of the layout is vertex ``order[i]`` of ``g``),
+    ``arcs`` (arc ``p`` of the layout is arc ``arcs[p]`` of ``g``) and
+    ``sums(amp, out)``, which writes the vertex sums of a layout state into
+    ``out`` in layout order. The blocks are summed with column adds in
+    ``reduceat``'s order and the tail with ``reduceat``, so every sum has the
+    bits of ``np.add.reduceat(amp, g.offsets[:-1])``. That relies on numpy's
+    internal add order; ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit``
+    in ``tests/test_graph.py`` fails if a numpy release changes it.
+    """
+    bucket = np.minimum(g.degrees, _SEQUENTIAL_DEGREE + 1)
+    order = np.argsort(bucket, kind="stable")
+    degrees = g.degrees[order]
+    offsets = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(degrees, out=offsets[1:])
+    # the running arc counter, shifted per vertex onto its block in g
+    arcs = np.repeat(g.offsets[order] - offsets[:-1], degrees) + np.arange(g.arc_count)
+    first = np.searchsorted(bucket[order], np.arange(1, _SEQUENTIAL_DEGREE + 2))
+    blocks = [
+        (d, first[d - 1], first[d])
+        for d in range(1, _SEQUENTIAL_DEGREE + 1)
+        if first[d] > first[d - 1]
+    ]
+    tail = first[-1]
+    tail_offsets = offsets[tail:-1] - offsets[tail]
+
+    def sums(amp: np.ndarray, out: np.ndarray) -> None:
+        for d, lo, hi in blocks:
+            c = amp[offsets[lo] : offsets[hi]].reshape(-1, d)
+            s = out[lo:hi]
+            if d == 1:
+                s[:] = c[:, 0]
+                continue
+            s[:] = c[:, 1]
+            for j in range(2, d):
+                s += c[:, j]
+            s += c[:, 0]
+        if tail < g.n:
+            np.add.reduceat(amp[offsets[tail] :], tail_offsets, out=out[tail:])
+
+    return order, arcs, sums
 
 
 def graph_dense_step_matrix(

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _arc_probability, _step_arcs, graph_uniform_state
+from .graph import Graph, _arc_probability, _degree_buckets, graph_uniform_state
 from .grid import CoinScheme, MarkedSet, _coin_frame1_into, _coin_into, uniform_state
 
 __all__ = [
@@ -98,7 +98,7 @@ _DEADLINE_EVERY = 64
 
 def _drive(
     amp: np.ndarray,
-    advance: Callable[[np.ndarray], np.ndarray],
+    advance: Callable[[np.ndarray], tuple[np.ndarray, float]],
     marked_prob: Callable[[np.ndarray], float],
     horizon: int,
     record_overlap: bool,
@@ -108,14 +108,16 @@ def _drive(
     """The halt-rule loop shared by every target.
 
     ``amp`` is the uniform start state and ``advance`` returns the state one
-    step later; it may overwrite its argument, so the loop never reads a
-    state again after advancing it. The overlap with the start state is tracked every step (it
-    is one array reduction) to detect the halt crossing; ``record_overlap``
-    only controls whether the series is kept. With ``stop_at_halt`` the run
-    ends right after the crossing and the series is truncated there. With a
-    ``deadline`` (a ``time.monotonic()`` value) the clock is read every
-    ``_DEADLINE_EVERY`` steps and the run raises :class:`_OutOfTime` once it
-    has passed.
+    step later together with its amplitude total; it may overwrite its
+    argument, so the loop never reads a state again after advancing it. The
+    overlap with the start state, ``amp[0]`` times the total, is tracked every
+    step to detect the halt crossing; step 0 sums the start state directly,
+    later totals come from the coin's own sums (see :func:`_torus_walk` and
+    :func:`_graph_walk`). ``record_overlap`` only controls whether the series
+    is kept. With ``stop_at_halt`` the run ends right after the crossing and
+    the series is truncated there. With a ``deadline`` (a ``time.monotonic()``
+    value) the clock is read every ``_DEADLINE_EVERY`` steps and the run
+    raises :class:`_OutOfTime` once it has passed.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -131,9 +133,9 @@ def _drive(
     halt_step: int | None = None
     steps_done = horizon
     for t in range(1, horizon + 1):
-        amp = advance(amp)
+        amp, total = advance(amp)
         prob[t] = marked_prob(amp)
-        overlap_now = a0 * float(amp.sum())
+        overlap_now = a0 * total
         if ov is not None:
             ov[t] = overlap_now
         if halt_step is None and overlap_now <= 0.0:
@@ -154,7 +156,7 @@ def _drive(
 
 def _torus_walk(
     n: int, marked: MarkedSet, scheme: CoinScheme
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], float]]:
+) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, float]], Callable[[np.ndarray], float]]:
     """Start state, step and marked-probability gather of the torus walk for :func:`_drive`.
 
     The state stays in one buffer and the shift is never copied: after an
@@ -162,22 +164,29 @@ def _torus_walk(
     to frame 1; after an odd number it is in frame 1 and
     :func:`grid._coin_frame1_into` takes it back to frame 0. The gather reads
     the marked amplitudes through the current frame's index.
+
+    Both coins leave ``half`` holding half of every cell's amplitude sum, in
+    cell order in either frame. Grover diffusion keeps a cell's sum, both
+    marked coins negate it and the shift only moves amplitudes, so the total
+    after the step is ``2 * (half.sum() - 2 * half[marked cells].sum())``.
     """
     amp = uniform_state(n).amp
     if marked.n != n:
         raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
     half = np.empty((n, n))
+    half_flat = half.reshape(-1)
+    cells = marked.xs * n + marked.ys
     seam = np.empty(n)
     frame = 0
 
-    def advance(a: np.ndarray) -> np.ndarray:
+    def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal frame
         if frame:
             _coin_frame1_into(a, scheme, marked, half, seam)
         else:
             _coin_into(a, scheme, marked, half)
         frame ^= 1
-        return a
+        return a, 2.0 * (float(half.sum()) - 2.0 * float(half_flat[cells].sum()))
 
     return amp, advance, lambda a: marked.probability(a, frame)
 
@@ -194,12 +203,63 @@ def run_walk(
 
     See :func:`_drive` for the halt rule and the two flags. Probabilities are
     bit-identical to a composition of :func:`grid.step` calls. The overlap of
-    an odd step sums the same amplitudes in another order (the state is held
-    shifted, see :func:`_torus_walk`) and can differ in the last bit, about
-    3e-16 at most; where the overlap is zero up to rounding, that can move the
+    step t >= 1 is summed from the coin's half sums, n^2 cell values with the
+    marked cells subtracted twice, not from the 4n^2 amplitudes (see
+    :func:`_torus_walk`); it agrees with an exact sum of the state to about
+    3e-16, and where the overlap is zero up to rounding that can move the
     halt step.
     """
     return _drive(*_torus_walk(n, marked, scheme), horizon, record_overlap, stop_at_halt)
+
+
+def _graph_walk(
+    g: Graph, marked: Iterable[int], scheme: CoinScheme
+) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, float]], Callable[[np.ndarray], float]]:
+    """Start state, step and marked-probability gather of the graph walk for :func:`_drive`.
+
+    The state is held in the degree-bucketed arc layout of
+    :func:`graph._degree_buckets`, whose vertex sums have the bits of
+    ``reduceat`` without its per-segment cost; ``head``, ``tail``,
+    ``partner``, the degrees and the marked arcs are remapped into it once.
+    The step is :func:`graph._step_arcs` on the remapped arrays, between two
+    buffers that swap roles, so every amplitude is bit-identical to it. The
+    gather reads the marked arcs in :meth:`Graph.marked_arc_indices` order,
+    so the probabilities are bit-identical too. The total after a step is
+    ``s.sum() - 2 * s[marked].sum()`` over the vertex sums ``s`` before it,
+    by the identity of :func:`_torus_walk`.
+    """
+    vs = np.array(g.check_marked(marked), dtype=np.intp)
+    order, arcs, vertex_sums = _degree_buckets(g)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(g.n)
+    position = np.empty_like(arcs)
+    position[arcs] = np.arange(g.arc_count)
+    head = rank[g.head[arcs]]
+    partner = position[g.partner[arcs]]
+    degrees = g.degrees[order].astype(float)
+    marked_arcs = g.marked_arc_indices(vs)
+    idxs = position[marked_arcs]
+    fix_arcs, fix_vertices, marked_vertices = partner[idxs], rank[g.tail[marked_arcs]], rank[vs]
+
+    amp = graph_uniform_state(g).amp
+    spare = np.empty_like(amp)
+    s, mean2 = np.empty(g.n), np.empty(g.n)
+
+    def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
+        nonlocal spare
+        out, spare = spare, a
+        vertex_sums(a, s)
+        np.multiply(s, 2.0, out=mean2)
+        np.divide(mean2, degrees, out=mean2)
+        kept = a[idxs]
+        # mode="clip" never clips here; with out=, the default mode buffers the output
+        np.take(a, partner, out=out, mode="clip")
+        np.take(mean2, head, out=a, mode="clip")
+        np.subtract(a, out, out=out)
+        out[fix_arcs] = -kept if scheme is CoinScheme.AKR else kept - mean2[fix_vertices]
+        return out, float(s.sum()) - 2.0 * float(s[marked_vertices].sum())
+
+    return amp, advance, lambda a: _arc_probability(a, idxs)
 
 
 def run_graph_walk(
@@ -210,16 +270,19 @@ def run_graph_walk(
     record_overlap: bool = True,
     stop_at_halt: bool = False,
 ) -> RunSeries:
-    """Graph-target variant of :func:`run_walk`, starting from the arc-uniform state."""
-    idxs = g.marked_arc_indices(marked)
-    return _drive(
-        graph_uniform_state(g).amp,
-        lambda a: _step_arcs(g, a, idxs, scheme),
-        lambda a: _arc_probability(a, idxs),
-        horizon,
-        record_overlap,
-        stop_at_halt,
-    )
+    """Graph-target variant of :func:`run_walk`, starting from the arc-uniform state.
+
+    Probabilities are bit-identical to a composition of :func:`graph.graph_step`
+    calls. The run holds the state in a private degree-bucketed arc order
+    (see :func:`_graph_walk`); ``g`` is not changed. Its vertex sums copy
+    numpy's pairwise add order, which
+    ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit`` in
+    ``tests/test_graph.py`` guards. The overlap of step t >= 1 is summed
+    from those vertex sums, one value per vertex with the marked vertices
+    subtracted twice, not from the arc amplitudes, so it can differ from a
+    direct sum in the last bits, about 3e-16.
+    """
+    return _drive(*_graph_walk(g, marked, scheme), horizon, record_overlap, stop_at_halt)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ from coinwalk.graph import (
     parse_vertex_ids,
     torus_graph,
 )
+from coinwalk.graph import _degree_buckets, _parse_edge_lines, _plain_edge_array
 from coinwalk.grid import CoinScheme, Direction, GridState, MarkedSet, step
 from coinwalk.grid import OracleTooLargeError
-from coinwalk.runner import run_graph_walk
+from coinwalk.runner import _graph_walk, run_graph_walk
 
 
 def triangle():
@@ -61,6 +62,65 @@ def shuffled_edge_lists(draw):
     edges = draw(st.permutations(sorted(chosen)))
     flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+
+
+@st.composite
+def irregular_graphs(draw):
+    """Degrees 1..40: a hub of degree 9..40, a path through the rest and random chords.
+
+    The hub's pendant spokes give degree 1; the chord density sets which of
+    the degree buckets 2..8 fill and which stay empty.
+    """
+    n = draw(st.integers(12, 60))
+    hub = draw(st.integers(9, min(40, n - 2)))
+    edges = {(0, v) for v in range(1, hub + 1)}
+    edges |= {(v - 1, v) for v in range(hub + 1, n)}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 0.25))
+    edges |= {(u, v) for u in range(1, n) for v in range(u + 1, n) if rng.random() < density}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def irregular_walks(draw):
+    """An irregular graph, a marked set that may hold the hub, a coin and a horizon."""
+    g = draw(irregular_graphs())
+    marked = draw(st.lists(st.integers(0, g.n - 1), max_size=6))
+    return g, marked, draw(st.sampled_from(list(CoinScheme))), draw(st.integers(1, 30))
+
+
+_ID_TOKENS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.sampled_from(["007", "+3", "-1", "1_0", "\u0663", "x", "9" * 18, "9223372036854775808"]),
+)
+_ODD_LINES = st.sampled_from(["", "# c", "0 1 # c", " 0 1", "0 1 ", "0\t1", "0  1", "0 1 2", "3"])
+
+
+@st.composite
+def edge_texts(draw):
+    """Edge-list text, mostly plain ``u v`` lines, with odd lines, ids and line ends mixed in."""
+    pair = st.tuples(_ID_TOKENS, _ID_TOKENS).map(" ".join)
+    lines = draw(st.lists(st.one_of(pair, pair, pair, _ODD_LINES), max_size=12))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def loop_parse(text):
+    """``parse_edge_list`` as it was before the array path: the line loop alone."""
+    return Graph.from_edges(*_parse_edge_lines(text))
+
+
+def parse_outcome(parse, text):
+    """The vertex count and arcs a parse gives, or the error it raises.
+
+    An 18-digit id makes ``from_edges`` overflow its int64 keys and fail with
+    a ValueError or MemoryError of numpy's; both paths must fail alike.
+    """
+    try:
+        g = parse(text)
+    except (ValueError, MemoryError) as exc:
+        return type(exc).__name__, str(exc)
+    return g.n, g.tail.tolist(), g.head.tolist()
 
 
 def brute_force_arcs(n, edges):
@@ -207,6 +267,59 @@ class TestGraphStep:
         for _ in range(1000):
             st = graph_step(st, marked, CoinScheme.GROVER)
             assert abs(st.norm() - 1.0) <= 1e-12
+
+
+class TestDegreeBuckets:
+    """The degree-bucketed layout ``run_graph_walk`` holds its state in."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(irregular_graphs(), st.integers(0, 2**32 - 1))
+    def test_sums_match_reduceat_bit_for_bit(self, g, seed):
+        # the block sums copy numpy's pairwise add order; do not loosen to a tolerance
+        rng = np.random.default_rng(seed)
+        amp = rng.standard_normal(g.arc_count) * 10.0 ** rng.integers(-8, 9, g.arc_count)
+        order, arcs, sums = _degree_buckets(g)
+        assert np.all(np.diff(np.minimum(g.degrees[order], 9)) >= 0)
+        assert_array_equal(g.tail[arcs], np.repeat(order, g.degrees[order]))
+        assert_array_equal(np.diff(arcs)[np.diff(g.tail[arcs]) == 0], 1)
+        out = np.empty(g.n)
+        sums(amp[arcs], out)
+        want = np.add.reduceat(amp, g.offsets[:-1])[order]
+        assert_array_equal(out.view(np.int64), want.view(np.int64))
+
+    @settings(deadline=None, max_examples=100)
+    @given(irregular_walks())
+    def test_walk_matches_step_arcs_bit_for_bit(self, walk):
+        g, marked, scheme, horizon = walk
+        series = run_graph_walk(g, marked, scheme, horizon)
+        amp, advance, _ = _graph_walk(g, marked, scheme)
+        arcs = _degree_buckets(g)[1]
+        state = graph_uniform_state(g)
+        for t in range(horizon + 1):
+            if t:
+                amp, _ = advance(amp)
+                state = graph_step(state, marked, scheme)
+            assert_array_equal(amp, state.amp[arcs])
+            assert series.probability[t] == graph_marked_probability(state, marked)
+
+    @settings(deadline=None, max_examples=100)
+    @given(irregular_walks())
+    def test_overlap_from_vertex_sums(self, walk):
+        # within 1e-15 of an exact sum; the direct sum's halt step unless rounding decides it
+        g, marked, scheme, horizon = walk
+        series = run_graph_walk(g, marked, scheme, horizon)
+        state = graph_uniform_state(g)
+        a0 = state.amp[0]
+        exact, direct = np.empty(horizon + 1), np.empty(horizon + 1)
+        for t in range(horizon + 1):
+            exact[t] = a0 * math.fsum(state.amp)
+            direct[t] = a0 * float(state.amp.sum())
+            state = graph_step(state, marked, scheme)
+        assert_allclose(series.overlap, exact, rtol=0, atol=1e-15)
+        crossed = np.flatnonzero(direct <= 0.0)
+        halt = int(crossed[0]) if crossed.size else None
+        if not np.any(np.abs(direct[: horizon + 1 if halt is None else halt + 1]) < 1e-15):
+            assert series.halt_step == halt
 
 
 class TestDenseOracle:
@@ -399,6 +512,41 @@ class TestParsing:
             parse_edge_list("")
         with pytest.raises(InvalidGraphError):
             parse_edge_list("-1 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# triangle\n0 1\n1 2\n2 0\n",
+            "0 1\r\n1 2\r\n2 0\r\n",
+            "+2 0\n0 1\n1 2\n",
+            "1_0 0\n",
+            "\u0660 \u0661\n\u0661 \u0662\n\u0662 \u0660\n",
+            "0 1 2\n",
+            "",
+            "9223372036854775808 0\n",
+            "0 1\n\n1 2\n2 0\n",
+            "0  1\n1 2\n2 0",
+        ],
+        ids=["comment", "crlf", "plus", "underscore", "unicode", "three", "empty", "int64", "blank", "spaces"],
+    )
+    def test_fallback_cases_take_the_line_loop(self, text):
+        assert _plain_edge_array(text) is None
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(loop_parse, text)
+
+    def test_plain_text_takes_the_array_path(self):
+        text = "0 1\n1 2\n2 0\n000 3\n3 1"
+        assert_array_equal(_plain_edge_array(text), [[0, 1], [1, 2], [2, 0], [0, 3], [3, 1]])
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(loop_parse, text)
+
+    @settings(deadline=None, max_examples=300)
+    @given(edge_texts())
+    def test_array_path_accepts_only_what_the_loop_accepts(self, text):
+        fast = _plain_edge_array(text)
+        if fast is not None:
+            n, edges = _parse_edge_lines(text)
+            assert n == int(fast.max()) + 1
+            assert_array_equal(fast, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(loop_parse, text)
 
     def test_vertex_ids(self):
         assert parse_vertex_ids("0\n# note\n2\n\n5\n") == [0, 2, 5]
