@@ -11,6 +11,7 @@ configuration, 3 time budget exceeded, 4 impossible construction.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -18,7 +19,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -273,6 +274,15 @@ def _output_path(arg: str | None, default_name: str) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _output_errors() -> Iterator[None]:
+    """Report an output path that cannot be made or written as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -286,13 +296,14 @@ def _emit_series(
     series: RunSeries,
 ) -> int:
     """Write the series file and its summary, and print the summary line."""
-    out = _output_path(args.output, f"{default_stem}.{args.format}")
-    if args.format == "csv":
-        write_series_csv(out, series)
-    else:
-        write_series_json(out, series)
     summary = _summary_dict(n, k, scheme, series)
-    out.with_suffix(".summary.json").write_text(json.dumps(summary, indent=1) + "\n")
+    with _output_errors():
+        out = _output_path(args.output, f"{default_stem}.{args.format}")
+        if args.format == "csv":
+            write_series_csv(out, series)
+        else:
+            write_series_json(out, series)
+        out.with_suffix(".summary.json").write_text(json.dumps(summary, indent=1) + "\n")
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -412,6 +423,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "pass exactly one construction: --block (with --n), "
             "--graph-two-marked, --graph-three, or --graph-ring"
         )
+    if not math.isfinite(args.tolerance) or args.tolerance < 0.0:
+        raise ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     if grid_target:
         if args.n is None:
             raise ConfigError("--block needs --n")
@@ -428,8 +441,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = json.dumps(report, indent=1)
     print(text)
     if args.output:
-        path = _output_path(args.output, "verify.json")
-        path.write_text(text + "\n")
+        with _output_errors():
+            _output_path(args.output, "verify.json").write_text(text + "\n")
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
@@ -467,16 +480,16 @@ def cmd_table(args: argparse.Namespace) -> int:
         }
         for r in report.ratios
     ]
-    prefix = args.output or "table"
-    rows_path = _output_path(None, f"{prefix}_rows.{args.format}") if not args.output else Path(f"{prefix}_rows.{args.format}")
-    ratios_path = rows_path.with_name(rows_path.name.replace("_rows.", "_ratios."))
-    rows_path.parent.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        write_table_csv(rows_path, row_dicts)
-        write_table_csv(ratios_path, ratio_dicts)
-    else:
-        write_table_json(rows_path, row_dicts)
-        write_table_json(ratios_path, ratio_dicts)
+    rows_name = f"{args.output or 'table'}_rows.{args.format}"
+    with _output_errors():
+        rows_path = _output_path(args.output and rows_name, rows_name)
+        ratios_path = rows_path.with_name(rows_path.name.replace("_rows.", "_ratios."))
+        if args.format == "csv":
+            write_table_csv(rows_path, row_dicts)
+            write_table_csv(ratios_path, ratio_dicts)
+        else:
+            write_table_json(rows_path, row_dicts)
+            write_table_json(ratios_path, ratio_dicts)
     print(f"wrote {rows_path} ({len(row_dicts)} rows) and {ratios_path} ({len(ratio_dicts)} ratios)")
     if report.truncated:
         for marker in report.truncated:

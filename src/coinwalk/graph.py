@@ -98,7 +98,13 @@ class Graph:
             raise InvalidGraphError("vertex id too large for an index array") from None
         u, v = e[:, 0], e[:, 1]
         out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        lo, hi, span = np.minimum(u, v), np.maximum(u, v), n
+        isolated = n > 2 * len(e)  # more vertices than endpoints
+        if isolated:
+            # rank the endpoints, so the keys stay small and nothing of length n is made
+            ids, ranks = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+            lo, hi, span = ranks[: len(e)], ranks[len(e) :], ids.size
+        keys = lo * span + hi
         repeated = np.ones(keys.size, dtype=bool)
         repeated[np.unique(keys, return_index=True)[1]] = False
         bad = np.flatnonzero(out_of_range | (u == v) | repeated)
@@ -110,6 +116,10 @@ class Graph:
             if bu == bv:
                 raise InvalidGraphError(f"self-loop at vertex {bu}")
             raise InvalidGraphError(f"parallel edge ({bu}, {bv})")
+        if isolated:
+            # the sorted ids match 0, 1, ... up to the smallest unused one
+            mex = np.count_nonzero(ids == np.arange(ids.size))
+            raise InvalidGraphError(f"vertex {mex} is isolated; the coin is undefined there")
         arc_keys = np.sort(np.concatenate([u * n + v, v * n + u]))
         tail, head = np.divmod(arc_keys, n)
         return cls(n, tail, head)

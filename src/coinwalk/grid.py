@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class MarkedSet:
     the cells in sorted order for deterministic kernels. ``flat`` indexes their
     amplitudes in a flattened (4, n, n) array, cell by cell, four directions each.
     ``flat1`` holds the positions of the same amplitudes, in the same order, in a
-    state held in frame 1 (see :func:`_coin_frame1_into`).
+    state held in frame 1 (see :func:`_frame_coins`).
     """
 
     def __init__(self, n: int, cells: Iterable[tuple[int, int]] = ()):
@@ -153,11 +153,6 @@ class MarkedSet:
 
     def __repr__(self) -> str:
         return f"MarkedSet(n={self.n}, k={len(self.cells)})"
-
-    def probability(self, amp: np.ndarray, frame: int = 0) -> float:
-        """Marked-set probability of a (4, n, n) amplitude array held in ``frame``."""
-        sel = amp.reshape(-1)[self.flat1 if frame else self.flat]
-        return float(np.sum(sel * sel))
 
 
 def _check_grid(state: GridState, marked: MarkedSet) -> None:
@@ -217,76 +212,93 @@ def _coin_into(
     marked: MarkedSet,
     half_sum: np.ndarray,
 ) -> None:
-    """Effective coin applied in place on ``work``; ``half_sum`` is (n, n) scratch.
+    """Effective coin applied in place on ``work``: the frame-0 coin of :func:`_frame_coins`."""
+    next(_frame_coins(work, scheme, marked, half_sum))()
+
+
+def _frame_coins(
+    work: np.ndarray, scheme: CoinScheme, marked: MarkedSet, half: np.ndarray
+) -> Iterator[Callable[[], None]]:
+    """Yield the in-place coin of ``work`` in frame 0, then in frame 1, each bound once.
 
     Unmarked cells get Grover diffusion (alpha -> s/2 - alpha with s the
-    cell's amplitude sum); marked cells get the scheme's effective coin:
-    -I under AKR, -D (alpha -> alpha - s/2) under GROVER.
-    """
-    np.add(work[0], work[1], out=half_sum)
-    half_sum += work[2]
-    half_sum += work[3]
-    half_sum *= 0.5
-    flat = work.reshape(-1)  # a view, since work is C-contiguous
-    if scheme is CoinScheme.AKR:
-        kept = flat[marked.flat]
-    np.subtract(half_sum, work, out=work)
-    if scheme is CoinScheme.GROVER:
-        kept = flat[marked.flat]
-    flat[marked.flat] = -kept
+    cell's amplitude sum); marked cells get the scheme's effective coin: -I
+    under AKR, -D (alpha -> alpha - s/2) under GROVER. Either coin leaves
+    s/2 in ``half`` ((n, n) scratch) in cell order.
 
-
-def _coin_frame1_into(
-    work: np.ndarray,
-    scheme: CoinScheme,
-    marked: MarkedSet,
-    half_sum: np.ndarray,
-    seam: np.ndarray,
-) -> None:
-    """The coin of :func:`_coin_into` on a state held in frame 1, in place.
-
-    Frame 1 is the shift done as a relabel: after :func:`_coin_into`, the
+    Frame 1 is the shift done as a relabel: after the frame-0 coin, the
     shifted state's amplitude of direction ``d`` at a cell is the one still
     stored in plane ``d ^ 1`` of the neighbour the shift takes it from:
 
         DOWN[x, y] = work[UP, x, y+1]      UP[x, y] = work[DOWN, x, y-1]
         RIGHT[x, y] = work[LEFT, x+1, y]   LEFT[x, y] = work[RIGHT, x-1, y]
 
-    Each coined amplitude is written back where it was read, so the next
-    shift is again a relabel and leaves the state in frame 0. Arithmetic and
-    add order match :func:`_coin_into`, so every amplitude is bit-identical to
-    ``step_into``. ``half_sum`` is (n, n) and ``seam`` (n,) scratch.
+    The frame-1 coin writes each amplitude back where it was read, so the
+    next shift is again a relabel and leaves the state in frame 0. Both coins
+    add in the same order, so every amplitude is bit-identical to
+    ``step_into``. A caller that needs only frame 0 takes ``next()``; frame 1
+    needs n >= 2.
     """
     up, down, left, right = work
-    flat, h_flat = work.reshape(-1), half_sum.reshape(-1)
-    up_flat, down_flat = up.reshape(-1), down.reshape(-1)
+    flat, kept = work.reshape(-1), np.empty(4 * len(marked))
+    akr = scheme is CoinScheme.AKR
+
+    def coin(diffuse: Callable[[], None], idx: np.ndarray) -> Callable[[], None]:
+        def apply() -> None:
+            # mode="clip" never clips here; with out=, the default mode buffers the output
+            if akr:
+                flat.take(idx, out=kept, mode="clip")
+            diffuse()
+            if not akr:
+                flat.take(idx, out=kept, mode="clip")
+            np.negative(kept, out=kept)
+            flat[idx] = kept
+        return apply
+
+    def diffuse0() -> None:
+        np.add(up, down, out=half)
+        np.add(half, left, out=half)
+        np.add(half, right, out=half)
+        np.multiply(half, 0.5, out=half)
+        np.subtract(half, work, out=work)
+
+    yield coin(diffuse0, marked.flat)
+
+    n, h_flat = work.shape[1], half.reshape(-1)
+    up_flat, down_flat, seam = up.reshape(-1), down.reshape(-1), np.empty(n)
+    h_head, h_tail, l_tail, r_head = half[:-1], half[1:], left[1:], right[:-1]
+    # rows (0, n-1) of half and the rows that wrap the torus into them: RIGHT's
+    # row n-1 and LEFT's row 0, the rows 4n-1 and 2n of the (4n, n) state
+    h_wraps, x_wraps = half[:: n - 1], work.reshape(4 * n, n)[4 * n - 1 : 1 : 1 - 2 * n]
     # UP + DOWN of cell (x, y) sit at down[x, y-1] and up[x, y+1]: one flat
-    # offset op for the bulk, the seam columns y = 0 and n-1 wrap the torus
-    np.add(down_flat[:-2], up_flat[2:], out=h_flat[1:-1])
-    np.add(down[:, -1], up[:, 1], out=half_sum[:, 0])
-    np.add(down[:, -2], up[:, 0], out=half_sum[:, -1])
-    half_sum[1:] += right[:-1]
-    half_sum[0] += right[-1]
-    half_sum[:-1] += left[1:]
-    half_sum[-1] += left[0]
-    half_sum *= 0.5
-    if scheme is CoinScheme.AKR:
-        kept = flat[marked.flat1]
-    # the flat writes of the y-displaced planes run over their seam column
-    # before it is read, so each seam goes through the scratch first
-    np.subtract(half_sum[:, 0], down[:, -1], out=seam)
-    np.subtract(h_flat[1:], down_flat[:-1], out=down_flat[:-1])
-    down[:, -1] = seam
-    np.subtract(half_sum[:, -1], up[:, 0], out=seam)
-    np.subtract(h_flat[:-1], up_flat[1:], out=up_flat[1:])
-    up[:, 0] = seam
-    np.subtract(half_sum[:-1], left[1:], out=left[1:])
-    np.subtract(half_sum[-1], left[0], out=left[0])
-    np.subtract(half_sum[1:], right[:-1], out=right[:-1])
-    np.subtract(half_sum[0], right[-1], out=right[-1])
-    if scheme is CoinScheme.GROVER:
-        kept = flat[marked.flat1]
-    flat[marked.flat1] = -kept
+    # offset op for the bulk; the seam columns y = 0 and n-1 wrap the torus,
+    # one view for both: columns (0, n-1) of half <- (n-1, n-2) of down, (1, 0) of up
+    ud_bulk = down_flat[:-2], up_flat[2:], h_flat[1:-1]
+    ud_seams = down[:, :-3:-1], up[:, 1::-1], half[:, :: n - 1]
+    h_col0, h_fwd, d_col_last, d_head = half[:, 0], h_flat[1:], down[:, -1], down_flat[:-1]
+    h_col_last, h_back, u_col0, u_tail = half[:, -1], h_flat[:-1], up[:, 0], up_flat[1:]
+
+    def diffuse1() -> None:
+        np.add(*ud_bulk)
+        np.add(*ud_seams)
+        # RIGHT comes before LEFT in every cell, as in frame 0
+        np.add(h_tail, r_head, out=h_tail)
+        np.add(h_wraps, x_wraps, out=h_wraps)
+        np.add(h_head, l_tail, out=h_head)
+        np.multiply(half, 0.5, out=half)
+        # the flat writes of the y-displaced planes run over their seam column
+        # before it is read, so each seam goes through the scratch first
+        np.subtract(h_col0, d_col_last, out=seam)
+        np.subtract(h_fwd, d_head, out=d_head)
+        d_col_last[...] = seam
+        np.subtract(h_col_last, u_col0, out=seam)
+        np.subtract(h_back, u_tail, out=u_tail)
+        u_col0[...] = seam
+        np.subtract(h_head, l_tail, out=l_tail)
+        np.subtract(h_tail, r_head, out=r_head)
+        np.subtract(h_wraps, x_wraps, out=x_wraps)
+
+    yield coin(diffuse1, marked.flat1)
 
 
 def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
@@ -369,7 +381,8 @@ def dense_step_matrix(
 def marked_probability(state: GridState, marked: MarkedSet) -> float:
     """Probability of measuring the location register inside the marked set."""
     _check_grid(state, marked)
-    return marked.probability(state.amp)
+    sel = state.amp.reshape(-1)[marked.flat]
+    return float(np.sum(sel * sel))
 
 
 def overlap(a: GridState, b: GridState) -> float:

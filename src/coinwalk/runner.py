@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, _arc_probability, _degree_buckets, graph_uniform_state
-from .grid import CoinScheme, MarkedSet, _coin_frame1_into, _coin_into, uniform_state
+from .grid import CoinScheme, MarkedSet, _frame_coins, uniform_state
 
 __all__ = [
     "LARGE_N_THRESHOLD",
@@ -159,36 +159,39 @@ def _torus_walk(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, float]], Callable[[np.ndarray], float]]:
     """Start state, step and marked-probability gather of the torus walk for :func:`_drive`.
 
-    The state stays in one buffer and the shift is never copied: after an
-    even number of steps it is in frame 0 and :func:`grid._coin_into` takes it
-    to frame 1; after an odd number it is in frame 1 and
-    :func:`grid._coin_frame1_into` takes it back to frame 0. The gather reads
-    the marked amplitudes through the current frame's index.
+    The state stays in one buffer, which the coins of :func:`grid._frame_coins`
+    take from frame 0 to frame 1 and back; the gather reads the marked
+    amplitudes through the current frame's index. Everything is bound to that
+    buffer once, and a step ignores the array it is passed.
 
-    Both coins leave ``half`` holding half of every cell's amplitude sum, in
-    cell order in either frame. Grover diffusion keeps a cell's sum, both
-    marked coins negate it and the shift only moves amplitudes, so the total
-    after the step is ``2 * (half.sum() - 2 * half[marked cells].sum())``.
+    Both coins leave ``half`` holding half of every cell's amplitude sum.
+    Grover diffusion keeps a cell's sum, both marked coins negate it and the
+    shift only moves amplitudes, so the total after the step is
+    ``2 * (half.sum() - 2 * half[marked cells].sum())``.
     """
     amp = uniform_state(n).amp
     if marked.n != n:
         raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
     half = np.empty((n, n))
-    half_flat = half.reshape(-1)
-    cells = marked.xs * n + marked.ys
-    seam = np.empty(n)
+    coins = tuple(_frame_coins(amp, scheme, marked, half))
+    flat, half_flat = amp.reshape(-1), half.reshape(-1)
+    index, cells = (marked.flat, marked.flat1), marked.xs * n + marked.ys
+    sel, cell_half = np.empty(4 * len(marked)), np.empty(len(marked))
     frame = 0
 
     def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal frame
-        if frame:
-            _coin_frame1_into(a, scheme, marked, half, seam)
-        else:
-            _coin_into(a, scheme, marked, half)
+        coins[frame]()
         frame ^= 1
-        return a, 2.0 * (float(half.sum()) - 2.0 * float(half_flat[cells].sum()))
+        half_flat.take(cells, out=cell_half, mode="clip")
+        return a, 2.0 * (float(np.add.reduce(half_flat)) - 2.0 * float(np.add.reduce(cell_half)))
 
-    return amp, advance, lambda a: marked.probability(a, frame)
+    def probability(a: np.ndarray) -> float:
+        flat.take(index[frame], out=sel, mode="clip")
+        np.multiply(sel, sel, out=sel)
+        return float(np.add.reduce(sel))
+
+    return amp, advance, probability
 
 
 def run_walk(

@@ -165,8 +165,9 @@ class TestVerify:
         assert run_cli("verify", "--graph-ring", "4,2") == 0
 
     def test_impossible_tolerance_exit_1(self):
-        # residual is never <= -1, so the verification must report failure
-        assert run_cli("verify", "--n", "10", "--block", "1x2", "--tolerance", "-1") == 1
+        # the residual here is 6.9e-18, above a zero tolerance, so the verification must
+        # report failure (a negative tolerance is a configuration error, exit 2)
+        assert run_cli("verify", "--n", "10", "--block", "1x2", "--tolerance", "0") == 1
 
     def test_failed_condition_fails_verify(self, monkeypatch, capsys):
         monkeypatch.setattr("coinwalk.cli.check_conditions", lambda *a, **k: (True, False, True))
@@ -285,19 +286,60 @@ class TestInvalidInputs:
             ["graph-sim", "--graph", "{self_loop}", "--coin", "grover"],
             ["table", "--sizes", "10", "--blocks", "2", "--horizon", "0"],
             ["graph-sim", "--graph", "{huge_id}", "--coin", "grover"],
+            ["verify", "--n", "10", "--block", "2x2", "--tolerance", "nan"],
+            ["verify", "--n", "10", "--block", "2x2", "--tolerance=-1e-3"],
+            # an id far beyond the edge count, through the array path and the line loop
+            *(
+                ["graph-sim", "--graph", f"{{{name}}}", "--coin", "grover"]
+                for name in ("far_id", "far_id_lines", "top_id", "top_id_lines")
+            ),
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COINWALK_OUTPUT_DIR", str(tmp_path))
-        graph_file = tmp_path / "loop.txt"
-        graph_file.write_text("0 1\n1 1\n")
-        huge_file = tmp_path / "huge.txt"
-        huge_file.write_text("0 1\n1 99999999999999999999\n")
-        argv = [a.format(self_loop=graph_file, huge_id=huge_file) for a in argv]
+        graph_texts = {
+            "self_loop": "0 1\n1 1\n",
+            "huge_id": "0 1\n1 99999999999999999999\n",
+            "far_id": "3000000000 0\n",
+            "far_id_lines": "# comment\n3000000000 0\n",
+            "top_id": "999999999999999999 0\n",
+            "top_id_lines": "# comment\n999999999999999999 0\n",
+        }
+        files = {name: tmp_path / f"{name}.txt" for name in graph_texts}
+        for name, text in graph_texts.items():
+            files[name].write_text(text)
+        argv = [a.format(**files) for a in argv]
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("where", ["directory", "under_file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "10", "--block", "2x2", "--coin", "grover", "--horizon", "5",
+             "--output", "{out}"],
+            ["graph-sim", "--graph", "{data}/graph.txt", "--coin", "akr", "--horizon", "5",
+             "--output", "{out}"],
+            ["verify", "--n", "10", "--block", "2x2", "--output", "{out}"],
+            ["table", "--sizes", "10", "--blocks", "3", "--horizon", "50", "--output", "{prefix}"],
+        ],
+        ids=["simulate", "graph-sim", "verify", "table"],
+    )
+    def test_unwritable_output_exit_2(self, argv, where, tmp_path, capsys):
+        # an output path that is a directory, or whose parent is a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if where == "directory":
+            out, prefix = tmp_path / "dir", tmp_path / "t"
+            out.mkdir()
+            (tmp_path / "t_rows.csv").mkdir()
+        else:
+            out, prefix = blocker / "out.csv", blocker / "t"
+        assert run_cli(*(a.format(out=out, prefix=prefix, data=DATA) for a in argv)) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
 class TestRoundTrips:

@@ -113,12 +113,13 @@ def loop_parse(text):
 def parse_outcome(parse, text):
     """The vertex count and arcs a parse gives, or the error it raises.
 
-    An 18-digit id makes ``from_edges`` overflow its int64 keys and fail with
-    a ValueError or MemoryError of numpy's; both paths must fail alike.
+    Both paths must fail alike, and only with the graph's own error: an id far
+    beyond the edge count isolates a vertex, which is reported before numpy
+    could overflow a key or run out of memory.
     """
     try:
         g = parse(text)
-    except (ValueError, MemoryError) as exc:
+    except InvalidGraphError as exc:
         return type(exc).__name__, str(exc)
     return g.n, g.tail.tolist(), g.head.tolist()
 
@@ -164,6 +165,25 @@ class TestGraphStructure:
     def test_first_bad_edge_in_input_order(self, edges, message):
         with pytest.raises(InvalidGraphError) as err:
             Graph.from_edges(3, edges)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            (3_000_000_001, [(3_000_000_000, 0)], "vertex 1 is isolated; the coin is undefined there"),
+            (10**18, [(0, 1), (1, 2), (3, 0)], "vertex 4 is isolated; the coin is undefined there"),
+            (2**63 - 1, [(2, 1), (5, 4), (3, 0)], "vertex 6 is isolated; the coin is undefined there"),
+            (10**18, [(0, 1), (1, 0), (10**18 - 1, 2)], "parallel edge (1, 0)"),
+            (10**18, [(0, 1), (7, 7), (1, 0)], "self-loop at vertex 7"),
+            (10**18, [(0, 1), (10**18, 0), (1, 1)], f"edge ({10**18}, 0) out of range for n={10**18}"),
+            (5, [], "vertex 0 is isolated; the coin is undefined there"),
+        ],
+    )
+    def test_far_vertex_id_isolates_a_vertex(self, n, edges, message):
+        # more vertices than endpoints: no array of length n is made and no key
+        # u * n + v is formed, and a bad edge still comes first in input order
+        with pytest.raises(InvalidGraphError) as err:
+            Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
         assert str(err.value) == message
 
     @settings(deadline=None)

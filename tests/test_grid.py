@@ -17,7 +17,7 @@ from coinwalk.grid import (
     step,
     uniform_state,
 )
-from coinwalk.grid import _coin_frame1_into, _coin_into
+from coinwalk.grid import _coin_into, _frame_coins
 
 RNG = np.random.default_rng(20240517)
 
@@ -214,19 +214,46 @@ class TestStep:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_frame_kernels_match_two_steps(self, n):
-        # the coin in frame 0 then the frame-1 coin equal two full steps, bit for bit
+        # the bound frame-0 coin then the frame-1 coin equal two full steps, bit for bit;
+        # the marked cells sit on both seam columns and both wrap rows
         rng = np.random.default_rng(n)
+        cells = [(0, 0), (n - 1, 1), (1, n - 1), (n // 2, n // 2), (0, n - 1), (n - 1, 0)]
+        for scheme in CoinScheme:
+            for marked in (MarkedSet(n, cells), MarkedSet.empty(n)):
+                st = random_state(n, rng)
+                work, half = st.amp.copy(), np.empty((n, n))
+                coin0, coin1 = _frame_coins(work, scheme, marked, half)
+                coin0()
+                once = step(st, scheme, marked)
+                assert_array_equal(apply_shift(GridState(n, work)).amp, once.amp)
+                sel = work.reshape(-1)[marked.flat1]
+                assert float(np.sum(sel * sel)) == marked_probability(once, marked)
+                # the frame-1 half sums are the frame-0 ones of the shifted state
+                half_ref = np.empty((n, n))
+                _coin_into(once.amp.copy(), scheme, marked, half_ref)
+                coin1()
+                assert_array_equal(half, half_ref)
+                assert_array_equal(work, step(once, scheme, marked).amp)
+
+    @pytest.mark.parametrize(
+        "n, cell",
+        [(n, (x, y)) for n in (2, 3) for x in range(n) for y in range(n) if {x, y} & {0, n - 1}],
+    )
+    def test_frame_kernels_seam_cells(self, n, cell):
+        # one marked cell at a time on the seam columns and wrap rows of the paired seam view
+        rng = np.random.default_rng(10 * n + cell[0] * n + cell[1])
+        marked = MarkedSet(n, [cell])
         for scheme in CoinScheme:
             st = random_state(n, rng)
-            marked = MarkedSet(n, [(0, 0), (n - 1, 1), (1, n - 1), (n // 2, n // 2)])
             work = st.amp.copy()
-            _coin_into(work, scheme, marked, np.empty((n, n)))
-            shifted = apply_shift(GridState(n, work)).amp
-            once = step(st, scheme, marked)
-            assert_array_equal(shifted, once.amp)
-            assert marked.probability(work, 1) == marked_probability(once, marked)
-            _coin_frame1_into(work, scheme, marked, np.empty((n, n)), np.empty(n))
-            assert_array_equal(work, step(once, scheme, marked).amp)
+            coins = _frame_coins(work, scheme, marked, np.empty((n, n)))
+            for t, coin in enumerate(coins, 1):
+                coin()
+                st = step(st, scheme, marked)
+                if t == 2:
+                    assert_array_equal(work, st.amp)
+                else:
+                    assert_array_equal(apply_shift(GridState(n, work)).amp, st.amp)
 
 
 class TestDenseOracle:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from coinwalk.graph import parse_edge_list, parse_vertex_ids, torus_graph
-from coinwalk.grid import CoinScheme, MarkedSet, marked_probability, step, uniform_state
+from coinwalk.grid import CoinScheme, MarkedSet, _coin_into, marked_probability, step, uniform_state
 from coinwalk.runner import (
     RunSeries,
     centered_block,
@@ -115,19 +115,25 @@ class TestRunWalk:
     @settings(deadline=None, max_examples=150)
     @given(seam_walks())
     def test_frames_match_step_composition(self, walk):
-        # probabilities bit-identical; overlaps come from the coin's half sums, within
-        # 1e-15 of an exact sum, with the direct sum's halt step unless rounding decides it
+        # probabilities bit-identical; overlaps come from the coin's half sums, bit for bit,
+        # within 1e-15 of an exact sum, with the direct sum's halt step unless rounding decides it
         n, marked, scheme, horizon = walk
         series = run_walk(n, marked, scheme, horizon)
         state = uniform_state(n)
         a0 = state.amp[0, 0, 0]
         prob, exact, direct = np.empty(horizon + 1), np.empty(horizon + 1), np.empty(horizon + 1)
+        halves = np.empty(horizon + 1)
+        h = np.empty((n, n))
         for t in range(horizon + 1):
             prob[t] = marked_probability(state, marked)
             exact[t] = a0 * math.fsum(state.amp.ravel())
             direct[t] = a0 * float(state.amp.sum())
+            _coin_into(state.amp.copy(), scheme, marked, h)
+            halves[t] = a0 * (2.0 * (h.sum() - 2.0 * h[marked.xs, marked.ys].sum()))
             state = step(state, scheme, marked)
         assert_array_equal(series.probability, prob)
+        assert series.overlap[0] == direct[0]
+        assert_array_equal(series.overlap[1:], halves[:-1])
         np.testing.assert_allclose(series.overlap, exact, rtol=0, atol=1e-15)
         crossed = np.flatnonzero(direct <= 0.0)
         halt = int(crossed[0]) if crossed.size else None
