@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -53,6 +54,7 @@ from .runner import (
 )
 from .stationary import (
     BlockSpec,
+    Decomposition,
     OddOddBlockError,
     build_block_layered,
     check_conditions,
@@ -334,7 +336,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return _emit_series(args, "series", n, len(marked), scheme, series)
 
 
-def _verify_grid(args: argparse.Namespace) -> dict:
+# what a verify target adds to the report: header fields, named conditions, the state
+# before and after one Grover step, the decomposition, the oracle matrix and vector or None
+_Verified = tuple[dict, dict, np.ndarray, np.ndarray, Decomposition, "tuple[np.ndarray, np.ndarray] | None"]
+
+
+def _verify_grid(args: argparse.Namespace) -> _Verified:
     n = args.n
     spec = _parse_block(args.block, n)
     try:
@@ -345,29 +352,20 @@ def _verify_grid(args: argparse.Namespace) -> dict:
         raise ConfigError(f"--block: {exc}")
     conds = check_conditions(candidate, tol=args.tolerance)
     after = step(candidate.state, CoinScheme.GROVER, candidate.marked)
-    dec = decompose_initial(n, candidate)
-    report = {
+    header = {
         "target": "grid-block",
         "n": n,
         "block": f"{spec.width}x{spec.height}@{spec.origin[0]},{spec.origin[1]}",
-        "conditions": {
-            "uniform_unmarked": conds[0],
-            "zero_sum_marked": conds[1],
-            "facing_equal": conds[2],
-        },
-        "residual": float(np.max(np.abs(after.amp - candidate.state.amp))),
-        "delta_norm_sq": float(_fmt(dec.delta_norm_sq)),
-        "tolerance": args.tolerance,
     }
     cap = args.oracle_cap if args.oracle_cap is not None else DEFAULT_ORACLE_CAP
+    oracle = None
     if n <= cap:
-        m = dense_step_matrix(n, CoinScheme.GROVER, candidate.marked, cap=cap)
-        flat = candidate.state.flatten()
-        report["oracle_residual"] = float(np.max(np.abs(m @ flat - flat)))
-    return report
+        oracle = dense_step_matrix(n, CoinScheme.GROVER, candidate.marked, cap=cap), candidate.state.flatten()
+    named = dict(zip(("uniform_unmarked", "zero_sum_marked", "facing_equal"), conds))
+    return header, named, candidate.state.amp, after.amp, decompose_initial(n, candidate), oracle
 
 
-def _verify_graph(args: argparse.Namespace) -> dict:
+def _verify_graph(args: argparse.Namespace) -> _Verified:
     if args.graph_two_marked:
         if args.k is None:
             raise ConfigError("--graph-two-marked needs --k")
@@ -389,26 +387,13 @@ def _verify_graph(args: argparse.Namespace) -> dict:
 
     conds = graph_check_conditions(state, marked, tol=args.tolerance)
     after = graph_step(state, marked, CoinScheme.GROVER)
-    dec = decompose_graph_initial(state, marked)
-    report = {
-        "target": target,
-        "vertices": g.n,
-        "arcs": g.arc_count,
-        "marked": list(marked),
-        "conditions": {
-            "uniform_unmarked": conds[0],
-            "zero_sum_marked": conds[1],
-            "arc_symmetric": conds[2],
-        },
-        "residual": float(np.max(np.abs(after.amp - state.amp))),
-        "delta_norm_sq": float(_fmt(dec.delta_norm_sq)),
-        "tolerance": args.tolerance,
-    }
+    header = {"target": target, "vertices": g.n, "arcs": g.arc_count, "marked": list(marked)}
     cap = args.oracle_cap if args.oracle_cap is not None else DEFAULT_GRAPH_ORACLE_CAP
+    oracle = None
     if g.arc_count <= cap:
-        m = graph_dense_step_matrix(g, marked, CoinScheme.GROVER, cap=cap)
-        report["oracle_residual"] = float(np.max(np.abs(m @ state.amp - state.amp)))
-    return report
+        oracle = graph_dense_step_matrix(g, marked, CoinScheme.GROVER, cap=cap), state.amp
+    named = dict(zip(("uniform_unmarked", "zero_sum_marked", "arc_symmetric"), conds))
+    return header, named, state.amp, after.amp, decompose_graph_initial(state, marked), oracle
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -425,24 +410,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if not math.isfinite(args.tolerance) or args.tolerance < 0.0:
         raise ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
-    if grid_target:
-        if args.n is None:
-            raise ConfigError("--block needs --n")
-        report = _verify_grid(args)
-    else:
-        report = _verify_graph(args)
+    if grid_target and args.n is None:
+        raise ConfigError("--block needs --n")
+    header, conditions, before, after, dec, oracle = (_verify_grid if grid_target else _verify_graph)(args)
 
     tol = args.tolerance
+    report = {
+        **header,
+        "conditions": conditions,
+        "residual": float(np.max(np.abs(after - before))),
+        "delta_norm_sq": float(_fmt(dec.delta_norm_sq)),
+        "tolerance": tol,
+    }
+    if oracle is not None:
+        m, vec = oracle
+        report["oracle_residual"] = float(np.max(np.abs(m @ vec - vec)))
     report["passed"] = (
         report["residual"] <= tol
-        and all(report["conditions"].values())
+        and all(conditions.values())
         and report.get("oracle_residual", 0.0) <= tol
     )
     text = json.dumps(report, indent=1)
-    print(text)
     if args.output:
         with _output_errors():
             _output_path(args.output, "verify.json").write_text(text + "\n")
+    print(text)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
@@ -459,27 +451,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         horizon=args.horizon,
     )
 
-    row_dicts = [
-        {
-            "n": r.n,
-            "k": r.k,
-            "scheme": r.scheme.value,
-            "steps": r.steps,
-            "probability": r.probability,
-            "runtime": r.runtime,
-        }
-        for r in report.rows
-    ]
-    ratio_dicts = [
-        {
-            "n": r.n,
-            "k": r.k,
-            "akr_runtime": r.akr_runtime,
-            "grover_runtime": r.grover_runtime,
-            "ratio": r.ratio,
-        }
-        for r in report.ratios
-    ]
+    row_dicts = [{**dataclasses.asdict(r), "scheme": r.scheme.value} for r in report.rows]
+    ratio_dicts = [dataclasses.asdict(r) for r in report.ratios]
     rows_name = f"{args.output or 'table'}_rows.{args.format}"
     with _output_errors():
         rows_path = _output_path(args.output and rows_name, rows_name)

@@ -254,8 +254,6 @@ def graph_uniform_state(g: Graph) -> GraphState:
     deg(G) is the number of arcs, so the state is unit-norm; on the torus
     expressed as a graph this is exactly the grid walk's 1/sqrt(4N).
     """
-    if g.n == 0 or np.any(g.degrees == 0):
-        raise InvalidGraphError("walk undefined: graph empty or has an isolated vertex")
     a = 1.0 / math.sqrt(g.arc_count)
     return GraphState(g, np.full(g.arc_count, a, dtype=float))
 
@@ -270,27 +268,39 @@ def graph_step(
     already folded in, exactly as on the grid.
     """
     g = state.graph
-    return GraphState(g, _step_arcs(g, state.amp, g.marked_arc_indices(marked), scheme))
+    step = _arc_step(g.head, g.tail, g.partner, g.degrees, g.marked_arc_indices(marked), scheme)
+    out = np.empty_like(state.amp)
+    step(state.amp.copy(), out, np.add.reduceat(state.amp, g.offsets[:-1]))
+    return GraphState(g, out)
 
 
-def _step_arcs(g: Graph, amp: np.ndarray, idxs: np.ndarray, scheme: CoinScheme) -> np.ndarray:
-    """:func:`graph_step` on the arc amplitudes, given the marked arcs ``idxs``.
+def _arc_step(
+    head: np.ndarray, tail: np.ndarray, partner: np.ndarray, degrees: np.ndarray,
+    idxs: np.ndarray, scheme: CoinScheme,
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
+    """:func:`graph_step` on one arc layout with marked arcs ``idxs``, as ``step(amp, out, s)``.
 
-    The coin sends arc k to 2 s / d at its tail minus amp[k], and the shift
-    moves that onto ``partner[k]``, whose head is that tail; so the output is
-    two gathers from the per-vertex values and the amplitudes, and only the
-    marked arcs are fixed up afterwards. The per-vertex sums stay on
-    ``reduceat``: ``bincount`` adds in another order, which moves the exact
-    zero residual of the stationary witnesses to about 6e-17.
+    ``step`` writes the step of ``amp`` into ``out`` from its vertex sums ``s``
+    and overwrites ``amp``. The coin sends arc k to 2 s / d at its tail minus
+    amp[k], and the shift moves that onto ``partner[k]``, whose head is that
+    tail; so the output is two gathers from the per-vertex values and the
+    amplitudes, and only the marked arcs are fixed up afterwards. The sums
+    must have the bits of ``reduceat``: ``bincount`` adds in another order,
+    which moves the exact zero residual of the stationary witnesses to about 6e-17.
     """
-    mean2 = 2.0 * np.add.reduceat(amp, g.offsets[:-1]) / g.degrees
-    out = np.take(mean2, g.head) - np.take(amp, g.partner)
-    if idxs.size:
-        if scheme is CoinScheme.AKR:
-            out[g.partner[idxs]] = -amp[idxs]
-        else:
-            out[g.partner[idxs]] = amp[idxs] - mean2[g.tail[idxs]]
-    return out
+    fix_arcs, fix_vertices, mean2 = partner[idxs], tail[idxs], np.empty(degrees.size)
+
+    def step(amp: np.ndarray, out: np.ndarray, s: np.ndarray) -> None:
+        np.multiply(s, 2.0, out=mean2)
+        np.divide(mean2, degrees, out=mean2)
+        kept = amp[idxs]
+        # mode="clip" never clips here; with out=, the default mode buffers the output
+        np.take(amp, partner, out=out, mode="clip")
+        np.take(mean2, head, out=amp, mode="clip")
+        np.subtract(amp, out, out=out)
+        out[fix_arcs] = -kept if scheme is CoinScheme.AKR else kept - mean2[fix_vertices]
+
+    return step
 
 
 # numpy's pairwise sum adds fewer than 8 terms one by one, so reduceat sums a

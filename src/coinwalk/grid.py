@@ -102,8 +102,6 @@ class MarkedSet:
     Coordinates are reduced modulo n; duplicates collapse. ``xs``/``ys`` hold
     the cells in sorted order for deterministic kernels. ``flat`` indexes their
     amplitudes in a flattened (4, n, n) array, cell by cell, four directions each.
-    ``flat1`` holds the positions of the same amplitudes, in the same order, in a
-    state held in frame 1 (see :func:`_frame_coins`).
     """
 
     def __init__(self, n: int, cells: Iterable[tuple[int, int]] = ()):
@@ -117,10 +115,6 @@ class MarkedSet:
         self.mask = np.zeros((n, n), dtype=bool)
         self.mask[self.xs, self.ys] = True
         self.flat = ((self.xs * n + self.ys)[:, None] + n * n * np.arange(4)).reshape(-1)
-        # frame 1 stores direction d of cell (x, y) in plane d ^ 1 of cell (x + dx, y + dy)
-        xs1 = (self.xs[:, None] + _DX) % n
-        ys1 = (self.ys[:, None] + _DY) % n
-        self.flat1 = ((np.arange(4) ^ 1) * n * n + xs1 * n + ys1).reshape(-1)
 
     @classmethod
     def empty(cls, n: int) -> "MarkedSet":
@@ -213,12 +207,12 @@ def _coin_into(
     half_sum: np.ndarray,
 ) -> None:
     """Effective coin applied in place on ``work``: the frame-0 coin of :func:`_frame_coins`."""
-    next(_frame_coins(work, scheme, marked, half_sum))()
+    next(_frame_coins(work, scheme, marked, half_sum))[0]()
 
 
 def _frame_coins(
     work: np.ndarray, scheme: CoinScheme, marked: MarkedSet, half: np.ndarray
-) -> Iterator[Callable[[], None]]:
+) -> Iterator[tuple[Callable[[], None], np.ndarray]]:
     """Yield the in-place coin of ``work`` in frame 0, then in frame 1, each bound once.
 
     Unmarked cells get Grover diffusion (alpha -> s/2 - alpha with s the
@@ -236,8 +230,9 @@ def _frame_coins(
     The frame-1 coin writes each amplitude back where it was read, so the
     next shift is again a relabel and leaves the state in frame 0. Both coins
     add in the same order, so every amplitude is bit-identical to
-    ``step_into``. A caller that needs only frame 0 takes ``next()``; frame 1
-    needs n >= 2.
+    ``step_into``. Each coin comes paired with the flat positions, in its
+    frame, of the amplitudes ``marked.flat`` lists. A caller that needs only
+    frame 0 takes ``next()``; frame 1 needs n >= 2.
     """
     up, down, left, right = work
     flat, kept = work.reshape(-1), np.empty(4 * len(marked))
@@ -262,9 +257,12 @@ def _frame_coins(
         np.multiply(half, 0.5, out=half)
         np.subtract(half, work, out=work)
 
-    yield coin(diffuse0, marked.flat)
+    yield coin(diffuse0, marked.flat), marked.flat
 
     n, h_flat = work.shape[1], half.reshape(-1)
+    # frame 1 stores direction d of cell (x, y) in plane d ^ 1 of cell (x + dx, y + dy)
+    xs1, ys1 = (marked.xs[:, None] + _DX) % n, (marked.ys[:, None] + _DY) % n
+    flat1 = ((np.arange(4) ^ 1) * n * n + xs1 * n + ys1).reshape(-1)
     up_flat, down_flat, seam = up.reshape(-1), down.reshape(-1), np.empty(n)
     h_head, h_tail, l_tail, r_head = half[:-1], half[1:], left[1:], right[:-1]
     # rows (0, n-1) of half and the rows that wrap the torus into them: RIGHT's
@@ -298,7 +296,7 @@ def _frame_coins(
         np.subtract(h_tail, r_head, out=r_head)
         np.subtract(h_wraps, x_wraps, out=x_wraps)
 
-    yield coin(diffuse1, marked.flat1)
+    yield coin(diffuse1, flat1), flat1
 
 
 def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
@@ -322,10 +320,12 @@ def step_into(
     marked: MarkedSet,
     half_sum: np.ndarray,
 ) -> None:
-    """Allocation-light step kernel for hot loops.
+    """The reference step of :func:`step` on caller-owned buffers.
 
     ``src`` and ``dst`` are C-contiguous (4, n, n) arrays. Mutates ``src``
-    (coin phase) and writes the shifted result into ``dst``.
+    (coin phase) and writes the shifted result into ``dst``. No run calls
+    it: ``run_walk`` runs the coins of :func:`_frame_coins` without a shift.
+    Tests and the benchmark's per-layer probes drive it.
     """
     _coin_into(src, scheme, marked, half_sum)
     _shift_into(src, dst)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _arc_probability, _degree_buckets, graph_uniform_state
+from .graph import Graph, _arc_probability, _arc_step, _degree_buckets, graph_uniform_state
 from .grid import CoinScheme, MarkedSet, _frame_coins, uniform_state
 
 __all__ = [
@@ -173,9 +173,8 @@ def _torus_walk(
     if marked.n != n:
         raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
     half = np.empty((n, n))
-    coins = tuple(_frame_coins(amp, scheme, marked, half))
-    flat, half_flat = amp.reshape(-1), half.reshape(-1)
-    index, cells = (marked.flat, marked.flat1), marked.xs * n + marked.ys
+    coins, index = zip(*_frame_coins(amp, scheme, marked, half))
+    flat, half_flat, cells = amp.reshape(-1), half.reshape(-1), marked.xs * n + marked.ys
     sel, cell_half = np.empty(4 * len(marked)), np.empty(len(marked))
     frame = 0
 
@@ -224,12 +223,12 @@ def _graph_walk(
     :func:`graph._degree_buckets`, whose vertex sums have the bits of
     ``reduceat`` without its per-segment cost; ``head``, ``tail``,
     ``partner``, the degrees and the marked arcs are remapped into it once.
-    The step is :func:`graph._step_arcs` on the remapped arrays, between two
-    buffers that swap roles, so every amplitude is bit-identical to it. The
-    gather reads the marked arcs in :meth:`Graph.marked_arc_indices` order,
-    so the probabilities are bit-identical too. The total after a step is
-    ``s.sum() - 2 * s[marked].sum()`` over the vertex sums ``s`` before it,
-    by the identity of :func:`_torus_walk`.
+    The step is :func:`graph._arc_step` on the remapped arrays, between two
+    buffers that swap roles, so every amplitude is bit-identical to
+    :func:`graph.graph_step`. The gather reads the marked arcs in
+    :meth:`Graph.marked_arc_indices` order, so the probabilities are
+    bit-identical too. The total after a step is ``s.sum() - 2 * s[marked].sum()``
+    over the vertex sums ``s`` before it, by the identity of :func:`_torus_walk`.
     """
     vs = np.array(g.check_marked(marked), dtype=np.intp)
     order, arcs, vertex_sums = _degree_buckets(g)
@@ -237,29 +236,20 @@ def _graph_walk(
     rank[order] = np.arange(g.n)
     position = np.empty_like(arcs)
     position[arcs] = np.arange(g.arc_count)
-    head = rank[g.head[arcs]]
-    partner = position[g.partner[arcs]]
-    degrees = g.degrees[order].astype(float)
-    marked_arcs = g.marked_arc_indices(vs)
-    idxs = position[marked_arcs]
-    fix_arcs, fix_vertices, marked_vertices = partner[idxs], rank[g.tail[marked_arcs]], rank[vs]
+    idxs = position[g.marked_arc_indices(vs)]
+    head, tail, partner = rank[g.head[arcs]], rank[g.tail[arcs]], position[g.partner[arcs]]
+    step = _arc_step(head, tail, partner, g.degrees[order].astype(float), idxs, scheme)
+    marked_vertices = rank[vs]
 
     amp = graph_uniform_state(g).amp
     spare = np.empty_like(amp)
-    s, mean2 = np.empty(g.n), np.empty(g.n)
+    s = np.empty(g.n)
 
     def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal spare
         out, spare = spare, a
         vertex_sums(a, s)
-        np.multiply(s, 2.0, out=mean2)
-        np.divide(mean2, degrees, out=mean2)
-        kept = a[idxs]
-        # mode="clip" never clips here; with out=, the default mode buffers the output
-        np.take(a, partner, out=out, mode="clip")
-        np.take(mean2, head, out=a, mode="clip")
-        np.subtract(a, out, out=out)
-        out[fix_arcs] = -kept if scheme is CoinScheme.AKR else kept - mean2[fix_vertices]
+        step(a, out, s)
         return out, float(s.sum()) - 2.0 * float(s[marked_vertices].sum())
 
     return amp, advance, lambda a: _arc_probability(a, idxs)
@@ -339,7 +329,8 @@ def reproduce_tables(
     run stops at ``horizon`` steps (default :func:`default_horizon` of its
     size). A wall clock budget, when given, is checked before each cell and
     every ``_DEADLINE_EVERY`` steps inside it; cells that do not finish in it
-    are listed as truncation markers instead of raising.
+    are listed as truncation markers instead of raising. A size below 2 or a
+    NaN or negative budget raises ``ValueError`` before any cell runs.
     """
     if not sizes:
         raise ValueError("no grid sizes given")
@@ -347,7 +338,11 @@ def reproduce_tables(
         raise ValueError("no block sides given")
     if not schemes:
         raise ValueError("no coin schemes given")
+    if time_budget_s is not None and not time_budget_s >= 0.0:
+        raise ValueError(f"time budget must be a number of seconds >= 0, got {time_budget_s}")
     for n in sizes:
+        if n < 2:
+            raise ValueError(f"grid side must be at least 2, got {n}")
         if n >= LARGE_N_THRESHOLD and not large_n_opt_in:
             raise ValueError(
                 f"grid size {n} is above the desk-scale threshold "

@@ -95,21 +95,15 @@ def build_domino_state(
 ) -> StationaryCandidate:
     """Stationary state for a 1x2 marked pair.
 
-    Every amplitude equals ``a`` except the two amplitudes of the pair that
-    point at each other, which equal ``-3 a``. Defaults ``a`` to the uniform
-    amplitude 1/sqrt(4N).
+    The one-domino tiling of :func:`build_block_tiling`: every amplitude
+    equals ``a`` except the two amplitudes of the pair that point at each
+    other, which equal ``-3 a``. Defaults ``a`` to the uniform amplitude
+    1/sqrt(4N).
     """
     if n < 2:
         raise ValueError(f"grid side must be at least 2, got {n}")
-    a = _check_baseline(_default_baseline(n) if a is None else a)
-    x, y = cell
-    if horizontal:
-        marked = MarkedSet.from_block(n, (x, y), 2, 1)
-    else:
-        marked = MarkedSet.from_block(n, (x, y), 1, 2)
-    amp = np.full((4, n, n), a, dtype=float)
-    _place_domino(amp, n, (x, y), horizontal, a)
-    return StationaryCandidate(GridState(n, amp), marked, a)
+    block = BlockSpec(cell, *((2, 1) if horizontal else (1, 2)))
+    return build_block_tiling(n, block, a, [(cell, horizontal)])
 
 
 def _place_domino(

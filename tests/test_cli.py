@@ -49,8 +49,26 @@ class TestGoldenOutputs:
                 )
                 for coin in ("akr", "grover")
             ),
+            (
+                ["verify", "--n", "8", "--block", "2x4", "--output", "{out}/verify_grid_oracle.json"],
+                ["verify_grid_oracle.json"],
+            ),
+            (
+                ["verify", "--n", "30", "--block", "4x6", "--output", "{out}/verify_grid.json"],
+                ["verify_grid.json"],
+            ),
+            (
+                ["verify", "--graph-ring", "3,3", "--output", "{out}/verify_ring.json"],
+                ["verify_ring.json"],
+            ),
+            (
+                ["table", "--sizes", "40", "--blocks", "3,5", "--format", "json",
+                 "--output", "{out}/table"],
+                ["table_rows.json", "table_ratios.json"],
+            ),
         ],
-        ids=["table", "simulate", "graph-akr", "graph-grover"],
+        ids=["table", "simulate", "graph-akr", "graph-grover", "verify-grid-oracle",
+             "verify-grid", "verify-ring", "table-json"],
     )
     def test_files_byte_identical(self, argv, files, tmp_path):
         assert run_cli(*(a.format(out=tmp_path, data=DATA) for a in argv)) == 0
@@ -293,6 +311,8 @@ class TestInvalidInputs:
                 ["graph-sim", "--graph", f"{{{name}}}", "--coin", "grover"]
                 for name in ("far_id", "far_id_lines", "top_id", "top_id_lines")
             ),
+            ["table", "--sizes", "10", "--blocks", "2", "--budget", "nan"],
+            ["table", "--sizes", "10", "--blocks", "2", "--budget=-1"],
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
@@ -339,7 +359,9 @@ class TestInvalidInputs:
         else:
             out, prefix = blocker / "out.csv", blocker / "t"
         assert run_cli(*(a.format(out=out, prefix=prefix, data=DATA) for a in argv)) == 2
-        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: ")
+        assert captured.out == ""
 
 
 class TestRoundTrips:

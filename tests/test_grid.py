@@ -222,11 +222,11 @@ class TestStep:
             for marked in (MarkedSet(n, cells), MarkedSet.empty(n)):
                 st = random_state(n, rng)
                 work, half = st.amp.copy(), np.empty((n, n))
-                coin0, coin1 = _frame_coins(work, scheme, marked, half)
+                (coin0, _), (coin1, flat1) = _frame_coins(work, scheme, marked, half)
                 coin0()
                 once = step(st, scheme, marked)
                 assert_array_equal(apply_shift(GridState(n, work)).amp, once.amp)
-                sel = work.reshape(-1)[marked.flat1]
+                sel = work.reshape(-1)[flat1]
                 assert float(np.sum(sel * sel)) == marked_probability(once, marked)
                 # the frame-1 half sums are the frame-0 ones of the shifted state
                 half_ref = np.empty((n, n))
@@ -247,7 +247,7 @@ class TestStep:
             st = random_state(n, rng)
             work = st.amp.copy()
             coins = _frame_coins(work, scheme, marked, np.empty((n, n)))
-            for t, coin in enumerate(coins, 1):
+            for t, (coin, _) in enumerate(coins, 1):
                 coin()
                 st = step(st, scheme, marked)
                 if t == 2:

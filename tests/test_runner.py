@@ -225,6 +225,17 @@ class TestReproduceTables:
         with pytest.raises(ValueError):
             reproduce_tables([50], [])
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_side_below_two_rejected_up_front(self, n):
+        # before the horizon's log or the block check sees the size
+        with pytest.raises(ValueError, match=rf"^grid side must be at least 2, got {n}$"):
+            reproduce_tables([50, n], [1])
+
+    @pytest.mark.parametrize("budget", [math.nan, -1.0, -1e-9])
+    def test_nan_or_negative_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="time budget"):
+            reproduce_tables([50], [3], time_budget_s=budget)
+
     def test_zero_budget_truncates_everything(self):
         report = reproduce_tables([50], [3], time_budget_s=0.0)
         assert not report.complete
