@@ -41,11 +41,14 @@ from .grid import (
     DEFAULT_ORACLE_CAP,
     CoinScheme,
     MarkedSet,
+    _check_side,
     dense_step_matrix,
     step,
 )
 from .runner import (
     RunSeries,
+    _centre_origin,
+    _horizon,
     default_horizon,
     reproduce_tables,
     run_graph_walk,
@@ -219,10 +222,11 @@ def _parse_block(text: str, n: int) -> BlockSpec:
     if not m:
         raise ConfigError(f"--block must look like 'MxL' or 'MxL@x,y', got {text!r}")
     width, height = int(m.group(1)), int(m.group(2))
+    _check_side(n)
     if m.group(3) is not None:
         origin = (int(m.group(3)) % n, int(m.group(4)) % n)
     else:
-        origin = (n // 2 - width // 2, n // 2 - height // 2)
+        origin = _centre_origin(n, width, height)
     return BlockSpec(origin, width, height)
 
 
@@ -485,9 +489,7 @@ def cmd_graph_sim(args: argparse.Namespace) -> int:
         marked = []
     vs = g.check_marked(marked)
     scheme = CoinScheme(args.coin)
-    horizon = args.horizon if args.horizon is not None else max(
-        1, math.ceil(4.0 * math.sqrt(g.n * max(1.0, math.log(g.n))))
-    )
+    horizon = args.horizon if args.horizon is not None else _horizon(g.n)
     series = run_graph_walk(
         g, vs, scheme, horizon, record_overlap=not args.no_overlap
     )

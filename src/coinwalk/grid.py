@@ -96,6 +96,12 @@ class GridState:
         return cls(n, np.moveaxis(np.asarray(vec, dtype=float).reshape((n, n, 4)), -1, 0).copy())
 
 
+def _check_side(n: int) -> None:
+    """Reject a torus side below 2, before anything divides by it or reduces modulo it."""
+    if n < 2:
+        raise ValueError(f"grid side must be at least 2, got {n}")
+
+
 class MarkedSet:
     """Set of marked cells with a dense boolean membership plane.
 
@@ -105,8 +111,7 @@ class MarkedSet:
     """
 
     def __init__(self, n: int, cells: Iterable[tuple[int, int]] = ()):
-        if n < 1:
-            raise ValueError(f"grid side must be positive, got {n}")
+        _check_side(n)
         reduced = sorted({(x % n, y % n) for x, y in cells})
         self.n = n
         self.cells = frozenset(reduced)
@@ -125,6 +130,7 @@ class MarkedSet:
         cls, n: int, origin: tuple[int, int], width: int, height: int
     ) -> "MarkedSet":
         """Rectangular block of cells anchored at ``origin`` (may wrap the torus)."""
+        _check_side(n)
         if width < 1 or height < 1:
             raise ValueError(f"block sides must be positive, got {width}x{height}")
         if width > n or height > n:
@@ -156,8 +162,7 @@ def _check_grid(state: GridState, marked: MarkedSet) -> None:
 
 def uniform_state(n: int) -> GridState:
     """Equal superposition over all 4N basis states, amplitude 1/sqrt(4N)."""
-    if n < 2:
-        raise ValueError(f"grid side must be at least 2, got {n}")
+    _check_side(n)
     a = 1.0 / math.sqrt(4.0 * n * n)
     return GridState(n, np.full((4, n, n), a, dtype=float))
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, _arc_probability, _arc_step, _degree_buckets, graph_uniform_state
-from .grid import CoinScheme, MarkedSet, _frame_coins, uniform_state
+from .grid import CoinScheme, MarkedSet, _check_side, _frame_coins, uniform_state
 
 __all__ = [
     "LARGE_N_THRESHOLD",
@@ -77,15 +77,24 @@ def runtime_metric(steps: float, probability: float) -> float:
     return steps / math.sqrt(probability)
 
 
+def _horizon(vertices: int) -> int:
+    """ceil(4 sqrt(N max(1, ln N))) steps for a walk on N vertices."""
+    return math.ceil(4.0 * math.sqrt(vertices * max(1.0, math.log(vertices))))
+
+
 def default_horizon(n: int) -> int:
     """ceil(4 sqrt(N ln N)) for N = n**2; covers every tabulated halt step."""
-    big_n = n * n
-    return math.ceil(4.0 * math.sqrt(big_n * math.log(big_n)))
+    return _horizon(n * n)
+
+
+def _centre_origin(n: int, width: int, height: int) -> tuple[int, int]:
+    """Origin of a width x height block centred on the side-n torus."""
+    return n // 2 - width // 2, n // 2 - height // 2
 
 
 def centered_block(n: int, width: int, height: int) -> MarkedSet:
     """Block at the grid center; placement is cosmetic by translation symmetry."""
-    return MarkedSet.from_block(n, (n // 2 - width // 2, n // 2 - height // 2), width, height)
+    return MarkedSet.from_block(n, _centre_origin(n, width, height), width, height)
 
 
 class _OutOfTime(Exception):
@@ -341,8 +350,7 @@ def reproduce_tables(
     if time_budget_s is not None and not time_budget_s >= 0.0:
         raise ValueError(f"time budget must be a number of seconds >= 0, got {time_budget_s}")
     for n in sizes:
-        if n < 2:
-            raise ValueError(f"grid side must be at least 2, got {n}")
+        _check_side(n)
         if n >= LARGE_N_THRESHOLD and not large_n_opt_in:
             raise ValueError(
                 f"grid size {n} is above the desk-scale threshold "

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import Direction, GridState, MarkedSet, _shift_into, uniform_state
+from .grid import Direction, GridState, MarkedSet, _check_side, _shift_into, uniform_state
 
 if TYPE_CHECKING:
     from .graph import GraphState
@@ -76,12 +76,10 @@ class Decomposition:
     delta_norm_sq: float
 
 
-def _default_baseline(n: int) -> float:
-    return 1.0 / math.sqrt(4.0 * n * n)
-
-
-def _check_baseline(a: float) -> float:
-    a = float(a)
+def _baseline(n: int, a: float | None) -> float:
+    """The unmarked amplitude ``a``, by default 1/sqrt(4N); checks the side first."""
+    _check_side(n)
+    a = 1.0 / math.sqrt(4.0 * n * n) if a is None else float(a)
     if a == 0.0:
         raise ValueError("baseline amplitude a must be nonzero")
     return a
@@ -100,23 +98,42 @@ def build_domino_state(
     other, which equal ``-3 a``. Defaults ``a`` to the uniform amplitude
     1/sqrt(4N).
     """
-    if n < 2:
-        raise ValueError(f"grid side must be at least 2, got {n}")
     block = BlockSpec(cell, *((2, 1) if horizontal else (1, 2)))
     return build_block_tiling(n, block, a, [(cell, horizontal)])
 
 
-def _place_domino(
-    amp: np.ndarray, n: int, cell: tuple[int, int], horizontal: bool, a: float
-) -> None:
-    """Write the -3a facing pair of one domino into ``amp``."""
-    x, y = cell[0] % n, cell[1] % n
-    if horizontal:
-        amp[Direction.RIGHT, x, y] = -3.0 * a
-        amp[Direction.LEFT, (x + 1) % n, y] = -3.0 * a
-    else:
-        amp[Direction.DOWN, x, y] = -3.0 * a
-        amp[Direction.UP, x, (y + 1) % n] = -3.0 * a
+def _superpose_tilings(
+    n: int, block: BlockSpec, a: float, tilings: Sequence[Sequence[DominoPlacement]]
+) -> StationaryCandidate:
+    """Equal-weight superposition of domino tilings of the block.
+
+    One tiling's state is ``a`` everywhere except each domino's facing pair
+    at ``-3 a``, so the mean lowers each domino's pair by ``4 a / len(tilings)``.
+    Every tiling must cover the block's cells exactly once. With one or two
+    tilings the drop is an exact power-of-two multiple of ``a``, so ``-a``
+    comes out exact and ``-3 a`` is rounded once, as ``-3.0 * a`` would be.
+    """
+    marked = block.marked_set(n)
+    amp = np.full((4, n, n), a, dtype=float)
+    drop = 4.0 * a / len(tilings)
+    for tiling in tilings:
+        covered: set[tuple[int, int]] = set()
+        for (x, y), horizontal in tiling:
+            c1 = (x % n, y % n)
+            c2 = ((x + 1) % n, y % n) if horizontal else (x % n, (y + 1) % n)
+            for c in (c1, c2):
+                if c not in marked.cells:
+                    raise InvalidTilingError(f"domino cell {c} lies outside the block")
+                if c in covered:
+                    raise InvalidTilingError(f"domino placements overlap at {c}")
+                covered.add(c)
+            d1, d2 = (Direction.RIGHT, Direction.LEFT) if horizontal else (Direction.DOWN, Direction.UP)
+            amp[(d1, *c1)] -= drop
+            amp[(d2, *c2)] -= drop
+        if covered != marked.cells:
+            missing = len(marked.cells - covered)
+            raise InvalidTilingError(f"tiling leaves {missing} block cells uncovered")
+    return StationaryCandidate(GridState(n, amp), marked, a)
 
 
 def _ring_cycle(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
@@ -132,62 +149,47 @@ def _ring_cycle(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
     return top + right + bottom + left
 
 
-_STEP_DIR = {
-    (1, 0): Direction.RIGHT,
-    (-1, 0): Direction.LEFT,
-    (0, 1): Direction.DOWN,
-    (0, -1): Direction.UP,
-}
-
-
 def build_block_layered(
     n: int, block: BlockSpec, a: float | None = None
 ) -> StationaryCandidate:
     """Stationary state for an m x l block via perimeter-layer peeling.
 
-    Each layer is a rectangular ring: every ring cell points at its two
-    ring-cycle neighbors with -a and keeps +a on its other two directions.
-    A leftover 1 x even strip is filled with dominoes. Raises
-    :class:`OddOddBlockError` when both sides are odd, for which no such
-    state exists.
+    Each layer is a rectangular ring, a cycle of even length, which splits
+    into two domino tilings of itself: its edges (0,1), (2,3), ... and (1,2),
+    ..., (L-1,0). The state is the mean of the two block tilings these give,
+    so every ring cell points at its two ring neighbors with -a and keeps +a
+    on its other two directions. A leftover 1 x even strip gets the same
+    dominoes in both tilings. Raises :class:`OddOddBlockError` when both
+    sides are odd, for which no such state exists.
     """
-    a = _check_baseline(_default_baseline(n) if a is None else a)
+    a = _baseline(n, a)
     m, l = block.width, block.height
     if m % 2 == 1 and l % 2 == 1:
         raise OddOddBlockError(
             f"no stationary construction for an odd-by-odd block ({m}x{l})"
         )
-    marked = block.marked_set(n)
     ox, oy = block.origin
-    amp = np.full((4, n, n), a, dtype=float)
-
-    def assign(i: int, j: int, d: Direction, value: float) -> None:
-        amp[d, (ox + i) % n, (oy + j) % n] = value
-
+    tilings: tuple[list[DominoPlacement], list[DominoPlacement]] = ([], [])
     x0, y0, x1, y1 = 0, 0, m - 1, l - 1
     while x1 - x0 >= 1 and y1 - y0 >= 1:
         ring = _ring_cycle(x0, y0, x1, y1)
-        for p, (i, j) in enumerate(ring):
-            for ni, nj in (ring[p - 1], ring[(p + 1) % len(ring)]):
-                d = _STEP_DIR[(ni - i, nj - j)]
-                assign(i, j, d, -a)
+        for p, cell in enumerate(ring):
+            (i, j), other = sorted((cell, ring[(p + 1) % len(ring)]))
+            tilings[p % 2].append(((ox + i, oy + j), j == other[1]))
         x0 += 1
         y0 += 1
         x1 -= 1
         y1 -= 1
 
-    rm, rl = x1 - x0 + 1, y1 - y0 + 1  # remaining strip, at most 1 cell wide
-    if rm >= 1 and rl >= 1:
-        if rm == 1 and rl == 1:
-            raise AssertionError("odd-by-odd remainder should have been rejected")
-        if rm == 1:
-            for s in range(rl // 2):
-                _place_domino(amp, n, ((ox + x0) % n, (oy + y0 + 2 * s) % n), False, a)
-        else:
-            for s in range(rm // 2):
-                _place_domino(amp, n, ((ox + x0 + 2 * s) % n, (oy + y0) % n), True, a)
-
-    return StationaryCandidate(GridState(n, amp), marked, a)
+    # what is left is empty or a 1 x even strip (1x1 would be odd-by-odd)
+    strip: list[DominoPlacement] = []
+    if x0 == x1:
+        strip = [((ox + x0, oy + j), False) for j in range(y0, y1, 2)]
+    elif y0 == y1:
+        strip = [((ox + i, oy + y0), True) for i in range(x0, x1, 2)]
+    for tiling in tilings:
+        tiling.extend(strip)
+    return _superpose_tilings(n, block, a, tilings)
 
 
 def build_block_tiling(
@@ -201,26 +203,7 @@ def build_block_tiling(
     Every amplitude is ``a`` except each domino's facing pair at ``-3 a``.
     The placements must cover the block's cells exactly once.
     """
-    a = _check_baseline(_default_baseline(n) if a is None else a)
-    marked = block.marked_set(n)
-    covered: set[tuple[int, int]] = set()
-    for (x, y), horizontal in tiling:
-        c1 = (x % n, y % n)
-        c2 = ((x + 1) % n, y % n) if horizontal else (x % n, (y + 1) % n)
-        for c in (c1, c2):
-            if c not in marked.cells:
-                raise InvalidTilingError(f"domino cell {c} lies outside the block")
-            if c in covered:
-                raise InvalidTilingError(f"domino placements overlap at {c}")
-            covered.add(c)
-    if covered != marked.cells:
-        missing = sorted(marked.cells - covered)
-        raise InvalidTilingError(f"tiling leaves {len(missing)} block cells uncovered")
-
-    amp = np.full((4, n, n), a, dtype=float)
-    for cell, horizontal in tiling:
-        _place_domino(amp, n, cell, horizontal, a)
-    return StationaryCandidate(GridState(n, amp), marked, a)
+    return _superpose_tilings(n, block, _baseline(n, a), [tiling])
 
 
 def check_conditions(
@@ -258,7 +241,7 @@ def decompose_initial(n: int, candidate: StationaryCandidate) -> Decomposition:
     Requires the candidate's baseline to equal the uniform amplitude
     1/sqrt(4N) so that the remainder is supported on marked cells only.
     """
-    a0 = _default_baseline(n)
+    a0 = _baseline(n, None)
     if not math.isclose(candidate.baseline, a0, rel_tol=1e-12, abs_tol=0.0):
         raise ValueError(
             f"candidate baseline {candidate.baseline!r} does not match the "

@@ -142,6 +142,16 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_wrapped_origin_equals_reduced_origin(self, tmp_path, capsys):
+        for name, origin in (("wrapped", "19,-11"), ("reduced", "9,9")):
+            argv = ["simulate", "--n", "10", "--block", f"2x2@{origin}", "--coin", "akr",
+                    "--horizon", "30", "--output", str(tmp_path / f"{name}.csv")]
+            assert run_cli(*argv) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["k"] == 4
+        for suffix in (".csv", ".summary.json"):
+            wrapped = (tmp_path / "wrapped").with_suffix(suffix).read_bytes()
+            assert wrapped == (tmp_path / "reduced").with_suffix(suffix).read_bytes()
+
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COINWALK_OUTPUT_DIR", str(tmp_path / "outs"))
         code = run_cli("simulate", "--n", "12", "--cells", "1,1", "--coin", "akr", "--horizon", "5")
@@ -193,6 +203,21 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["residual"] <= report["tolerance"]
         assert report["passed"] is False
+
+    @pytest.mark.parametrize("origin", ["9,9", "-1,-1", "19,-11"])
+    def test_explicit_origin_reduced_mod_n(self, origin, capsys):
+        # at, below and past the seam: one block, wrapped on both axes
+        assert run_cli("verify", "--n", "10", "--block", f"2x4@{origin}") == 0
+        text = capsys.readouterr().out
+        report = json.loads(text)
+        assert report["block"] == "2x4@9,9"
+        assert run_cli("verify", "--n", "10", "--block", "2x4@9,9") == 0
+        assert capsys.readouterr().out == text
+        assert run_cli("verify", "--n", "10", "--block", "2x4") == 0
+        centred = json.loads(capsys.readouterr().out)
+        assert centred["block"] == "2x4@4,3"
+        assert report["conditions"] == centred["conditions"]
+        assert report["passed"] is centred["passed"] is True
 
     def test_needs_exactly_one_target(self):
         assert run_cli("verify", "--n", "10") == 2
@@ -313,6 +338,12 @@ class TestInvalidInputs:
             ),
             ["table", "--sizes", "10", "--blocks", "2", "--budget", "nan"],
             ["table", "--sizes", "10", "--blocks", "2", "--budget=-1"],
+            # a torus side below 2, before anything divides by it or reduces modulo it
+            ["verify", "--n", "0", "--block", "1x2"],
+            ["verify", "--n", "0", "--block", "1x2@1,1"],
+            ["simulate", "--n", "0", "--block", "1x2@1,1", "--coin", "akr"],
+            ["verify", "--n", "-2", "--block", "1x2"],
+            ["simulate", "--n", "0", "--cells", "", "--coin", "akr"],
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
@@ -334,6 +365,13 @@ class TestInvalidInputs:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("n", ["-2", "0", "1"])
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_side_below_two_named(self, command, n, capsys):
+        coin = ["--coin", "akr"] if command == "simulate" else []
+        assert run_cli(command, "--n", n, "--block", "1x2@1,1", *coin) == 2
+        assert capsys.readouterr().err == f"error: grid side must be at least 2, got {n}\n"
 
     @pytest.mark.parametrize("where", ["directory", "under_file"])
     @pytest.mark.parametrize(

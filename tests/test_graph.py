@@ -383,6 +383,20 @@ class TestTwoMarked:
         assert st.amp[g.arc_index(i, j)] == pytest.approx(-k * a)
         assert st.amp[g.arc_index(j, i)] == pytest.approx(-k * a)
 
+    def test_perturbed_marked_pair_fails_zero_sum_only(self):
+        # both arcs between the marked vertices move together: still symmetric,
+        # still uniform off the marked set, but neither marked sum is zero
+        g, (i, j), st = build_two_marked(2)
+        st.amp[[g.arc_index(i, j), g.arc_index(j, i)]] += 1e-6
+        assert graph_check_conditions(st, (i, j)) == (True, False, True)
+
+    def test_decomposition_needs_a_nonzero_free_arc(self):
+        g, marked, st = build_two_marked(1)
+        with pytest.raises(ValueError, match="baseline is zero"):
+            decompose_graph_initial(GraphState(g, np.zeros(g.arc_count)), marked)
+        with pytest.raises(ValueError, match="no arc with an unmarked endpoint"):
+            decompose_graph_initial(st, range(g.n))
+
     def test_decomposition_lives_on_the_marked_arc_pair(self):
         k = 4
         g, (i, j), st = build_two_marked(k)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -51,6 +52,36 @@ def enumerate_tilings(width, height):
 def shifted_tiling(tiling, origin):
     ox, oy = origin
     return [((ox + i, oy + j), h) for (i, j), h in tiling]
+
+
+_OFFSETS = {Direction.UP: (0, -1), Direction.DOWN: (0, 1), Direction.LEFT: (-1, 0), Direction.RIGHT: (1, 0)}
+
+
+def assert_layered_census(c, block):
+    """Every amplitude of a layered block state is bitwise a, -a or -3a, where it belongs.
+
+    A cell at peeling depth d lies on a ring when its layer is at least 2x2 and
+    on the leftover 1 x even strip otherwise. A ring cell has exactly two -a
+    amplitudes; a strip cell has one -3a, facing the -3a of its domino partner.
+    Everything off the block is a.
+    """
+    n, a = c.state.n, c.baseline
+    bits = c.state.amp.view(np.int64)
+    plus, minus, minus3 = np.array([a, -a, -3.0 * a]).view(np.int64)
+    assert np.isin(bits, [plus, minus, minus3]).all()
+    assert (bits[:, ~c.marked.mask] == plus).all()
+    (ox, oy), m, l = block.origin, block.width, block.height
+    for i, j in itertools.product(range(m), range(l)):
+        x, y = (ox + i) % n, (oy + j) % n
+        cell = bits[:, x, y]
+        where = (n, m, l, (i, j))
+        if min(m, l) - 2 * min(i, j, m - 1 - i, l - 1 - j) >= 2:
+            assert (cell == minus).sum() == 2 and (cell == plus).sum() == 2, where
+        else:
+            assert (cell == minus3).sum() == 1 and (cell == plus).sum() == 3, where
+            d = next(d for d in Direction if cell[d] == minus3)
+            dx, dy = _OFFSETS[d]
+            assert bits[d.opposite, (x + dx) % n, (y + dy) % n] == minus3, where
 
 
 class TestDominoState:
@@ -131,6 +162,15 @@ class TestLayeredConstruction:
         c = build_block_layered(10, BlockSpec((8, 7), 4, 5))
         assert check_conditions(c) == (True, True, True)
         assert residual(c) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_amplitude_census(self, n):
+        sides = range(1, min(n, 6) + 1)
+        origins = [(0, 0), (n - 1, n - 1), (1, n - 2)]
+        for m, l, origin, a in itertools.product(sides, sides, origins, (None, 1 / 3)):
+            if m * l % 2 == 0:
+                block = BlockSpec(origin, m, l)
+                assert_layered_census(build_block_layered(n, block, a), block)
 
 
 class TestTilingConstruction:
