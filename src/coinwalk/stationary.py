@@ -103,19 +103,18 @@ def build_domino_state(
 
 
 def _superpose_tilings(
-    n: int, block: BlockSpec, a: float, tilings: Sequence[Sequence[DominoPlacement]]
+    n: int, marked: MarkedSet, a: float, tilings: Sequence[Sequence[DominoPlacement]]
 ) -> StationaryCandidate:
-    """Equal-weight superposition of domino tilings of the block.
+    """Equal-weight superposition of domino tilings of the marked block.
 
     One tiling's state is ``a`` everywhere except each domino's facing pair
     at ``-3 a``, so the mean lowers each domino's pair by ``4 a / len(tilings)``.
-    Every tiling must cover the block's cells exactly once. With one or two
-    tilings the drop is an exact power-of-two multiple of ``a``, so ``-a``
-    comes out exact and ``-3 a`` is rounded once, as ``-3.0 * a`` would be.
+    Every tiling must cover the block's cells exactly once. The drops are
+    summed as multiples of ``a`` and scaled once, so one or two tilings give
+    ``a``, ``-a`` or ``-3.0 * a`` to the bit and overflow no sooner than ``-3 a``.
     """
-    marked = block.marked_set(n)
-    amp = np.full((4, n, n), a, dtype=float)
-    drop = 4.0 * a / len(tilings)
+    factor = np.ones((4, n, n))
+    drop = 4.0 / len(tilings)
     for tiling in tilings:
         covered: set[tuple[int, int]] = set()
         for (x, y), horizontal in tiling:
@@ -128,12 +127,12 @@ def _superpose_tilings(
                     raise InvalidTilingError(f"domino placements overlap at {c}")
                 covered.add(c)
             d1, d2 = (Direction.RIGHT, Direction.LEFT) if horizontal else (Direction.DOWN, Direction.UP)
-            amp[(d1, *c1)] -= drop
-            amp[(d2, *c2)] -= drop
+            factor[(d1, *c1)] -= drop
+            factor[(d2, *c2)] -= drop
         if covered != marked.cells:
             missing = len(marked.cells - covered)
             raise InvalidTilingError(f"tiling leaves {missing} block cells uncovered")
-    return StationaryCandidate(GridState(n, amp), marked, a)
+    return StationaryCandidate(GridState(n, a * factor), marked, a)
 
 
 def _ring_cycle(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
@@ -168,6 +167,7 @@ def build_block_layered(
         raise OddOddBlockError(
             f"no stationary construction for an odd-by-odd block ({m}x{l})"
         )
+    marked = block.marked_set(n)
     ox, oy = block.origin
     tilings: tuple[list[DominoPlacement], list[DominoPlacement]] = ([], [])
     x0, y0, x1, y1 = 0, 0, m - 1, l - 1
@@ -189,7 +189,7 @@ def build_block_layered(
         strip = [((ox + i, oy + y0), True) for i in range(x0, x1, 2)]
     for tiling in tilings:
         tiling.extend(strip)
-    return _superpose_tilings(n, block, a, tilings)
+    return _superpose_tilings(n, marked, a, tilings)
 
 
 def build_block_tiling(
@@ -203,7 +203,8 @@ def build_block_tiling(
     Every amplitude is ``a`` except each domino's facing pair at ``-3 a``.
     The placements must cover the block's cells exactly once.
     """
-    return _superpose_tilings(n, block, _baseline(n, a), [tiling])
+    a = _baseline(n, a)
+    return _superpose_tilings(n, block.marked_set(n), a, [tiling])
 
 
 def check_conditions(

@@ -219,6 +219,12 @@ class TestVerify:
         assert report["conditions"] == centred["conditions"]
         assert report["passed"] is centred["passed"] is True
 
+    @pytest.mark.parametrize("block", ["100000x2", "2x1000000000"])
+    def test_oversized_block_exit_2_at_once(self, block, capsys):
+        # rejected before any work that grows with the block's area
+        assert run_cli("verify", "--n", "8", "--block", block) == 2
+        assert capsys.readouterr().err == f"error: --block: {block} block wraps onto itself on a side-8 torus\n"
+
     def test_needs_exactly_one_target(self):
         assert run_cli("verify", "--n", "10") == 2
         assert run_cli("verify", "--graph-two-marked", "--graph-ring", "3,2", "--k", "1") == 2
@@ -364,7 +370,6 @@ class TestInvalidInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
-
 
     @pytest.mark.parametrize("n", ["-2", "0", "1"])
     @pytest.mark.parametrize("command", ["verify", "simulate"])

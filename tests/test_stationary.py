@@ -172,6 +172,19 @@ class TestLayeredConstruction:
                 block = BlockSpec(origin, m, l)
                 assert_layered_census(build_block_layered(n, block, a), block)
 
+    @pytest.mark.parametrize("a", [5e307, -5.9e307])
+    def test_census_exact_near_overflow(self, a):
+        # 4a overflows here while -3a does not: no step may pass through 4a
+        block = BlockSpec((3, 3), 3, 6)
+        assert_layered_census(build_block_layered(8, block, a), block)
+        domino = build_domino_state(8, (1, 1), a=a).state.amp
+        assert domino[Direction.RIGHT, 1, 1].view(np.int64) == np.float64(-3.0 * a).view(np.int64)
+
+    @pytest.mark.parametrize("m, l", [(100_000, 2), (2, 1_000_000_000)])
+    def test_oversized_block_rejected_before_peeling(self, m, l):
+        with pytest.raises(ValueError, match=f"^{m}x{l} block wraps onto itself on a side-8 torus$"):
+            build_block_layered(8, BlockSpec((0, 0), m, l))
+
 
 class TestTilingConstruction:
     def test_2x2_both_tilings(self):
