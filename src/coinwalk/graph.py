@@ -70,9 +70,11 @@ class Graph:
             )
         self.offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(self.degrees, out=self.offsets[1:])
-        # arc keys tail * n + head ascend strictly, so a reverse arc is one search away
+        # arc keys tail * n + head ascend strictly, so arc_index is one search away
         self._keys = tail * n + head
-        self.partner = np.searchsorted(self._keys, head * n + tail)
+        # the reverse keys head * n + tail are the arc keys permuted, so the arc
+        # holding the k-th smallest reverse key is the reverse of arc k
+        self.partner = np.argsort(head * n + tail)
 
     @functools.cached_property
     def arcs(self) -> list[tuple[int, int]]:
@@ -195,7 +197,7 @@ def _plain_edge_array(text: str) -> np.ndarray | None:
     """
     if _PLAIN_EDGES.fullmatch(text) is None:
         return None
-    return np.array(text.split(), dtype=np.int64).reshape(-1, 2)
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
 def _parse_edge_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
@@ -268,39 +270,62 @@ def graph_step(
     already folded in, exactly as on the grid.
     """
     g = state.graph
-    step = _arc_step(g.head, g.tail, g.partner, g.degrees, g.marked_arc_indices(marked), scheme)
-    out = np.empty_like(state.amp)
-    step(state.amp.copy(), out, np.add.reduceat(state.amp, g.offsets[:-1]))
-    return GraphState(g, out)
+
+    def spread(mean2: np.ndarray, amp: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(np.repeat(mean2, g.degrees), amp, out=out)
+
+    coin, _ = _arc_steps(
+        g.head, g.tail, g.partner, g.degrees, g.marked_arc_indices(marked), scheme, spread
+    )
+    c = np.empty_like(state.amp)
+    coin(state.amp, np.add.reduceat(state.amp, g.offsets[:-1]), c)
+    return GraphState(g, c[g.partner])
 
 
-def _arc_step(
+# the step kernels of _arc_steps and the spread they call; each writes one of its three arrays
+_ArcKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+
+
+def _arc_steps(
     head: np.ndarray, tail: np.ndarray, partner: np.ndarray, degrees: np.ndarray,
-    idxs: np.ndarray, scheme: CoinScheme,
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
-    """:func:`graph_step` on one arc layout with marked arcs ``idxs``, as ``step(amp, out, s)``.
+    idxs: np.ndarray, scheme: CoinScheme, spread: _ArcKernel,
+) -> tuple[_ArcKernel, _ArcKernel]:
+    """The two forms of :func:`graph_step` on one arc layout with marked arcs ``idxs``.
 
-    ``step`` writes the step of ``amp`` into ``out`` from its vertex sums ``s``
-    and overwrites ``amp``. The coin sends arc k to 2 s / d at its tail minus
-    amp[k], and the shift moves that onto ``partner[k]``, whose head is that
-    tail; so the output is two gathers from the per-vertex values and the
-    amplitudes, and only the marked arcs are fixed up afterwards. The sums
-    must have the bits of ``reduceat``: ``bincount`` adds in another order,
-    which moves the exact zero residual of the stationary witnesses to about 6e-17.
+    Both are called as ``f(amp, s, c)`` with ``s`` the vertex sums of ``amp``.
+    ``coin`` writes the coin output into ``c``: arc k gets 2 s / d at its
+    tail minus amp[k], written by ``spread(mean2, amp, c)``, and then the
+    marked arcs are fixed up. The shift moves c[k] onto ``partner[k]``, so
+    the step of ``amp`` is ``c[partner]``. ``recoin`` overwrites ``amp``
+    with its step when ``c`` already holds ``amp[partner]``: the output is
+    2 s / d at each arc's head minus ``c``, with the fix-ups at
+    ``partner[idxs]``. ``partner`` is an involution, so after
+    ``amp = c[partner]`` the ``c`` a coin wrote is that ``amp[partner]``, bit for bit.
+    The sums must have the bits of ``reduceat``: ``bincount`` adds in another
+    order, which moves the exact zero residual of the stationary witnesses to
+    about 6e-17.
     """
     fix_arcs, fix_vertices, mean2 = partner[idxs], tail[idxs], np.empty(degrees.size)
 
-    def step(amp: np.ndarray, out: np.ndarray, s: np.ndarray) -> None:
+    def marked_coin(s: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        # fills mean2 = 2 s / d, then gives the marked arcs' coin output
         np.multiply(s, 2.0, out=mean2)
         np.divide(mean2, degrees, out=mean2)
-        kept = amp[idxs]
-        # mode="clip" never clips here; with out=, the default mode buffers the output
-        np.take(amp, partner, out=out, mode="clip")
-        np.take(mean2, head, out=amp, mode="clip")
-        np.subtract(amp, out, out=out)
-        out[fix_arcs] = -kept if scheme is CoinScheme.AKR else kept - mean2[fix_vertices]
+        return -kept if scheme is CoinScheme.AKR else kept - mean2[fix_vertices]
 
-    return step
+    def coin(amp: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
+        fixed = marked_coin(s, amp[idxs])
+        spread(mean2, amp, c)
+        c[idxs] = fixed
+
+    def recoin(amp: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
+        fixed = marked_coin(s, amp[idxs])
+        # mode="clip" never clips here; with out=, the default mode buffers the output
+        np.take(mean2, head, out=amp, mode="clip")
+        np.subtract(amp, c, out=amp)
+        amp[fix_arcs] = fixed
+
+    return coin, recoin
 
 
 # numpy's pairwise sum adds fewer than 8 terms one by one, so reduceat sums a
@@ -310,16 +335,20 @@ _SEQUENTIAL_DEGREE = 8
 
 def _degree_buckets(
     g: Graph,
-) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
-    """The arc layout :func:`runner.run_graph_walk` runs in, with its vertex sums.
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray], None], _ArcKernel]:
+    """The arc layout :func:`runner.run_graph_walk` runs in, with its vertex sums and coin.
 
-    Vertex blocks are ordered by ``(min(degree, 9), id)`` and each vertex's
-    arcs keep their order, so the vertices of each degree d <= 8 fill one
-    contiguous ``(count, d)`` block and the rest one contiguous tail. Returns
-    ``order`` (vertex ``i`` of the layout is vertex ``order[i]`` of ``g``),
-    ``arcs`` (arc ``p`` of the layout is arc ``arcs[p]`` of ``g``) and
-    ``sums(amp, out)``, which writes the vertex sums of a layout state into
-    ``out`` in layout order. The blocks are summed with column adds in
+    Vertex blocks are ordered by ``(min(degree, 9), id)``. The vertices of
+    each degree d <= 8 fill one contiguous block stored column-major, a
+    ``(d, count)`` array whose row j holds the j-th arc of every vertex;
+    the vertices of higher degree fill one contiguous tail, each vertex's
+    arcs together and in order. Returns ``order`` (vertex ``i`` of the
+    layout is vertex ``order[i]`` of ``g``), ``arcs`` (arc ``p`` of the
+    layout is arc ``arcs[p]`` of ``g``), ``sums(amp, out)``, which writes
+    the vertex sums of a layout state into ``out`` in layout order, and
+    ``spread(mean2, amp, c)``, which writes each arc's tail value of
+    ``mean2`` minus ``amp`` into ``c`` (the unmarked coin of
+    :func:`_arc_steps`). The blocks are summed with row adds in
     ``reduceat``'s order and the tail with ``reduceat``, so every sum has the
     bits of ``np.add.reduceat(amp, g.offsets[:-1])``. That relies on numpy's
     internal add order; ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit``
@@ -334,28 +363,39 @@ def _degree_buckets(
     arcs = np.repeat(g.offsets[order] - offsets[:-1], degrees) + np.arange(g.arc_count)
     first = np.searchsorted(bucket[order], np.arange(1, _SEQUENTIAL_DEGREE + 2))
     blocks = [
-        (d, first[d - 1], first[d])
+        (d, first[d - 1], first[d], slice(offsets[first[d - 1]], offsets[first[d]]))
         for d in range(1, _SEQUENTIAL_DEGREE + 1)
         if first[d] > first[d - 1]
     ]
+    for d, _, _, arc_range in blocks:
+        arcs[arc_range] = arcs[arc_range].reshape(-1, d).T.ravel()
     tail = first[-1]
+    tail_arcs = slice(offsets[tail], None)
     tail_offsets = offsets[tail:-1] - offsets[tail]
+    tail_degrees = degrees[tail:]
 
     def sums(amp: np.ndarray, out: np.ndarray) -> None:
-        for d, lo, hi in blocks:
-            c = amp[offsets[lo] : offsets[hi]].reshape(-1, d)
+        for d, lo, hi, arc_range in blocks:
+            rows = amp[arc_range].reshape(d, -1)
             s = out[lo:hi]
             if d == 1:
-                s[:] = c[:, 0]
+                s[:] = rows[0]
                 continue
-            s[:] = c[:, 1]
+            s[:] = rows[1]
             for j in range(2, d):
-                s += c[:, j]
-            s += c[:, 0]
+                s += rows[j]
+            s += rows[0]
         if tail < g.n:
-            np.add.reduceat(amp[offsets[tail] :], tail_offsets, out=out[tail:])
+            np.add.reduceat(amp[tail_arcs], tail_offsets, out=out[tail:])
 
-    return order, arcs, sums
+    def spread(mean2: np.ndarray, amp: np.ndarray, c: np.ndarray) -> None:
+        for d, lo, hi, arc_range in blocks:
+            rows = amp[arc_range].reshape(d, -1)
+            np.subtract(mean2[lo:hi], rows, out=c[arc_range].reshape(d, -1))
+        if tail < g.n:
+            np.subtract(np.repeat(mean2[tail:], tail_degrees), amp[tail_arcs], out=c[tail_arcs])
+
+    return order, arcs, sums, spread
 
 
 def graph_dense_step_matrix(

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _arc_probability, _arc_step, _degree_buckets, graph_uniform_state
+from .graph import Graph, _arc_probability, _arc_steps, _degree_buckets, graph_uniform_state
 from .grid import CoinScheme, MarkedSet, _check_side, _frame_coins, uniform_state
 
 __all__ = [
@@ -232,34 +232,47 @@ def _graph_walk(
     :func:`graph._degree_buckets`, whose vertex sums have the bits of
     ``reduceat`` without its per-segment cost; ``head``, ``tail``,
     ``partner``, the degrees and the marked arcs are remapped into it once.
-    The step is :func:`graph._arc_step` on the remapped arrays, between two
-    buffers that swap roles, so every amplitude is bit-identical to
-    :func:`graph.graph_step`. The gather reads the marked arcs in
-    :meth:`Graph.marked_arc_indices` order, so the probabilities are
-    bit-identical too. The total after a step is ``s.sum() - 2 * s[marked].sum()``
-    over the vertex sums ``s`` before it, by the identity of :func:`_torus_walk`.
+    The steps alternate between the two forms of :func:`graph._arc_steps`.
+    An odd step writes the coin output ``c`` by broadcasting over the
+    column-major degree blocks, with no index array, and gathers the new
+    state ``c[partner]``, the only arc gather of the pair. It keeps ``c``,
+    which is the new state's ``amp[partner]``, so the even step after it
+    needs only the per-vertex gather at each arc's head. Both write the state
+    into the one buffer ``_drive`` holds, so every amplitude is bit-identical
+    to :func:`graph.graph_step` after every step. The gather reads the
+    marked arcs in :meth:`Graph.marked_arc_indices` order, so the
+    probabilities are bit-identical too. The total after a step is
+    ``s.sum() - 2 * s[marked].sum()`` over the vertex sums ``s`` before it,
+    by the identity of :func:`_torus_walk`.
     """
     vs = np.array(g.check_marked(marked), dtype=np.intp)
-    order, arcs, vertex_sums = _degree_buckets(g)
+    order, arcs, vertex_sums, spread = _degree_buckets(g)
     rank = np.empty_like(order)
     rank[order] = np.arange(g.n)
     position = np.empty_like(arcs)
     position[arcs] = np.arange(g.arc_count)
     idxs = position[g.marked_arc_indices(vs)]
     head, tail, partner = rank[g.head[arcs]], rank[g.tail[arcs]], position[g.partner[arcs]]
-    step = _arc_step(head, tail, partner, g.degrees[order].astype(float), idxs, scheme)
+    coin, recoin = _arc_steps(
+        head, tail, partner, g.degrees[order].astype(float), idxs, scheme, spread
+    )
     marked_vertices = rank[vs]
 
     amp = graph_uniform_state(g).amp
-    spare = np.empty_like(amp)
+    c = np.empty_like(amp)
     s = np.empty(g.n)
+    odd = True
 
     def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
-        nonlocal spare
-        out, spare = spare, a
+        nonlocal odd
         vertex_sums(a, s)
-        step(a, out, s)
-        return out, float(s.sum()) - 2.0 * float(s[marked_vertices].sum())
+        if odd:
+            coin(a, s, c)
+            np.take(c, partner, out=a, mode="clip")
+        else:
+            recoin(a, s, c)
+        odd = not odd
+        return a, float(s.sum()) - 2.0 * float(s[marked_vertices].sum())
 
     return amp, advance, lambda a: _arc_probability(a, idxs)
 
@@ -275,8 +288,10 @@ def run_graph_walk(
     """Graph-target variant of :func:`run_walk`, starting from the arc-uniform state.
 
     Probabilities are bit-identical to a composition of :func:`graph.graph_step`
-    calls. The run holds the state in a private degree-bucketed arc order
-    (see :func:`_graph_walk`); ``g`` is not changed. Its vertex sums copy
+    calls. The run holds the state in a private degree-bucketed arc order,
+    column-major within each degree block, and alternates a step that
+    gathers the new state from the coin output with one that reuses that
+    output (see :func:`_graph_walk`); ``g`` is not changed. Its vertex sums copy
     numpy's pairwise add order, which
     ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit`` in
     ``tests/test_graph.py`` guards. The overlap of step t >= 1 is summed

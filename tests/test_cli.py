@@ -49,6 +49,17 @@ class TestGoldenOutputs:
                 )
                 for coin in ("akr", "grover")
             ),
+            # a degree-65 hub, every degree 2..8 and a marked vertex of degree 12;
+            # the odd horizon ends the run on the walk's coin-and-gather step
+            *(
+                (
+                    ["graph-sim", "--graph", "{data}/hub.txt", "--marked-file",
+                     "{data}/hub_marked.txt", "--coin", coin, "--horizon", "301",
+                     "--output", f"{{out}}/hub_{coin}.csv"],
+                    [f"hub_{coin}.csv", f"hub_{coin}.summary.json"],
+                )
+                for coin in ("akr", "grover")
+            ),
             (
                 ["verify", "--n", "8", "--block", "2x4", "--output", "{out}/verify_grid_oracle.json"],
                 ["verify_grid_oracle.json"],
@@ -67,8 +78,8 @@ class TestGoldenOutputs:
                 ["table_rows.json", "table_ratios.json"],
             ),
         ],
-        ids=["table", "simulate", "graph-akr", "graph-grover", "verify-grid-oracle",
-             "verify-grid", "verify-ring", "table-json"],
+        ids=["table", "simulate", "graph-akr", "graph-grover", "hub-akr", "hub-grover",
+             "verify-grid-oracle", "verify-grid", "verify-ring", "table-json"],
     )
     def test_files_byte_identical(self, argv, files, tmp_path):
         assert run_cli(*(a.format(out=tmp_path, data=DATA) for a in argv)) == 0
