@@ -328,74 +328,104 @@ def _arc_steps(
     return coin, recoin
 
 
-# numpy's pairwise sum adds fewer than 8 terms one by one, so reduceat sums a
-# segment of degree d <= 8 as c0 + (((c1 + c2) + c3) + ...)
-_SEQUENTIAL_DEGREE = 8
+# numpy's pairwise sum of d terms is c0 + p(c1 .. c_{d-1}). p adds fewer than 8
+# terms one by one, and 8 to 15 terms as one block of 8 accumulators,
+# ((c1 + c2) + (c3 + c4)) + ((c5 + c6) + (c7 + c8)), then the rest one by one.
+# From 16 terms on p loops over the block, so 16 is the highest degree whose sum
+# is a fixed sequence of adds with no loop to replay; each add is one row op
+_JAGGED_DEGREE = 16
+
+# the vertex sums and coin spread of a bound layout; sums() writes s, spread is an _ArcKernel
+_JaggedKernels = tuple[Callable[[], None], _ArcKernel]
 
 
-def _degree_buckets(
+def _jagged_arcs(
     g: Graph,
-) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray], None], _ArcKernel]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray], _JaggedKernels]]:
     """The arc layout :func:`runner.run_graph_walk` runs in, with its vertex sums and coin.
 
-    Vertex blocks are ordered by ``(min(degree, 9), id)``. The vertices of
-    each degree d <= 8 fill one contiguous block stored column-major, a
-    ``(d, count)`` array whose row j holds the j-th arc of every vertex;
-    the vertices of higher degree fill one contiguous tail, each vertex's
-    arcs together and in order. Returns ``order`` (vertex ``i`` of the
-    layout is vertex ``order[i]`` of ``g``), ``arcs`` (arc ``p`` of the
-    layout is arc ``arcs[p]`` of ``g``), ``sums(amp, out)``, which writes
-    the vertex sums of a layout state into ``out`` in layout order, and
+    The vertices of degree <= ``_JAGGED_DEGREE`` come first, highest degree
+    first and ties by id, then the others by id. The arcs of the first ones
+    are stored jagged: row j holds the j-th arc of every vertex of degree
+    above j, and those vertices are a prefix of the vertex order, so row j
+    lines up with the first ``len(row j)`` vertices. The arcs of the others
+    follow row-major, each vertex's arcs together and in order. Returns
+    ``order`` (vertex ``i`` of the layout is vertex ``order[i]`` of ``g``),
+    ``arcs`` (arc ``p`` of the layout is arc ``arcs[p]`` of ``g``) and
+    ``bind(amp, s, c)``. That binds every view of a layout state ``amp``, its
+    vertex sums ``s`` and a coin output ``c`` once, and returns ``sums()``,
+    which writes the vertex sums of ``amp`` into ``s``, and
     ``spread(mean2, amp, c)``, which writes each arc's tail value of
     ``mean2`` minus ``amp`` into ``c`` (the unmarked coin of
-    :func:`_arc_steps`). The blocks are summed with row adds in
-    ``reduceat``'s order and the tail with ``reduceat``, so every sum has the
-    bits of ``np.add.reduceat(amp, g.offsets[:-1])``. That relies on numpy's
-    internal add order; ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit``
-    in ``tests/test_graph.py`` fails if a numpy release changes it.
+    :func:`_arc_steps`); it works on the bound views, so it must be called
+    with the ``amp`` and ``c`` it was bound to. The rows are summed with one
+    add per row prefix in numpy's pairwise order (see ``_JAGGED_DEGREE``)
+    and the row-major tail with ``reduceat``, so every sum has the bits of
+    ``np.add.reduceat(amp, g.offsets[:-1])``. That relies on numpy's internal
+    add order; ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit`` in
+    ``tests/test_graph.py`` fails if a numpy release changes it.
     """
-    bucket = np.minimum(g.degrees, _SEQUENTIAL_DEGREE + 1)
-    order = np.argsort(bucket, kind="stable")
+    jagged = g.degrees <= _JAGGED_DEGREE
+    order = np.argsort(np.where(jagged, -g.degrees, 1), kind="stable")
     degrees = g.degrees[order]
-    offsets = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(degrees, out=offsets[1:])
-    # the running arc counter, shifted per vertex onto its block in g
-    arcs = np.repeat(g.offsets[order] - offsets[:-1], degrees) + np.arange(g.arc_count)
-    first = np.searchsorted(bucket[order], np.arange(1, _SEQUENTIAL_DEGREE + 2))
-    blocks = [
-        (d, first[d - 1], first[d], slice(offsets[first[d - 1]], offsets[first[d]]))
-        for d in range(1, _SEQUENTIAL_DEGREE + 1)
-        if first[d] > first[d - 1]
-    ]
-    for d, _, _, arc_range in blocks:
-        arcs[arc_range] = arcs[arc_range].reshape(-1, d).T.ravel()
-    tail = first[-1]
-    tail_arcs = slice(offsets[tail], None)
-    tail_offsets = offsets[tail:-1] - offsets[tail]
-    tail_degrees = degrees[tail:]
+    m = int(np.count_nonzero(jagged))
+    counts = [int(np.count_nonzero(degrees[:m] > j)) for j in range(_JAGGED_DEGREE)]
+    tail_offsets = np.zeros(g.n - m, dtype=np.intp)
+    np.cumsum(degrees[m:-1], out=tail_offsets[1:])
+    # the running arc counter of the tail, shifted per vertex onto its arcs in g
+    tail_arcs = np.repeat(g.offsets[order[m:]] - tail_offsets, degrees[m:])
+    tail_arcs += np.arange(tail_arcs.size)
+    arcs = np.concatenate([g.offsets[order[:k]] + j for j, k in enumerate(counts)] + [tail_arcs])
+    bounds = np.cumsum([0] + counts)
+    # per tail arc, its vertex in the layout
+    tail_vertex = np.repeat(np.arange(m, g.n), degrees[m:])
+    blocked, plain = counts[8], counts[1]  # vertices of degree > 8 and of degree > 1
 
-    def sums(amp: np.ndarray, out: np.ndarray) -> None:
-        for d, lo, hi, arc_range in blocks:
-            rows = amp[arc_range].reshape(d, -1)
-            s = out[lo:hi]
-            if d == 1:
-                s[:] = rows[0]
-                continue
-            s[:] = rows[1]
-            for j in range(2, d):
-                s += rows[j]
-            s += rows[0]
-        if tail < g.n:
-            np.add.reduceat(amp[tail_arcs], tail_offsets, out=out[tail:])
+    def bind(amp: np.ndarray, s: np.ndarray, c: np.ndarray) -> _JaggedKernels:
+        rows = [amp[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        filled = [(k, row, c[lo:hi]) for k, row, lo, hi in zip(counts, rows, bounds, bounds[1:]) if k]
+        x, y = np.empty(blocked), np.empty(blocked)
+        b = s[:blocked]
+        calls: list[tuple[Callable[..., object], tuple[np.ndarray, ...]]] = []
+        if blocked:
+            # p(c1 .. c_{d-1}) of the vertices of degree 9..16: the block of 8, then the rest
+            calls += [
+                (np.add, (rows[1][:blocked], rows[2][:blocked], b)),
+                (np.add, (rows[3][:blocked], rows[4][:blocked], x)),
+                (np.add, (b, x, b)),
+                (np.add, (rows[5][:blocked], rows[6][:blocked], x)),
+                (np.add, (rows[7][:blocked], rows[8][:blocked], y)),
+                (np.add, (x, y, x)),
+                (np.add, (b, x, b)),
+            ]
+            calls += [(np.add, (s[:k], rows[j], s[:k])) for j, k in enumerate(counts) if j > 8 and k]
+        if plain > blocked:
+            # p(c1 .. c_{d-1}) of the vertices of degree 2..8, one term at a time
+            calls.append((np.copyto, (s[blocked:plain], rows[1][blocked:])))
+            calls += [
+                (np.add, (s[blocked:k], rows[j][blocked:], s[blocked:k]))
+                for j, k in enumerate(counts[:8]) if j > 1 and k > blocked
+            ]
+        calls.append((np.add, (s[:plain], rows[0][:plain], s[:plain])))
+        calls.append((np.copyto, (s[plain:m], rows[0][plain:])))
+        if m < g.n:
+            calls.append((np.add.reduceat, (amp[bounds[-1]:], tail_offsets, 0, None, s[m:])))
+        amp_tail, c_tail = amp[bounds[-1]:], c[bounds[-1]:]
 
-    def spread(mean2: np.ndarray, amp: np.ndarray, c: np.ndarray) -> None:
-        for d, lo, hi, arc_range in blocks:
-            rows = amp[arc_range].reshape(d, -1)
-            np.subtract(mean2[lo:hi], rows, out=c[arc_range].reshape(d, -1))
-        if tail < g.n:
-            np.subtract(np.repeat(mean2[tail:], tail_degrees), amp[tail_arcs], out=c[tail_arcs])
+        def sums() -> None:
+            for f, args in calls:
+                f(*args)
 
-    return order, arcs, sums, spread
+        def spread(mean2: np.ndarray, _amp: np.ndarray, _c: np.ndarray) -> None:
+            for k, row, c_row in filled:
+                np.subtract(mean2[:k], row, out=c_row)
+            # mode="clip" never clips here; with out=, the default mode buffers the output
+            np.take(mean2, tail_vertex, out=c_tail, mode="clip")
+            np.subtract(c_tail, amp_tail, out=c_tail)
+
+        return sums, spread
+
+    return order, arcs, bind
 
 
 def graph_dense_step_matrix(

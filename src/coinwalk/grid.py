@@ -97,9 +97,14 @@ class GridState:
 
 
 def _check_side(n: int) -> None:
-    """Reject a torus side below 2, before anything divides by it or reduces modulo it."""
+    """Reject a torus side below 2, or one whose 4 n^2 amplitudes no array can index.
+
+    Runs before anything divides by the side or reduces modulo it.
+    """
     if n < 2:
         raise ValueError(f"grid side must be at least 2, got {n}")
+    if 4 * n * n > np.iinfo(np.intp).max:
+        raise ValueError(f"grid side {n} is too large: its 4 n^2 amplitudes cannot be indexed")
 
 
 class MarkedSet:

@@ -13,13 +13,14 @@ start state) after every step. Two step counts come out of a series:
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _arc_probability, _arc_steps, _degree_buckets, graph_uniform_state
+from .graph import Graph, _arc_probability, _arc_steps, _jagged_arcs, graph_uniform_state
 from .grid import CoinScheme, MarkedSet, _check_side, _frame_coins, uniform_state
 
 __all__ = [
@@ -104,6 +105,17 @@ class _OutOfTime(Exception):
 # steps between deadline checks; a torus step at n=200 takes about 0.2 ms
 _DEADLINE_EVERY = 64
 
+# bound on the error of the fast overlap of a unit state, derived in _drive
+_OVERLAP_BOUND = 128 * np.finfo(float).eps
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
 
 def _drive(
     amp: np.ndarray,
@@ -126,10 +138,37 @@ def _drive(
     is kept. With ``stop_at_halt`` the run ends right after the crossing and
     the series is truncated there. With a ``deadline`` (a ``time.monotonic()``
     value) the clock is read every ``_DEADLINE_EVERY`` steps and the run
-    raises :class:`_OutOfTime` once it has passed.
+    raises :class:`_OutOfTime` once it has passed. A series larger than
+    physical memory raises ``ValueError`` before anything is allocated.
+
+    The halt step is the first t whose state has an exact total <= 0, so it
+    does not depend on the order of the coin's sums. The fast overlap decides
+    it wherever it lies outside ``±c eps`` (``_OVERLAP_BOUND``, c = 128);
+    inside, the step falls back to ``amp[0] * math.fsum(state)``. ``amp`` is
+    always a permutation of the state's amplitudes, so that is the exactly
+    rounded overlap, and it is what the series records at such a step.
+
+    The bound: numpy's pairwise sum of m terms takes each term through at
+    most L(m) <= 26 + max(0, ceil(log2(m / 128))) roundings (8 accumulators
+    of up to 16 terms, 3 combining levels, up to 7 terms left over, one level
+    per halving), so it is off by at most L(m) u sum(|x|), u = eps / 2. The
+    torus total sums n^2 cell sums and subtracts the k marked ones twice, and
+    the coin adds 5 roundings per amplitude: (L(n^2) + 2 L(k) + 5) u sum(|x|).
+    The graph total sums n vertex sums of degree at most d and subtracts k
+    twice, and the coin adds 4: (L(n) + 2 L(k) + L(d) + 4) u sum(|x|). A unit
+    state of M amplitudes has sum(|x|) <= sqrt(M) = 1 / amp[0], so with n^2,
+    k and d below 2^31 (L <= 50) the overlap is off by at most
+    204 u < 128 eps.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    series_bytes = 8 * (horizon + 1) * (2 if record_overlap else 1)
+    memory = _physical_memory()
+    if memory is not None and series_bytes > memory:
+        raise ValueError(
+            f"horizon {horizon} needs {series_bytes} bytes for its series, "
+            f"more than the {memory} bytes of physical memory"
+        )
     a0 = float(amp.flat[0])
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
@@ -145,6 +184,9 @@ def _drive(
         amp, total = advance(amp)
         prob[t] = marked_prob(amp)
         overlap_now = a0 * total
+        if abs(overlap_now) <= _OVERLAP_BOUND:
+            # the memoryview of the flat buffer hands fsum Python floats without a list
+            overlap_now = a0 * math.fsum(amp.reshape(-1).data)
         if ov is not None:
             ov[t] = overlap_now
         if halt_step is None and overlap_now <= 0.0:
@@ -217,8 +259,8 @@ def run_walk(
     step t >= 1 is summed from the coin's half sums, n^2 cell values with the
     marked cells subtracted twice, not from the 4n^2 amplitudes (see
     :func:`_torus_walk`); it agrees with an exact sum of the state to about
-    3e-16, and where the overlap is zero up to rounding that can move the
-    halt step.
+    3e-16. Where it is zero up to rounding, :func:`_drive` takes the exact
+    sum, so the halt step is that of the exact totals.
     """
     return _drive(*_torus_walk(n, marked, scheme), horizon, record_overlap, stop_at_halt)
 
@@ -228,51 +270,55 @@ def _graph_walk(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, float]], Callable[[np.ndarray], float]]:
     """Start state, step and marked-probability gather of the graph walk for :func:`_drive`.
 
-    The state is held in the degree-bucketed arc layout of
-    :func:`graph._degree_buckets`, whose vertex sums have the bits of
-    ``reduceat`` without its per-segment cost; ``head``, ``tail``,
-    ``partner``, the degrees and the marked arcs are remapped into it once.
-    The steps alternate between the two forms of :func:`graph._arc_steps`.
-    An odd step writes the coin output ``c`` by broadcasting over the
-    column-major degree blocks, with no index array, and gathers the new
-    state ``c[partner]``, the only arc gather of the pair. It keeps ``c``,
-    which is the new state's ``amp[partner]``, so the even step after it
-    needs only the per-vertex gather at each arc's head. Both write the state
-    into the one buffer ``_drive`` holds, so every amplitude is bit-identical
-    to :func:`graph.graph_step` after every step. The gather reads the
-    marked arcs in :meth:`Graph.marked_arc_indices` order, so the
-    probabilities are bit-identical too. The total after a step is
+    The state is held in the jagged arc layout of :func:`graph._jagged_arcs`,
+    whose vertex sums have the bits of ``reduceat`` with one add per row for
+    every vertex of degree up to 16; ``head``, ``tail``, ``partner``, the
+    degrees and the marked arcs are remapped into it once, and every view of
+    the state, the vertex sums and the coin output is bound once, so a step
+    allocates no array longer than the marked arcs. The steps alternate
+    between the two forms of :func:`graph._arc_steps`. An odd step writes the
+    coin output ``c`` with one broadcast per row and a ``take`` for the
+    row-major tail, and gathers the new state ``c[partner]``, the only arc
+    gather of the pair. It keeps ``c``, which is the new state's
+    ``amp[partner]``, so the even step after it needs only the per-vertex
+    gather at each arc's head. Both write the state into the one buffer
+    ``_drive`` holds, so every amplitude is bit-identical to
+    :func:`graph.graph_step` after every step. The gather reads the marked
+    arcs in :meth:`Graph.marked_arc_indices` order, so the probabilities are
+    bit-identical too. The total after a step is
     ``s.sum() - 2 * s[marked].sum()`` over the vertex sums ``s`` before it,
-    by the identity of :func:`_torus_walk`.
+    in the layout's vertex order, by the identity of :func:`_torus_walk`.
     """
     vs = np.array(g.check_marked(marked), dtype=np.intp)
-    order, arcs, vertex_sums, spread = _degree_buckets(g)
+    order, arcs, bind = _jagged_arcs(g)
     rank = np.empty_like(order)
     rank[order] = np.arange(g.n)
     position = np.empty_like(arcs)
     position[arcs] = np.arange(g.arc_count)
     idxs = position[g.marked_arc_indices(vs)]
     head, tail, partner = rank[g.head[arcs]], rank[g.tail[arcs]], position[g.partner[arcs]]
-    coin, recoin = _arc_steps(
-        head, tail, partner, g.degrees[order].astype(float), idxs, scheme, spread
-    )
     marked_vertices = rank[vs]
 
     amp = graph_uniform_state(g).amp
     c = np.empty_like(amp)
-    s = np.empty(g.n)
+    s, marked_s = np.empty(g.n), np.empty(vs.size)
+    vertex_sums, spread = bind(amp, s, c)
+    coin, recoin = _arc_steps(
+        head, tail, partner, g.degrees[order].astype(float), idxs, scheme, spread
+    )
     odd = True
 
     def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal odd
-        vertex_sums(a, s)
+        vertex_sums()
         if odd:
             coin(a, s, c)
             np.take(c, partner, out=a, mode="clip")
         else:
             recoin(a, s, c)
         odd = not odd
-        return a, float(s.sum()) - 2.0 * float(s[marked_vertices].sum())
+        s.take(marked_vertices, out=marked_s, mode="clip")
+        return a, float(s.sum()) - 2.0 * float(marked_s.sum())
 
     return amp, advance, lambda a: _arc_probability(a, idxs)
 
@@ -288,16 +334,19 @@ def run_graph_walk(
     """Graph-target variant of :func:`run_walk`, starting from the arc-uniform state.
 
     Probabilities are bit-identical to a composition of :func:`graph.graph_step`
-    calls. The run holds the state in a private degree-bucketed arc order,
-    column-major within each degree block, and alternates a step that
-    gathers the new state from the coin output with one that reuses that
-    output (see :func:`_graph_walk`); ``g`` is not changed. Its vertex sums copy
-    numpy's pairwise add order, which
+    calls. The run holds the state in a private jagged arc order: row j
+    holds the j-th arc of every vertex of degree 16 or less above j, the
+    higher degrees follow row-major. It alternates a step that gathers the
+    new state from the coin output with one that reuses that output (see
+    :func:`_graph_walk`); ``g`` is not changed. Its vertex sums copy numpy's
+    pairwise add order, which
     ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit`` in
-    ``tests/test_graph.py`` guards. The overlap of step t >= 1 is summed
-    from those vertex sums, one value per vertex with the marked vertices
-    subtracted twice, not from the arc amplitudes, so it can differ from a
-    direct sum in the last bits, about 3e-16.
+    ``tests/test_graph.py`` guards; if a numpy release changes that order,
+    the fix is to sum with ``reduceat``, not to loosen the test. The overlap
+    of step t >= 1 is summed from those vertex sums, one value per vertex
+    with the marked vertices subtracted twice, not from the arc amplitudes,
+    so it can differ from a direct sum in the last bits, about 3e-16; where
+    that decides the sign, :func:`_drive` takes the exact sum.
     """
     return _drive(*_graph_walk(g, marked, scheme), horizon, record_overlap, stop_at_halt)
 

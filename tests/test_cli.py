@@ -361,6 +361,12 @@ class TestInvalidInputs:
             ["simulate", "--n", "0", "--block", "1x2@1,1", "--coin", "akr"],
             ["verify", "--n", "-2", "--block", "1x2"],
             ["simulate", "--n", "0", "--cells", "", "--coin", "akr"],
+            # a side whose 4 n^2 amplitudes no array can index, and a series larger than memory
+            ["simulate", "--n", "99999999999999999999", "--block", "2x2@-1,-1", "--coin", "akr"],
+            ["verify", "--n", "99999999999999999999", "--block", "1x2"],
+            ["simulate", "--n", "10", "--block", "2x2", "--coin", "akr", "--horizon", str(10**15)],
+            ["graph-sim", "--graph", "{ring}", "--coin", "grover", "--horizon", str(10**15)],
+            ["table", "--sizes", "10", "--blocks", "2", "--horizon", str(10**15)],
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
@@ -372,6 +378,7 @@ class TestInvalidInputs:
             "far_id_lines": "# comment\n3000000000 0\n",
             "top_id": "999999999999999999 0\n",
             "top_id_lines": "# comment\n999999999999999999 0\n",
+            "ring": "0 1\n1 2\n2 0\n",
         }
         files = {name: tmp_path / f"{name}.txt" for name in graph_texts}
         for name, text in graph_texts.items():
@@ -388,6 +395,23 @@ class TestInvalidInputs:
         coin = ["--coin", "akr"] if command == "simulate" else []
         assert run_cli(command, "--n", n, "--block", "1x2@1,1", *coin) == 2
         assert capsys.readouterr().err == f"error: grid side must be at least 2, got {n}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_side_too_large_to_index_named(self, command, capsys):
+        n = "1518500250"  # the smallest side with 4 n^2 above the int64 maximum
+        coin = ["--coin", "akr"] if command == "simulate" else []
+        assert run_cli(command, "--n", n, "--block", "1x2", *coin) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid side {n} is too large: its 4 n^2 amplitudes cannot be indexed\n"
+        )
+
+    @pytest.mark.parametrize("overlap", [[], ["--no-overlap"]])
+    def test_horizon_beyond_memory_named(self, overlap, capsys):
+        horizon = 10**15
+        argv = ["simulate", "--n", "10", "--block", "2x2", "--coin", "akr", "--horizon", str(horizon)]
+        assert run_cli(*argv, *overlap) == 2
+        size = 8 * (horizon + 1) * (1 if overlap else 2)
+        assert capsys.readouterr().err.startswith(f"error: horizon {horizon} needs {size} bytes for its series")
 
     @pytest.mark.parametrize("where", ["directory", "under_file"])
     @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from coinwalk.graph import (
     parse_vertex_ids,
     torus_graph,
 )
-from coinwalk.graph import _degree_buckets, _parse_edge_lines, _plain_edge_array
+from coinwalk.graph import _JAGGED_DEGREE, _jagged_arcs, _parse_edge_lines, _plain_edge_array
 from coinwalk.grid import CoinScheme, Direction, GridState, MarkedSet, step
 from coinwalk.grid import OracleTooLargeError
 from coinwalk.runner import _graph_walk, run_graph_walk
@@ -66,19 +66,26 @@ def shuffled_edge_lists(draw):
 
 @st.composite
 def irregular_graphs(draw):
-    """Degrees 1..40: a hub of degree 9..40, a path through the rest and random chords.
+    """A hub, a path through the rest, random chords and satellites of pinned degree.
 
-    The hub's pendant spokes give degree 1; the chord density sets which of
-    the degree buckets 2..8 fill and which stay empty.
+    The hub's pendant spokes give degree 1; its own degree is drawn on both
+    sides of 130, where numpy's pairwise sum of the 129 terms after the first
+    splits its 128-term block. The chords spread the other degrees over
+    roughly 2..20. Each satellite joins 8, 9, 16 or 17 random vertices,
+    either side of the jagged layout's two cuts: the 8-accumulator block
+    from degree 9 and ``reduceat`` above degree 16.
     """
-    n = draw(st.integers(12, 60))
-    hub = draw(st.integers(9, min(40, n - 2)))
+    hub = draw(st.one_of(st.integers(9, 40), st.integers(120, 160)))
+    n = hub + 1 + draw(st.integers(11, 50))
     edges = {(0, v) for v in range(1, hub + 1)}
     edges |= {(v - 1, v) for v in range(hub + 1, n)}
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    density = draw(st.floats(0.0, 0.25))
+    density = draw(st.floats(0.0, 15.0)) / n
     edges |= {(u, v) for u in range(1, n) for v in range(u + 1, n) if rng.random() < density}
-    return Graph.from_edges(n, sorted(edges))
+    satellites = draw(st.lists(st.sampled_from([8, 9, 16, 17]), max_size=4))
+    for w, d in enumerate(satellites, start=n):
+        edges |= {(int(u), w) for u in rng.choice(n, d, replace=False)}
+    return Graph.from_edges(n + len(satellites), sorted(edges))
 
 
 @st.composite
@@ -305,30 +312,34 @@ class TestGraphStep:
 
 
 class TestDegreeBuckets:
-    """The degree-bucketed layout ``run_graph_walk`` holds its state in."""
+    """The jagged arc layout ``run_graph_walk`` holds its state in."""
 
     @settings(deadline=None, max_examples=200)
     @given(irregular_graphs(), st.integers(0, 2**32 - 1))
     def test_sums_match_reduceat_bit_for_bit(self, g, seed):
-        # the block sums copy numpy's pairwise add order; do not loosen to a tolerance
+        # the row sums copy numpy's pairwise add order; do not loosen to a tolerance
         rng = np.random.default_rng(seed)
         amp = rng.standard_normal(g.arc_count) * 10.0 ** rng.integers(-8, 9, g.arc_count)
-        order, arcs, sums, _ = _degree_buckets(g)
-        bucket = np.minimum(g.degrees[order], 9)
-        assert np.all(np.diff(bucket) >= 0)
-        want_arcs = []
-        for d in range(1, 10):
-            vs = order[bucket == d]
-            if d <= 8:
-                # row j of the (d, count) block holds the j-th arc of every vertex
-                want_arcs.append((g.offsets[vs] + np.arange(d)[:, None]).ravel())
-            else:
-                want_arcs += [np.arange(g.offsets[v], g.offsets[v + 1]) for v in vs]
-        assert_array_equal(arcs, np.concatenate(want_arcs))
-        out = np.empty(g.n)
-        sums(amp[arcs], out)
+        amp[rng.random(g.arc_count) < rng.choice([0.0, 0.2, 0.9])] = -0.0
+        order, arcs, bind = _jagged_arcs(g)
+        degrees = g.degrees.tolist()
+        jagged = [v for v in range(g.n) if degrees[v] <= _JAGGED_DEGREE]
+        jagged.sort(key=lambda v: -degrees[v])
+        rest = [v for v in range(g.n) if degrees[v] > _JAGGED_DEGREE]
+        assert order.tolist() == jagged + rest
+        # row j holds the j-th arc of every vertex of degree above j; the rest row-major
+        want_arcs = [g.offsets[v] + j for j in range(_JAGGED_DEGREE) for v in jagged if degrees[v] > j]
+        want_arcs += [k for v in rest for k in range(g.offsets[v], g.offsets[v + 1])]
+        assert arcs.tolist() == want_arcs
+        layout, s, c = amp[arcs], np.empty(g.n), np.empty(g.arc_count)
+        sums, spread = bind(layout, s, c)
+        sums()
         want = np.add.reduceat(amp, g.offsets[:-1])[order]
-        assert_array_equal(out.view(np.int64), want.view(np.int64))
+        assert_array_equal(s.view(np.int64), want.view(np.int64))
+        mean2 = rng.standard_normal(g.n)
+        spread(mean2[order], layout, c)
+        want = (np.repeat(mean2, g.degrees) - amp)[arcs]
+        assert_array_equal(c.view(np.int64), want.view(np.int64))
 
     @settings(deadline=None, max_examples=100)
     @given(irregular_walks())
@@ -336,7 +347,7 @@ class TestDegreeBuckets:
         g, marked, scheme, horizon = walk
         series = run_graph_walk(g, marked, scheme, horizon)
         amp, advance, _ = _graph_walk(g, marked, scheme)
-        arcs = _degree_buckets(g)[1]
+        arcs = _jagged_arcs(g)[1]
         state = graph_uniform_state(g)
         for t in range(horizon + 1):
             if t:
@@ -349,21 +360,18 @@ class TestDegreeBuckets:
     @settings(deadline=None, max_examples=100)
     @given(irregular_walks())
     def test_overlap_from_vertex_sums(self, walk):
-        # within 1e-15 of an exact sum; the direct sum's halt step unless rounding decides it
+        # within 1e-15 of an exact sum, and the exact sum's halt step
         g, marked, scheme, horizon = walk
         series = run_graph_walk(g, marked, scheme, horizon)
         state = graph_uniform_state(g)
         a0 = state.amp[0]
-        exact, direct = np.empty(horizon + 1), np.empty(horizon + 1)
+        exact = np.empty(horizon + 1)
         for t in range(horizon + 1):
             exact[t] = a0 * math.fsum(state.amp)
-            direct[t] = a0 * float(state.amp.sum())
             state = graph_step(state, marked, scheme)
         assert_allclose(series.overlap, exact, rtol=0, atol=1e-15)
-        crossed = np.flatnonzero(direct <= 0.0)
-        halt = int(crossed[0]) if crossed.size else None
-        if not np.any(np.abs(direct[: horizon + 1 if halt is None else halt + 1]) < 1e-15):
-            assert series.halt_step == halt
+        crossed = np.flatnonzero(exact <= 0.0)
+        assert series.halt_step == (int(crossed[0]) if crossed.size else None)
 
 
 class TestDenseOracle:
