@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .grid import CoinScheme, OracleTooLargeError
+from .grid import CoinScheme, OracleTooLargeError, _check_memory
 from .stationary import Decomposition
 
 __all__ = [
@@ -267,65 +267,17 @@ def graph_step(
 
     Unmarked vertices get degree-d Grover diffusion (alpha -> 2 s / d - alpha);
     marked vertices get -I under AKR and -D under GROVER, the query's sign
-    already folded in, exactly as on the grid.
+    already folded in, exactly as on the grid. The shift moves the coin
+    output of arc k onto ``partner[k]``. The vertex sums s come from
+    ``reduceat``: ``bincount`` adds in another order, which moves the exact
+    zero residual of the stationary witnesses to about 6e-17.
     """
-    g = state.graph
-
-    def spread(mean2: np.ndarray, amp: np.ndarray, out: np.ndarray) -> None:
-        np.subtract(np.repeat(mean2, g.degrees), amp, out=out)
-
-    coin, _ = _arc_steps(
-        g.head, g.tail, g.partner, g.degrees, g.marked_arc_indices(marked), scheme, spread
-    )
-    c = np.empty_like(state.amp)
-    coin(state.amp, np.add.reduceat(state.amp, g.offsets[:-1]), c)
+    g, amp = state.graph, state.amp
+    idxs = g.marked_arc_indices(marked)
+    mean2 = np.add.reduceat(amp, g.offsets[:-1]) * 2.0 / g.degrees
+    c = np.repeat(mean2, g.degrees) - amp
+    c[idxs] = -amp[idxs] if scheme is CoinScheme.AKR else amp[idxs] - mean2[g.tail[idxs]]
     return GraphState(g, c[g.partner])
-
-
-# the step kernels of _arc_steps and the spread they call; each writes one of its three arrays
-_ArcKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-
-
-def _arc_steps(
-    head: np.ndarray, tail: np.ndarray, partner: np.ndarray, degrees: np.ndarray,
-    idxs: np.ndarray, scheme: CoinScheme, spread: _ArcKernel,
-) -> tuple[_ArcKernel, _ArcKernel]:
-    """The two forms of :func:`graph_step` on one arc layout with marked arcs ``idxs``.
-
-    Both are called as ``f(amp, s, c)`` with ``s`` the vertex sums of ``amp``.
-    ``coin`` writes the coin output into ``c``: arc k gets 2 s / d at its
-    tail minus amp[k], written by ``spread(mean2, amp, c)``, and then the
-    marked arcs are fixed up. The shift moves c[k] onto ``partner[k]``, so
-    the step of ``amp`` is ``c[partner]``. ``recoin`` overwrites ``amp``
-    with its step when ``c`` already holds ``amp[partner]``: the output is
-    2 s / d at each arc's head minus ``c``, with the fix-ups at
-    ``partner[idxs]``. ``partner`` is an involution, so after
-    ``amp = c[partner]`` the ``c`` a coin wrote is that ``amp[partner]``, bit for bit.
-    The sums must have the bits of ``reduceat``: ``bincount`` adds in another
-    order, which moves the exact zero residual of the stationary witnesses to
-    about 6e-17.
-    """
-    fix_arcs, fix_vertices, mean2 = partner[idxs], tail[idxs], np.empty(degrees.size)
-
-    def marked_coin(s: np.ndarray, kept: np.ndarray) -> np.ndarray:
-        # fills mean2 = 2 s / d, then gives the marked arcs' coin output
-        np.multiply(s, 2.0, out=mean2)
-        np.divide(mean2, degrees, out=mean2)
-        return -kept if scheme is CoinScheme.AKR else kept - mean2[fix_vertices]
-
-    def coin(amp: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
-        fixed = marked_coin(s, amp[idxs])
-        spread(mean2, amp, c)
-        c[idxs] = fixed
-
-    def recoin(amp: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
-        fixed = marked_coin(s, amp[idxs])
-        # mode="clip" never clips here; with out=, the default mode buffers the output
-        np.take(mean2, head, out=amp, mode="clip")
-        np.subtract(amp, c, out=amp)
-        amp[fix_arcs] = fixed
-
-    return coin, recoin
 
 
 # numpy's pairwise sum of d terms is c0 + p(c1 .. c_{d-1}). p adds fewer than 8
@@ -335,13 +287,13 @@ def _arc_steps(
 # is a fixed sequence of adds with no loop to replay; each add is one row op
 _JAGGED_DEGREE = 16
 
-# the vertex sums and coin spread of a bound layout; sums() writes s, spread is an _ArcKernel
-_JaggedKernels = tuple[Callable[[], None], _ArcKernel]
+# the vertex sums and coin spread of a bound layout: sums() writes s, spread() writes c
+_JaggedKernels = tuple[Callable[[], None], Callable[[], None]]
 
 
-def _jagged_arcs(
-    g: Graph,
-) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray], _JaggedKernels]]:
+def _jagged_arcs(g: Graph) -> tuple[
+    np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], _JaggedKernels]
+]:
     """The arc layout :func:`runner.run_graph_walk` runs in, with its vertex sums and coin.
 
     The vertices of degree <= ``_JAGGED_DEGREE`` come first, highest degree
@@ -352,15 +304,15 @@ def _jagged_arcs(
     follow row-major, each vertex's arcs together and in order. Returns
     ``order`` (vertex ``i`` of the layout is vertex ``order[i]`` of ``g``),
     ``arcs`` (arc ``p`` of the layout is arc ``arcs[p]`` of ``g``) and
-    ``bind(amp, s, c)``. That binds every view of a layout state ``amp``, its
-    vertex sums ``s`` and a coin output ``c`` once, and returns ``sums()``,
-    which writes the vertex sums of ``amp`` into ``s``, and
-    ``spread(mean2, amp, c)``, which writes each arc's tail value of
-    ``mean2`` minus ``amp`` into ``c`` (the unmarked coin of
-    :func:`_arc_steps`); it works on the bound views, so it must be called
-    with the ``amp`` and ``c`` it was bound to. The rows are summed with one
-    add per row prefix in numpy's pairwise order (see ``_JAGGED_DEGREE``)
-    and the row-major tail with ``reduceat``, so every sum has the bits of
+    ``bind(amp, s, c, mean2)``. That binds every view of a layout state
+    ``amp``, its vertex sums ``s``, a coin output ``c`` and a per-vertex
+    ``mean2`` once, and returns ``sums()``, which writes the vertex sums of
+    ``amp`` into ``s``, and ``spread()``, which writes each arc's tail value
+    of ``mean2`` minus ``amp`` into ``c``, the unmarked coin of
+    :func:`graph_step`. Both read the bound arrays as they are when called,
+    so the caller refills them in place. The rows are summed with one add
+    per row prefix in numpy's pairwise order (see ``_JAGGED_DEGREE``) and
+    the row-major tail with ``reduceat``, so every sum has the bits of
     ``np.add.reduceat(amp, g.offsets[:-1])``. That relies on numpy's internal
     add order; ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit`` in
     ``tests/test_graph.py`` fails if a numpy release changes it.
@@ -381,9 +333,11 @@ def _jagged_arcs(
     tail_vertex = np.repeat(np.arange(m, g.n), degrees[m:])
     blocked, plain = counts[8], counts[1]  # vertices of degree > 8 and of degree > 1
 
-    def bind(amp: np.ndarray, s: np.ndarray, c: np.ndarray) -> _JaggedKernels:
+    def bind(amp: np.ndarray, s: np.ndarray, c: np.ndarray, mean2: np.ndarray) -> _JaggedKernels:
         rows = [amp[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        filled = [(k, row, c[lo:hi]) for k, row, lo, hi in zip(counts, rows, bounds, bounds[1:]) if k]
+        filled = [
+            (mean2[:k], row, c[lo:hi]) for k, row, lo, hi in zip(counts, rows, bounds, bounds[1:]) if k
+        ]
         x, y = np.empty(blocked), np.empty(blocked)
         b = s[:blocked]
         calls: list[tuple[Callable[..., object], tuple[np.ndarray, ...]]] = []
@@ -416,9 +370,9 @@ def _jagged_arcs(
             for f, args in calls:
                 f(*args)
 
-        def spread(mean2: np.ndarray, _amp: np.ndarray, _c: np.ndarray) -> None:
-            for k, row, c_row in filled:
-                np.subtract(mean2[:k], row, out=c_row)
+        def spread() -> None:
+            for mean2_row, row, c_row in filled:
+                np.subtract(mean2_row, row, out=c_row)
             # mode="clip" never clips here; with out=, the default mode buffers the output
             np.take(mean2, tail_vertex, out=c_tail, mode="clip")
             np.subtract(c_tail, amp_tail, out=c_tail)
@@ -437,8 +391,10 @@ def graph_dense_step_matrix(
     """Explicit S C Q over the arc basis, for cross-checking ``graph_step``."""
     if g.arc_count > cap:
         raise OracleTooLargeError(f"oracle for {g.arc_count} arcs exceeds cap {cap}")
-    vs = set(g.check_marked(marked))
     dim = g.arc_count
+    # at its peak the product holds five dim x dim matrices: q, c, s, s @ c and the result
+    _check_memory(40 * dim * dim, f"oracle for {dim} arcs needs {40 * dim * dim} bytes")
+    vs = set(g.check_marked(marked))
 
     q = np.eye(dim)
     for v in vs:

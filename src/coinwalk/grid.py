@@ -9,6 +9,7 @@ the same operator for cross-checking on small grids.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, Iterable, Iterator
@@ -96,8 +97,26 @@ class GridState:
         return cls(n, np.moveaxis(np.asarray(vec, dtype=float).reshape((n, n, 4)), -1, 0).copy())
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(nbytes: int, need: str) -> None:
+    """Raise ``ValueError`` when ``nbytes`` exceed physical memory, before they are allocated.
+
+    ``need`` says what needs them and how many; the message adds the memory size.
+    """
+    memory = _physical_memory()
+    if memory is not None and nbytes > memory:
+        raise ValueError(f"{need}, more than the {memory} bytes of physical memory")
+
+
 def _check_side(n: int) -> None:
-    """Reject a torus side below 2, or one whose 4 n^2 amplitudes no array can index.
+    """Reject a torus side below 2, or one whose 4 n^2 amplitudes no array can index or memory hold.
 
     Runs before anything divides by the side or reduces modulo it.
     """
@@ -105,6 +124,7 @@ def _check_side(n: int) -> None:
         raise ValueError(f"grid side must be at least 2, got {n}")
     if 4 * n * n > np.iinfo(np.intp).max:
         raise ValueError(f"grid side {n} is too large: its 4 n^2 amplitudes cannot be indexed")
+    _check_memory(32 * n * n, f"grid side {n} needs {32 * n * n} bytes for its state")
 
 
 class MarkedSet:
@@ -356,6 +376,8 @@ def dense_step_matrix(
     if n > cap:
         raise OracleTooLargeError(f"oracle for n={n} exceeds cap {cap}")
     dim = 4 * n * n
+    # at its peak the product holds five dim x dim matrices: q, c, s, s @ c and the result
+    _check_memory(40 * dim * dim, f"oracle for n={n} needs {40 * dim * dim} bytes")
 
     def idx(x: int, y: int, d: int) -> int:
         return (x * n + y) * 4 + d

@@ -13,15 +13,14 @@ start state) after every step. Two step counts come out of a series:
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _arc_probability, _arc_steps, _jagged_arcs, graph_uniform_state
-from .grid import CoinScheme, MarkedSet, _check_side, _frame_coins, uniform_state
+from .graph import Graph, _arc_probability, _jagged_arcs, graph_uniform_state
+from .grid import CoinScheme, MarkedSet, _check_memory, _check_side, _frame_coins, uniform_state
 
 __all__ = [
     "LARGE_N_THRESHOLD",
@@ -109,14 +108,6 @@ _DEADLINE_EVERY = 64
 _OVERLAP_BOUND = 128 * np.finfo(float).eps
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _drive(
     amp: np.ndarray,
     advance: Callable[[np.ndarray], tuple[np.ndarray, float]],
@@ -163,12 +154,7 @@ def _drive(
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     series_bytes = 8 * (horizon + 1) * (2 if record_overlap else 1)
-    memory = _physical_memory()
-    if memory is not None and series_bytes > memory:
-        raise ValueError(
-            f"horizon {horizon} needs {series_bytes} bytes for its series, "
-            f"more than the {memory} bytes of physical memory"
-        )
+    _check_memory(series_bytes, f"horizon {horizon} needs {series_bytes} bytes for its series")
     a0 = float(amp.flat[0])
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
@@ -220,9 +206,9 @@ def _torus_walk(
     shift only moves amplitudes, so the total after the step is
     ``2 * (half.sum() - 2 * half[marked cells].sum())``.
     """
-    amp = uniform_state(n).amp
     if marked.n != n:
         raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
+    amp = uniform_state(n).amp
     half = np.empty((n, n))
     coins, index = zip(*_frame_coins(amp, scheme, marked, half))
     flat, half_flat, cells = amp.reshape(-1), half.reshape(-1), marked.xs * n + marked.ys
@@ -272,17 +258,21 @@ def _graph_walk(
 
     The state is held in the jagged arc layout of :func:`graph._jagged_arcs`,
     whose vertex sums have the bits of ``reduceat`` with one add per row for
-    every vertex of degree up to 16; ``head``, ``tail``, ``partner``, the
-    degrees and the marked arcs are remapped into it once, and every view of
-    the state, the vertex sums and the coin output is bound once, so a step
-    allocates no array longer than the marked arcs. The steps alternate
-    between the two forms of :func:`graph._arc_steps`. An odd step writes the
-    coin output ``c`` with one broadcast per row and a ``take`` for the
-    row-major tail, and gathers the new state ``c[partner]``, the only arc
-    gather of the pair. It keeps ``c``, which is the new state's
-    ``amp[partner]``, so the even step after it needs only the per-vertex
-    gather at each arc's head. Both write the state into the one buffer
-    ``_drive`` holds, so every amplitude is bit-identical to
+    every vertex of degree up to 16. ``head``, ``partner``, the degrees and
+    the marked arcs are remapped into it once, and every view of the state,
+    the vertex sums, ``mean2 = 2 s / d`` and the coin output ``c`` is bound
+    once, so a step allocates no array longer than the marked arcs. The
+    marked arcs' coin output is ``-amp`` under AKR and ``amp - mean2`` at
+    their tail under GROVER, as in :func:`graph.graph_step`.
+
+    The steps alternate. An odd step writes ``c`` with one broadcast per row
+    and a ``take`` for the row-major tail, fixes the marked arcs and gathers
+    the new state ``c[partner]``, the only arc gather of the pair. It keeps
+    ``c``, and ``partner`` is an involution, so ``c`` is the new state's
+    ``amp[partner]`` bit for bit. The even step then writes ``mean2`` at each
+    arc's head minus ``c``, with the fix-ups at ``partner[idxs]``, which
+    needs only the per-vertex gather. Both write the state into the one
+    buffer ``_drive`` holds, so every amplitude is bit-identical to
     :func:`graph.graph_step` after every step. The gather reads the marked
     arcs in :meth:`Graph.marked_arc_indices` order, so the probabilities are
     bit-identical too. The total after a step is
@@ -296,26 +286,33 @@ def _graph_walk(
     position = np.empty_like(arcs)
     position[arcs] = np.arange(g.arc_count)
     idxs = position[g.marked_arc_indices(vs)]
-    head, tail, partner = rank[g.head[arcs]], rank[g.tail[arcs]], position[g.partner[arcs]]
-    marked_vertices = rank[vs]
+    head, partner = rank[g.head[arcs]], position[g.partner[arcs]]
+    fix_arcs, fix_vertices = partner[idxs], rank[g.tail[arcs[idxs]]]
+    degrees, marked_vertices = g.degrees[order].astype(float), rank[vs]
+    akr = scheme is CoinScheme.AKR
 
     amp = graph_uniform_state(g).amp
-    c = np.empty_like(amp)
+    c, mean2 = np.empty_like(amp), np.empty(g.n)
     s, marked_s = np.empty(g.n), np.empty(vs.size)
-    vertex_sums, spread = bind(amp, s, c)
-    coin, recoin = _arc_steps(
-        head, tail, partner, g.degrees[order].astype(float), idxs, scheme, spread
-    )
+    vertex_sums, spread = bind(amp, s, c, mean2)
     odd = True
 
     def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal odd
         vertex_sums()
+        kept = a[idxs]
+        np.multiply(s, 2.0, out=mean2)
+        np.divide(mean2, degrees, out=mean2)
+        fixed = -kept if akr else kept - mean2[fix_vertices]
         if odd:
-            coin(a, s, c)
+            spread()
+            c[idxs] = fixed
             np.take(c, partner, out=a, mode="clip")
         else:
-            recoin(a, s, c)
+            # mode="clip" never clips here; with out=, the default mode buffers the output
+            np.take(mean2, head, out=a, mode="clip")
+            np.subtract(a, c, out=a)
+            a[fix_arcs] = fixed
         odd = not odd
         s.take(marked_vertices, out=marked_s, mode="clip")
         return a, float(s.sum()) - 2.0 * float(marked_s.sum())
@@ -333,20 +330,21 @@ def run_graph_walk(
 ) -> RunSeries:
     """Graph-target variant of :func:`run_walk`, starting from the arc-uniform state.
 
-    Probabilities are bit-identical to a composition of :func:`graph.graph_step`
-    calls. The run holds the state in a private jagged arc order: row j
-    holds the j-th arc of every vertex of degree 16 or less above j, the
-    higher degrees follow row-major. It alternates a step that gathers the
-    new state from the coin output with one that reuses that output (see
-    :func:`_graph_walk`); ``g`` is not changed. Its vertex sums copy numpy's
-    pairwise add order, which
-    ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit`` in
-    ``tests/test_graph.py`` guards; if a numpy release changes that order,
-    the fix is to sum with ``reduceat``, not to loosen the test. The overlap
-    of step t >= 1 is summed from those vertex sums, one value per vertex
-    with the marked vertices subtracted twice, not from the arc amplitudes,
-    so it can differ from a direct sum in the last bits, about 3e-16; where
-    that decides the sign, :func:`_drive` takes the exact sum.
+    Amplitudes and probabilities are bit-identical to a composition of
+    :func:`graph.graph_step` calls, which write the same coin with plain
+    numpy and no shared code, so
+    ``TestDegreeBuckets.test_walk_matches_step_arcs_bit_for_bit`` in
+    ``tests/test_graph.py`` checks one against the other. The run holds the
+    state in a private jagged arc order and alternates a step that gathers
+    the new state from the coin output with one that reuses that output
+    (see :func:`_graph_walk`); ``g`` is not changed. Its vertex sums copy
+    numpy's pairwise add order; if a numpy release changes that order,
+    ``test_sums_match_reduceat_bit_for_bit`` fails, and the fix is to sum
+    with ``reduceat``, not to loosen the test. The overlap of step t >= 1
+    is summed from those vertex sums, one value per vertex with the marked
+    vertices subtracted twice, not from the arc amplitudes, so it can
+    differ from a direct sum in the last bits, about 3e-16; where that
+    decides the sign, :func:`_drive` takes the exact sum.
     """
     return _drive(*_graph_walk(g, marked, scheme), horizon, record_overlap, stop_at_halt)
 

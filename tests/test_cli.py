@@ -367,6 +367,20 @@ class TestInvalidInputs:
             ["simulate", "--n", "10", "--block", "2x2", "--coin", "akr", "--horizon", str(10**15)],
             ["graph-sim", "--graph", "{ring}", "--coin", "grover", "--horizon", str(10**15)],
             ["table", "--sizes", "10", "--blocks", "2", "--horizon", str(10**15)],
+            # a state or a dense oracle larger than memory, rejected before allocating it
+            ["verify", "--n", "400", "--block", "1x2", "--oracle-cap", "400"],
+            ["verify", "--graph-two-marked", "--k", "40000", "--oracle-cap", "10000000"],
+            ["simulate", "--n", "1000000", "--cells", "0,0", "--coin", "akr", "--horizon", "1"],
+            # malformed descriptors and missing arguments
+            ["simulate", "--n", "10", "--cells", "1,2,3", "--coin", "akr"],
+            ["simulate", "--n", "10", "--cells", "a,b", "--coin", "akr"],
+            ["simulate", "--n", "10", "--block", "0x2", "--coin", "akr"],
+            ["table", "--sizes", "x", "--blocks", "2"],
+            ["table", "--sizes", "10", "--blocks", "2", "--coins", ","],
+            ["verify", "--graph-two-marked"],
+            ["verify", "--graph-ring", "3"],
+            ["verify", "--block", "1x2"],
+            ["graph-sim", "--graph", "{ring}", "--marked-file", "{missing}", "--coin", "akr"],
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
@@ -383,7 +397,7 @@ class TestInvalidInputs:
         files = {name: tmp_path / f"{name}.txt" for name in graph_texts}
         for name, text in graph_texts.items():
             files[name].write_text(text)
-        argv = [a.format(**files) for a in argv]
+        argv = [a.format(**files, missing=tmp_path / "missing.txt") for a in argv]
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -412,6 +426,22 @@ class TestInvalidInputs:
         assert run_cli(*argv, *overlap) == 2
         size = 8 * (horizon + 1) * (1 if overlap else 2)
         assert capsys.readouterr().err.startswith(f"error: horizon {horizon} needs {size} bytes for its series")
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["simulate", "--n", "1000000", "--cells", "0,0", "--coin", "akr"],
+             "grid side 1000000 needs 32000000000000 bytes for its state"),
+            (["verify", "--n", "400", "--block", "1x2", "--oracle-cap", "400"],
+             f"oracle for n=400 needs {40 * 640000**2} bytes"),
+            (["verify", "--graph-two-marked", "--k", "40000", "--oracle-cap", "10000000"],
+             f"oracle for 320002 arcs needs {40 * 320002**2} bytes"),
+        ],
+        ids=["state", "grid-oracle", "graph-oracle"],
+    )
+    def test_beyond_memory_named(self, argv, size, capsys):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {size}, more than the ")
 
     @pytest.mark.parametrize("where", ["directory", "under_file"])
     @pytest.mark.parametrize(

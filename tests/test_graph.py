@@ -164,6 +164,9 @@ class TestGraphStructure:
             Graph.from_edges(3, [(0, 3)])
         with pytest.raises(InvalidGraphError):
             Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
+        empty = np.empty(0, dtype=np.intp)
+        with pytest.raises(InvalidGraphError, match="no vertices"):
+            Graph(0, empty, empty)
 
     @pytest.mark.parametrize(
         "edges,message",
@@ -331,15 +334,18 @@ class TestDegreeBuckets:
         want_arcs = [g.offsets[v] + j for j in range(_JAGGED_DEGREE) for v in jagged if degrees[v] > j]
         want_arcs += [k for v in rest for k in range(g.offsets[v], g.offsets[v + 1])]
         assert arcs.tolist() == want_arcs
-        layout, s, c = amp[arcs], np.empty(g.n), np.empty(g.arc_count)
-        sums, spread = bind(layout, s, c)
+        layout, s, c, mean2 = amp[arcs], np.empty(g.n), np.empty(g.arc_count), np.empty(g.n)
+        sums, spread = bind(layout, s, c, mean2)
         sums()
         want = np.add.reduceat(amp, g.offsets[:-1])[order]
         assert_array_equal(s.view(np.int64), want.view(np.int64))
-        mean2 = rng.standard_normal(g.n)
-        spread(mean2[order], layout, c)
-        want = (np.repeat(mean2, g.degrees) - amp)[arcs]
-        assert_array_equal(c.view(np.int64), want.view(np.int64))
+        # spread() reads the bound mean2 as it is at each call, so refill it in place
+        for _ in range(2):
+            values = rng.standard_normal(g.n)
+            mean2[...] = values[order]
+            spread()
+            want = (np.repeat(values, g.degrees) - amp)[arcs]
+            assert_array_equal(c.view(np.int64), want.view(np.int64))
 
     @settings(deadline=None, max_examples=100)
     @given(irregular_walks())
@@ -395,6 +401,10 @@ class TestDenseOracle:
 
 
 class TestTwoMarked:
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="positive integer, got 0"):
+            build_two_marked(0)
+
     def test_k1_zero_sum(self):
         g, marked, st = build_two_marked(1)
         for v in marked:
@@ -562,6 +572,11 @@ class TestObservables:
         g = triangle()
         st = graph_uniform_state(g)
         assert graph_overlap(st, st) == pytest.approx(1.0, abs=1e-15)
+
+    def test_overlap_across_graphs_rejected(self):
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="different graphs"):
+            graph_overlap(graph_uniform_state(triangle()), graph_uniform_state(path))
 
 
 class TestParsing:

@@ -174,6 +174,10 @@ class TestStep:
         out = step(st, scheme, MarkedSet.empty(7))
         assert_array_equal(out.amp, st.amp)
 
+    def test_marked_set_on_another_side_rejected(self):
+        with pytest.raises(ValueError, match="side-5 grid, state on 4"):
+            step(uniform_state(4), CoinScheme.AKR, MarkedSet(5, [(0, 0)]))
+
     @pytest.mark.parametrize("scheme", list(CoinScheme))
     def test_norm_preserved(self, scheme):
         st = random_state(6)

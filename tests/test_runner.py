@@ -173,6 +173,10 @@ class TestRunWalk:
         with pytest.raises(ValueError):
             run_walk(10, MarkedSet.empty(10), CoinScheme.AKR, 0)
 
+    def test_marked_set_on_another_side_rejected(self):
+        with pytest.raises(ValueError, match="side-4 grid, expected 5"):
+            run_walk(5, MarkedSet(4, [(0, 0)]), CoinScheme.AKR, 10)
+
     @pytest.mark.parametrize("scheme", list(CoinScheme))
     def test_torus_graph_walk_matches_grid_walk(self, scheme):
         # one halt-rule loop serves both targets; only the summation order differs
@@ -303,6 +307,8 @@ class TestReproduceTables:
             reproduce_tables([], [3])
         with pytest.raises(ValueError):
             reproduce_tables([50], [])
+        with pytest.raises(ValueError, match="no coin schemes"):
+            reproduce_tables([50], [3], schemes=())
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_side_below_two_rejected_up_front(self, n):
