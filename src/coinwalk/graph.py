@@ -522,6 +522,21 @@ class GenericThreeSpec:
         return self.l23 + self.l31
 
 
+def _check_witness(r: int, core: int, privates: int) -> None:
+    """Raise ``ValueError`` before building a witness larger than physical memory.
+
+    The witness has ``r`` marked vertices, ``core`` edges between them and
+    ``privates`` private neighbours, joined by one edge each and closed into
+    a cycle. It counts 300 bytes per edge and 56 per vertex: the edge list
+    of Python pairs, the arrays :meth:`Graph.from_edges` sorts and keeps for
+    the two arcs of each edge, and the amplitudes. Building the 800001 edges
+    of ``build_two_marked(200000)`` peaked 240 MB above the interpreter.
+    """
+    edges = core + privates + (privates if privates >= 3 else privates // 2)
+    nbytes = 300 * edges + 56 * (r + privates)
+    _check_memory(nbytes, f"a witness with {edges} edges needs {nbytes} bytes")
+
+
 def _assemble_witness(
     r: int,
     core: Sequence[tuple[int, int, float]],
@@ -572,6 +587,7 @@ def build_two_marked(
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    _check_witness(2, 1, 2 * k)
     return _assemble_witness(2, [(0, 1, float(k))], [k, k], 1.0, a)
 
 
@@ -583,6 +599,7 @@ def build_generic_three(
     Marked pair (p, q) carries -l_pq * a on both arcs; vertex p gets its m_p
     private neighbors, so each marked vertex's amplitudes sum to zero.
     """
+    _check_witness(3, 3, spec.m1 + spec.m2 + spec.m3)
     core = [
         (0, 1, float(spec.l12)),
         (1, 2, float(spec.l23)),
@@ -607,6 +624,7 @@ def build_symmetric_ring(
         raise ValueError(f"k must be a positive integer, got {k}")
     if r == 2:
         return build_two_marked(k, a)
+    _check_witness(r, r, r * k)
     if k % 2 == 0:
         weight, mult = k / 2.0, 1.0
     else:

@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -237,18 +237,97 @@ def _coin_into(
     half_sum: np.ndarray,
 ) -> None:
     """Effective coin applied in place on ``work``: the frame-0 coin of :func:`_frame_coins`."""
-    next(_frame_coins(work, scheme, marked, half_sum))[0]()
+    next(_frame_coins(work, scheme, half_sum, (marked.flat,), ()))()
+
+
+class _Band(NamedTuple):
+    """The columns ``y0 + j`` (mod n), ``j < h``, of the torus that a walk holds.
+
+    With ``c`` None the band is the whole torus (``y0 = 0``, ``h = n``).
+    Otherwise the state is symmetric under the y-mirror ``y -> c - y`` (mod
+    n), which swaps UP and DOWN, and the band is one fundamental domain: it
+    runs from one axis of the mirror to the other. An axis through a row of
+    cells (a site axis) is a column of the band, one between two rows (a
+    bond axis) lies beyond the band's edge. ``near`` and ``far`` are the
+    columns that the mirror puts in place of columns -1 and h; the columns
+    from ``near`` to ``far`` are the ones off the axes.
+    """
+
+    n: int
+    y0: int
+    h: int
+    c: int | None
+
+    @property
+    def axis(self) -> list[int]:
+        """The band's site-axis columns: 0, h - 1, both or neither."""
+        return [j for j in (0, self.h - 1) if (2 * (self.y0 + j) - self.c) % self.n == 0]
+
+    @property
+    def near(self) -> int:
+        return 1 if 0 in self.axis else 0
+
+    @property
+    def far(self) -> int:
+        return self.h - 2 if self.h - 1 in self.axis else self.h - 1
+
+    def fold(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The band column of each row position y, and whether it is its mirror image's."""
+        n, y0, h, c = self
+        j = (ys - y0) % n
+        if c is None:
+            return j, np.zeros(j.shape, dtype=bool)
+        mirrored = j >= h
+        return np.where(mirrored, (c - ys - y0) % n, j), mirrored
+
+    def positions(self, planes: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Flat positions in a (4, n, h) band of the amplitudes (plane, x, y), any x and y.
+
+        A row position outside the band is read at its mirror image, with
+        UP and DOWN swapped.
+        """
+        j, mirrored = self.fold(ys)
+        planes = np.where(mirrored & (planes < 2), planes ^ 1, planes)
+        return ((planes * self.n + xs % self.n) * self.h + j).reshape(-1)
+
+    def frames(self, marked: MarkedSet) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the marked amplitudes in frames 0 and 1, in ``marked.flat`` order.
+
+        Frame 1 stores direction d of cell (x, y) in plane ``d ^ 1`` of cell
+        (x + dx, y + dy); see :func:`_frame_coins`. In a mirror band two
+        entries can share a position, the amplitude and its mirror image.
+        """
+        xs, ys, d = marked.xs[:, None], marked.ys[:, None], np.arange(4)
+        return self.positions(d, xs, ys), self.positions(d ^ 1, xs + np.array(_DX), ys + np.array(_DY))
+
+    def ghosts(self, work: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The seam sources of frame 1: DOWN and ``half`` of column -1, UP and ``half`` of column h.
+
+        The torus wraps them to columns h - 1 and 0. The mirror of a band
+        turns DOWN into UP and reads them at ``near`` and ``far``.
+        """
+        up, down = work[0], work[1]
+        if self.c is None:
+            return down[:, -1], half[:, -1], up[:, 0], half[:, 0]
+        near, far = self.near, self.far
+        return up[:, near], half[:, near], down[:, far], half[:, far]
 
 
 def _frame_coins(
-    work: np.ndarray, scheme: CoinScheme, marked: MarkedSet, half: np.ndarray
-) -> Iterator[tuple[Callable[[], None], np.ndarray]]:
+    work: np.ndarray,
+    scheme: CoinScheme,
+    half: np.ndarray,
+    flats: tuple[np.ndarray, ...],
+    ghosts: tuple[np.ndarray, ...],
+) -> Iterator[Callable[[], None]]:
     """Yield the in-place coin of ``work`` in frame 0, then in frame 1, each bound once.
 
-    Unmarked cells get Grover diffusion (alpha -> s/2 - alpha with s the
-    cell's amplitude sum); marked cells get the scheme's effective coin: -I
-    under AKR, -D (alpha -> alpha - s/2) under GROVER. Either coin leaves
-    s/2 in ``half`` ((n, n) scratch) in cell order.
+    ``work`` is a (4, n, h) band of a state (see :class:`_Band`) and ``half``
+    (n, h) scratch. Unmarked cells get Grover diffusion (alpha -> s/2 -
+    alpha with s the cell's amplitude sum); marked cells get the scheme's
+    effective coin: -I under AKR, -D (alpha -> alpha - s/2) under GROVER.
+    ``flats[f]`` lists the flat positions of the marked amplitudes in frame
+    f; repeats are allowed. Either coin leaves s/2 in ``half`` in cell order.
 
     Frame 1 is the shift done as a relabel: after the frame-0 coin, the
     shifted state's amplitude of direction ``d`` at a cell is the one still
@@ -260,15 +339,20 @@ def _frame_coins(
     The frame-1 coin writes each amplitude back where it was read, so the
     next shift is again a relabel and leaves the state in frame 0. Both coins
     add in the same order, so every amplitude is bit-identical to
-    ``step_into``. Each coin comes paired with the flat positions, in its
-    frame, of the amplitudes ``marked.flat`` lists. A caller that needs only
-    frame 0 takes ``next()``; frame 1 needs n >= 2.
+    ``step_into``. At the band's first and last columns frame 1 reads DOWN
+    and ``half`` of column -1 and UP and ``half`` of column h from
+    ``ghosts``, in that order (:meth:`_Band.ghosts`); the kernel is the same
+    for the torus seams and for the mirror's. A caller that needs only
+    frame 0 takes ``next()`` and may leave out ``flats[1]`` and ``ghosts``;
+    frame 1 needs h >= 2.
     """
     up, down, left, right = work
-    flat, kept = work.reshape(-1), np.empty(4 * len(marked))
+    flat = work.reshape(-1)
     akr = scheme is CoinScheme.AKR
 
     def coin(diffuse: Callable[[], None], idx: np.ndarray) -> Callable[[], None]:
+        kept = np.empty(idx.size)
+
         def apply() -> None:
             # mode="clip" never clips here; with out=, the default mode buffers the output
             if akr:
@@ -287,28 +371,28 @@ def _frame_coins(
         np.multiply(half, 0.5, out=half)
         np.subtract(half, work, out=work)
 
-    yield coin(diffuse0, marked.flat), marked.flat
+    yield coin(diffuse0, flats[0])
 
-    n, h_flat = work.shape[1], half.reshape(-1)
-    # frame 1 stores direction d of cell (x, y) in plane d ^ 1 of cell (x + dx, y + dy)
-    xs1, ys1 = (marked.xs[:, None] + _DX) % n, (marked.ys[:, None] + _DY) % n
-    flat1 = ((np.arange(4) ^ 1) * n * n + xs1 * n + ys1).reshape(-1)
-    up_flat, down_flat, seam = up.reshape(-1), down.reshape(-1), np.empty(n)
+    n = work.shape[1]
+    h_flat, seam = half.reshape(-1), np.empty(n)
+    up_flat, down_flat = up.reshape(-1), down.reshape(-1)
     h_head, h_tail, l_tail, r_head = half[:-1], half[1:], left[1:], right[:-1]
     # rows (0, n-1) of half and the rows that wrap the torus into them: RIGHT's
-    # row n-1 and LEFT's row 0, the rows 4n-1 and 2n of the (4n, n) state
-    h_wraps, x_wraps = half[:: n - 1], work.reshape(4 * n, n)[4 * n - 1 : 1 : 1 - 2 * n]
+    # row n-1 and LEFT's row 0, the rows 4n-1 and 2n of the (4n, h) band
+    h_wraps, x_wraps = half[:: n - 1], work.reshape(4 * n, -1)[4 * n - 1 : 1 : 1 - 2 * n]
     # UP + DOWN of cell (x, y) sit at down[x, y-1] and up[x, y+1]: one flat
-    # offset op for the bulk; the seam columns y = 0 and n-1 wrap the torus,
-    # one view for both: columns (0, n-1) of half <- (n-1, n-2) of down, (1, 0) of up
+    # offset op for the bulk; the seam columns 0 and h-1 read the ghosts
     ud_bulk = down_flat[:-2], up_flat[2:], h_flat[1:-1]
-    ud_seams = down[:, :-3:-1], up[:, 1::-1], half[:, :: n - 1]
-    h_col0, h_fwd, d_col_last, d_head = half[:, 0], h_flat[1:], down[:, -1], down_flat[:-1]
-    h_col_last, h_back, u_col0, u_tail = half[:, -1], h_flat[:-1], up[:, 0], up_flat[1:]
+    down_before, half_before, up_after, half_after = ghosts
+    ud_first = down_before, up[:, 1], half[:, 0]
+    ud_last = down[:, -2], up_after, half[:, -1]
+    h_fwd, d_col_last, d_head = h_flat[1:], down[:, -1], down_flat[:-1]
+    h_back, u_col0, u_tail = h_flat[:-1], up[:, 0], up_flat[1:]
 
     def diffuse1() -> None:
         np.add(*ud_bulk)
-        np.add(*ud_seams)
+        np.add(*ud_first)
+        np.add(*ud_last)
         # RIGHT comes before LEFT in every cell, as in frame 0
         np.add(h_tail, r_head, out=h_tail)
         np.add(h_wraps, x_wraps, out=h_wraps)
@@ -316,17 +400,17 @@ def _frame_coins(
         np.multiply(half, 0.5, out=half)
         # the flat writes of the y-displaced planes run over their seam column
         # before it is read, so each seam goes through the scratch first
-        np.subtract(h_col0, d_col_last, out=seam)
+        np.subtract(half_after, d_col_last, out=seam)
         np.subtract(h_fwd, d_head, out=d_head)
         d_col_last[...] = seam
-        np.subtract(h_col_last, u_col0, out=seam)
+        np.subtract(half_before, u_col0, out=seam)
         np.subtract(h_back, u_tail, out=u_tail)
         u_col0[...] = seam
         np.subtract(h_head, l_tail, out=l_tail)
         np.subtract(h_tail, r_head, out=r_head)
         np.subtract(h_wraps, x_wraps, out=x_wraps)
 
-    yield coin(diffuse1, flat1), flat1
+    yield coin(diffuse1, flats[1])
 
 
 def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:

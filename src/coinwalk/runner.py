@@ -12,6 +12,7 @@ start state) after every step. Two step counts come out of a series:
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, _arc_probability, _jagged_arcs, graph_uniform_state
-from .grid import CoinScheme, MarkedSet, _check_memory, _check_side, _frame_coins, uniform_state
+from .grid import CoinScheme, MarkedSet, _Band, _check_memory, _check_side, _frame_coins, uniform_state
 
 __all__ = [
     "LARGE_N_THRESHOLD",
@@ -104,6 +105,14 @@ class _OutOfTime(Exception):
 # steps between deadline checks; a torus step at n=200 takes about 0.2 ms
 _DEADLINE_EVERY = 64
 
+# what a target hands _drive: start state, step, marked-probability gather and exact total
+_Walk = tuple[
+    np.ndarray,
+    Callable[[np.ndarray], tuple[np.ndarray, float]],
+    Callable[[np.ndarray], float],
+    Callable[[np.ndarray], float],
+]
+
 # bound on the error of the fast overlap of a unit state, derived in _drive
 _OVERLAP_BOUND = 128 * np.finfo(float).eps
 
@@ -112,6 +121,7 @@ def _drive(
     amp: np.ndarray,
     advance: Callable[[np.ndarray], tuple[np.ndarray, float]],
     marked_prob: Callable[[np.ndarray], float],
+    exact_total: Callable[[np.ndarray], float],
     horizon: int,
     record_overlap: bool,
     stop_at_halt: bool,
@@ -121,7 +131,9 @@ def _drive(
 
     ``amp`` is the uniform start state and ``advance`` returns the state one
     step later together with its amplitude total; it may overwrite its
-    argument, so the loop never reads a state again after advancing it. The
+    argument, so the loop never reads a state again after advancing it.
+    ``exact_total`` returns the exactly rounded amplitude total of the state
+    ``advance`` returned. The
     overlap with the start state, ``amp[0]`` times the total, is tracked every
     step to detect the halt crossing; step 0 sums the start state directly,
     later totals come from the coin's own sums (see :func:`_torus_walk` and
@@ -135,9 +147,10 @@ def _drive(
     The halt step is the first t whose state has an exact total <= 0, so it
     does not depend on the order of the coin's sums. The fast overlap decides
     it wherever it lies outside ``±c eps`` (``_OVERLAP_BOUND``, c = 128);
-    inside, the step falls back to ``amp[0] * math.fsum(state)``. ``amp`` is
-    always a permutation of the state's amplitudes, so that is the exactly
-    rounded overlap, and it is what the series records at such a step.
+    inside, the step falls back to ``amp[0]`` times ``exact_total``, an
+    ``math.fsum`` of every amplitude of the state (the torus walk's mirror
+    band sums its non-axis columns twice), so that is the exactly rounded
+    overlap, and it is what the series records at such a step.
 
     The bound: numpy's pairwise sum of m terms takes each term through at
     most L(m) <= 26 + max(0, ceil(log2(m / 128))) roundings (8 accumulators
@@ -145,11 +158,14 @@ def _drive(
     per halving), so it is off by at most L(m) u sum(|x|), u = eps / 2. The
     torus total sums n^2 cell sums and subtracts the k marked ones twice, and
     the coin adds 5 roundings per amplitude: (L(n^2) + 2 L(k) + 5) u sum(|x|).
-    The graph total sums n vertex sums of degree at most d and subtracts k
-    twice, and the coin adds 4: (L(n) + 2 L(k) + L(d) + 4) u sum(|x|). A unit
-    state of M amplitudes has sum(|x|) <= sqrt(M) = 1 / amp[0], so with n^2,
-    k and d below 2^31 (L <= 50) the overlap is off by at most
-    204 u < 128 eps.
+    A mirror band of h columns sums its n h cells and takes them twice, then
+    subtracts its at most 2n axis cells once and the k marked cells twice,
+    with one more subtraction: (2 L(n h) + L(2n) + 2 L(k) + 6) u sum(|x|),
+    since the band's cells are some of the torus's. The graph total sums n
+    vertex sums of degree at most d and subtracts k twice, and the coin adds
+    4: (L(n) + 2 L(k) + L(d) + 4) u sum(|x|). A unit state of M amplitudes
+    has sum(|x|) <= sqrt(M) = 1 / amp[0], so with n^2, k and d below 2^31
+    (L <= 50, and L(2n) <= 36) the overlap is off by at most 242 u < 128 eps.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -171,8 +187,7 @@ def _drive(
         prob[t] = marked_prob(amp)
         overlap_now = a0 * total
         if abs(overlap_now) <= _OVERLAP_BOUND:
-            # the memoryview of the flat buffer hands fsum Python floats without a list
-            overlap_now = a0 * math.fsum(amp.reshape(-1).data)
+            overlap_now = a0 * exact_total(amp)
         if ov is not None:
             ov[t] = overlap_now
         if halt_step is None and overlap_now <= 0.0:
@@ -191,43 +206,110 @@ def _drive(
     return RunSeries(prob, ov, peak_step, peak_probability, halt_step, halt_probability)
 
 
+def _mirror_axis(marked: MarkedSet) -> int | None:
+    """An axis c with (x, y) marked iff (x, c - y mod n) marked, or None.
+
+    The mirror of a marked cell lies in its own row x, so the candidates are
+    the sums of the first cell's y with the y of each cell in its row; the
+    smallest that maps the set into itself maps it onto itself.
+    """
+    if not len(marked):
+        return 0
+    n, xs, ys = marked.n, marked.xs, marked.ys
+    # a set, not np.unique: numpy's sort would page in code that no step runs
+    for c in sorted({(int(ys[0]) + y) % n for y in ys[xs == xs[0]].tolist()}):
+        if marked.mask[xs, (c - ys) % n].all():
+            return c
+    return None
+
+
+def _torus_band(marked: MarkedSet) -> _Band:
+    """The band :func:`_torus_walk` holds: one fundamental domain of the y-mirror, if any.
+
+    The domain runs from the site axis (``2 y0 = c``) or from the row past
+    the bond axis (``2 y0 = c + 1``), over ``n/2 + 1`` columns between two
+    site axes, ``n/2`` between two bond axes and ``(n + 1)/2`` for odd n,
+    which has one of each. A set with no axis, or a domain of fewer than 3
+    columns, keeps the whole torus.
+    """
+    n, c = marked.n, _mirror_axis(marked)
+    if c is not None:
+        even = n % 2 == 0
+        y0 = (c + 1) // 2 if even else c * (n + 1) // 2 % n
+        h = n // 2 + 1 if even and c % 2 == 0 else (n + 1) // 2
+        if h >= 3:
+            return _Band(n, y0, h, c)
+    return _Band(n, 0, n, None)
+
+
 def _torus_walk(
     n: int, marked: MarkedSet, scheme: CoinScheme
-) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, float]], Callable[[np.ndarray], float]]:
-    """Start state, step and marked-probability gather of the torus walk for :func:`_drive`.
+) -> _Walk:
+    """Start state, step, marked-probability gather and exact total of the torus walk for :func:`_drive`.
 
-    The state stays in one buffer, which the coins of :func:`grid._frame_coins`
-    take from frame 0 to frame 1 and back; the gather reads the marked
-    amplitudes through the current frame's index. Everything is bound to that
-    buffer once, and a step ignores the array it is passed.
+    The state stays in one (4, n, h) band (see :class:`grid._Band`): the
+    whole torus, or, when the marked set is symmetric under a y-mirror, one
+    fundamental domain of it. The coin adds ``((u + d) + l) + r`` and the
+    mirror swaps ``u`` and ``d``, so it maps the walk state onto itself bit
+    for bit and the band holds the whole state. The coins of
+    :func:`grid._frame_coins` take the band from frame 0 to frame 1 and
+    back, and the gather reads the marked amplitudes through the current
+    frame's positions, in ``marked.flat`` order. Everything is bound to the
+    band once, and a step ignores the array it is passed. The start state
+    returned is the whole uniform state; :func:`_drive` sums it at step 0.
 
     Both coins leave ``half`` holding half of every cell's amplitude sum.
     Grover diffusion keeps a cell's sum, both marked coins negate it and the
     shift only moves amplitudes, so the total after the step is
-    ``2 * (half.sum() - 2 * half[marked cells].sum())``.
+    ``2 * (half.sum() - 2 * half[marked cells].sum())``. A mirror band holds
+    the cells of its axis columns once and the others for themselves and
+    their mirror images, so there it is
+    ``2 * (2 * half.sum() - half[axis columns].sum() - 2 * half[marked cells].sum())``,
+    and the exact total sums the band with its non-axis columns a second
+    time.
     """
     if marked.n != n:
         raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
     amp = uniform_state(n).amp
-    half = np.empty((n, n))
-    coins, index = zip(*_frame_coins(amp, scheme, marked, half))
-    flat, half_flat, cells = amp.reshape(-1), half.reshape(-1), marked.xs * n + marked.ys
-    sel, cell_half = np.empty(4 * len(marked)), np.empty(len(marked))
+    band = _torus_band(marked)
+    h = band.h
+    # the band takes the head of the start state's buffer: every uniform amplitude is the same
+    work = amp.reshape(-1)[: 4 * n * h].reshape(4, n, h)
+    half = np.empty((n, h))
+    index = band.frames(marked)
+    coins = tuple(_frame_coins(work, scheme, half, index, band.ghosts(work, half)))
+    flat, half_flat = work.reshape(-1), half.reshape(-1)
+    if band.c is None:
+        weight, axis, twice = 1.0, [], work[:, :, :0]
+    else:
+        weight, axis, twice = 2.0, band.axis, work[:, :, band.near : band.far + 1]
+    # one gather of half at the axis cells, x-major, and at the marked cells
+    on_axis = (np.arange(n)[:, None] * h + np.array(axis, dtype=np.intp)).reshape(-1)
+    gather = np.concatenate([on_axis, marked.xs * h + band.fold(marked.ys)[0]])
+    gathered, sel = np.empty(gather.size), np.empty(4 * len(marked))
+    axis_half, cell_half = gathered[: on_axis.size], gathered[on_axis.size :]
     frame = 0
 
     def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal frame
         coins[frame]()
         frame ^= 1
-        half_flat.take(cells, out=cell_half, mode="clip")
-        return a, 2.0 * (float(np.add.reduce(half_flat)) - 2.0 * float(np.add.reduce(cell_half)))
+        half_flat.take(gather, out=gathered, mode="clip")
+        whole = weight * float(np.add.reduce(half_flat))
+        if axis:
+            whole -= float(np.add.reduce(axis_half))
+        return work, 2.0 * (whole - 2.0 * float(np.add.reduce(cell_half)))
 
     def probability(a: np.ndarray) -> float:
         flat.take(index[frame], out=sel, mode="clip")
         np.multiply(sel, sel, out=sel)
         return float(np.add.reduce(sel))
 
-    return amp, advance, probability
+    def exact(a: np.ndarray) -> float:
+        # the memoryviews of the flat buffers hand fsum Python floats without a list
+        return math.fsum(itertools.chain(flat.data, twice.ravel().data))
+
+    return amp, advance, probability, exact
 
 
 def run_walk(
@@ -253,8 +335,8 @@ def run_walk(
 
 def _graph_walk(
     g: Graph, marked: Iterable[int], scheme: CoinScheme
-) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, float]], Callable[[np.ndarray], float]]:
-    """Start state, step and marked-probability gather of the graph walk for :func:`_drive`.
+) -> _Walk:
+    """Start state, step, marked-probability gather and exact total of the graph walk for :func:`_drive`.
 
     The state is held in the jagged arc layout of :func:`graph._jagged_arcs`,
     whose vertex sums have the bits of ``reduceat`` with one add per row for
@@ -288,7 +370,8 @@ def _graph_walk(
     idxs = position[g.marked_arc_indices(vs)]
     head, partner = rank[g.head[arcs]], position[g.partner[arcs]]
     fix_arcs, fix_vertices = partner[idxs], rank[g.tail[arcs[idxs]]]
-    degrees, marked_vertices = g.degrees[order].astype(float), rank[vs]
+    # (2 s) / d and s / (d / 2) round the same real number, and d / 2 is exact
+    half_degrees, marked_vertices = g.degrees[order] / 2.0, rank[vs]
     akr = scheme is CoinScheme.AKR
 
     amp = graph_uniform_state(g).amp
@@ -301,8 +384,7 @@ def _graph_walk(
         nonlocal odd
         vertex_sums()
         kept = a[idxs]
-        np.multiply(s, 2.0, out=mean2)
-        np.divide(mean2, degrees, out=mean2)
+        np.divide(s, half_degrees, out=mean2)
         fixed = -kept if akr else kept - mean2[fix_vertices]
         if odd:
             spread()
@@ -317,7 +399,8 @@ def _graph_walk(
         s.take(marked_vertices, out=marked_s, mode="clip")
         return a, float(s.sum()) - 2.0 * float(marked_s.sum())
 
-    return amp, advance, lambda a: _arc_probability(a, idxs)
+    # the memoryview of the flat buffer hands fsum Python floats without a list
+    return amp, advance, lambda a: _arc_probability(a, idxs), lambda a: math.fsum(a.data)
 
 
 def run_graph_walk(

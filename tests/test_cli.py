@@ -381,6 +381,10 @@ class TestInvalidInputs:
             ["verify", "--graph-ring", "3"],
             ["verify", "--block", "1x2"],
             ["graph-sim", "--graph", "{ring}", "--marked-file", "{missing}", "--coin", "akr"],
+            # a graph witness larger than memory, rejected before its edge list is built
+            ["verify", "--graph-two-marked", "--k", "99999999999999999999"],
+            ["verify", "--graph-ring", "3,99999999999"],
+            ["verify", "--graph-three", "1,1,99999999999"],
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
@@ -436,8 +440,10 @@ class TestInvalidInputs:
              f"oracle for n=400 needs {40 * 640000**2} bytes"),
             (["verify", "--graph-two-marked", "--k", "40000", "--oracle-cap", "10000000"],
              f"oracle for 320002 arcs needs {40 * 320002**2} bytes"),
+            (["verify", "--graph-ring", "3,99999999999"],
+             f"a witness with 599999999997 edges needs {300 * 599999999997 + 56 * 300000000000} bytes"),
         ],
-        ids=["state", "grid-oracle", "graph-oracle"],
+        ids=["state", "grid-oracle", "graph-oracle", "witness"],
     )
     def test_beyond_memory_named(self, argv, size, capsys):
         assert run_cli(*argv) == 2

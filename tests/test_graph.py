@@ -352,7 +352,7 @@ class TestDegreeBuckets:
     def test_walk_matches_step_arcs_bit_for_bit(self, walk):
         g, marked, scheme, horizon = walk
         series = run_graph_walk(g, marked, scheme, horizon)
-        amp, advance, _ = _graph_walk(g, marked, scheme)
+        amp, advance = _graph_walk(g, marked, scheme)[:2]
         arcs = _jagged_arcs(g)[1]
         state = graph_uniform_state(g)
         for t in range(horizon + 1):

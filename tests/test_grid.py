@@ -17,7 +17,7 @@ from coinwalk.grid import (
     step,
     uniform_state,
 )
-from coinwalk.grid import _coin_into, _frame_coins
+from coinwalk.grid import _Band, _coin_into, _frame_coins
 
 RNG = np.random.default_rng(20240517)
 
@@ -31,6 +31,13 @@ def random_marked(n, rng=RNG):
     k = int(rng.integers(0, n * n + 1))
     cells = [tuple(map(int, rng.integers(0, n, 2))) for _ in range(k)]
     return MarkedSet(n, cells)
+
+
+def torus_coins(work, scheme, marked, half):
+    """The frame coins of the whole torus, each paired with its marked positions."""
+    band = _Band(marked.n, 0, marked.n, None)
+    flats = band.frames(marked)
+    return zip(_frame_coins(work, scheme, half, flats, band.ghosts(work, half)), flats)
 
 
 class TestDirection:
@@ -226,7 +233,7 @@ class TestStep:
             for marked in (MarkedSet(n, cells), MarkedSet.empty(n)):
                 st = random_state(n, rng)
                 work, half = st.amp.copy(), np.empty((n, n))
-                (coin0, _), (coin1, flat1) = _frame_coins(work, scheme, marked, half)
+                (coin0, _), (coin1, flat1) = torus_coins(work, scheme, marked, half)
                 coin0()
                 once = step(st, scheme, marked)
                 assert_array_equal(apply_shift(GridState(n, work)).amp, once.amp)
@@ -250,7 +257,7 @@ class TestStep:
         for scheme in CoinScheme:
             st = random_state(n, rng)
             work = st.amp.copy()
-            coins = _frame_coins(work, scheme, marked, np.empty((n, n)))
+            coins = torus_coins(work, scheme, marked, np.empty((n, n)))
             for t, (coin, _) in enumerate(coins, 1):
                 coin()
                 st = step(st, scheme, marked)

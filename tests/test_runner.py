@@ -15,11 +15,23 @@ from coinwalk.graph import (
     parse_vertex_ids,
     torus_graph,
 )
-from coinwalk.grid import CoinScheme, MarkedSet, _coin_into, marked_probability, step, uniform_state
+from coinwalk.grid import (
+    CoinScheme,
+    GridState,
+    MarkedSet,
+    _Band,
+    _coin_into,
+    _frame_coins,
+    marked_probability,
+    step,
+    uniform_state,
+)
 from coinwalk.runner import (
     _OVERLAP_BOUND,
     RunSeries,
     _horizon,
+    _mirror_axis,
+    _torus_band,
     centered_block,
     default_horizon,
     detect_peak,
@@ -54,6 +66,46 @@ def edge_pair_walk(n, edges, marked, scheme, horizon):
         prob.append(float(amp[on_marked] @ amp[on_marked]))
         overlap.append(a0 * float(amp.sum()))
     return np.array(prob), np.array(overlap)
+
+
+def fast_total(h, marked, band):
+    """The torus walk's total after a coin, from that coin's half sums ``h`` on the whole torus.
+
+    A mirror band takes its own n x h cells twice, its axis cells once less
+    and the marked cells twice: the formula of the path the walk takes.
+    """
+    cells = h[marked.xs, marked.ys].sum()
+    if band.c is None:
+        return 2.0 * (h.sum() - 2.0 * cells)
+    columns = (band.y0 + np.arange(band.h)) % band.n
+    axis = [j for j, y in enumerate(columns) if (2 * y - band.c) % band.n == 0]
+    # the walk sums its (n, h) band and the axis cells x-major, as C-ordered copies do
+    held = np.ascontiguousarray(h[:, columns])
+    whole = 2.0 * held.sum()
+    if axis:
+        whole -= np.ascontiguousarray(held[:, axis]).sum()
+    return 2.0 * (whole - 2.0 * cells)
+
+
+def mirrored(amp, c):
+    """The state ``amp`` reflected through y -> c - y (mod n): UP and DOWN swap."""
+    n = amp.shape[1]
+    return amp[[1, 0, 2, 3]][:, :, (c - np.arange(n)) % n]
+
+
+@st.composite
+def mirror_sets(draw):
+    """Side 4..13 and a marked set with a y-mirror: a block, maybe wrapping, or mirrored cells."""
+    n = draw(st.integers(4, 13))
+    coord = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        side = st.integers(1, n)
+        marked = MarkedSet.from_block(n, (draw(coord), draw(coord)), draw(side), draw(side))
+    else:
+        c = draw(coord)
+        cells = draw(st.lists(st.tuples(coord, coord), max_size=n))
+        marked = MarkedSet(n, cells + [(x, c - y) for x, y in cells])
+    return n, marked, draw(st.sampled_from(list(CoinScheme)))
 
 
 @st.composite
@@ -125,9 +177,11 @@ class TestRunWalk:
     @given(seam_walks())
     def test_frames_match_step_composition(self, walk):
         # probabilities bit-identical; overlaps come from the coin's half sums, bit for bit,
-        # except within the bound, where they are exact sums; the exact sum's halt step
+        # by the formula of the band the walk holds (a symmetric set is held in a mirror
+        # band), except within the bound, where they are exact sums; the exact sum's halt step
         n, marked, scheme, horizon = walk
         series = run_walk(n, marked, scheme, horizon)
+        band = _torus_band(marked)
         state = uniform_state(n)
         a0 = state.amp[0, 0, 0]
         prob, exact, direct = np.empty(horizon + 1), np.empty(horizon + 1), np.empty(horizon + 1)
@@ -138,7 +192,7 @@ class TestRunWalk:
             exact[t] = a0 * math.fsum(state.amp.ravel())
             direct[t] = a0 * float(state.amp.sum())
             _coin_into(state.amp.copy(), scheme, marked, h)
-            halves[t] = a0 * (2.0 * (h.sum() - 2.0 * h[marked.xs, marked.ys].sum()))
+            halves[t] = a0 * fast_total(h, marked, band)
             state = step(state, scheme, marked)
         assert_array_equal(series.probability, prob)
         assert series.overlap[0] == direct[0]
@@ -205,6 +259,94 @@ class TestRunWalk:
         assert series.peak_step == int(np.argmax(prob))
         np.testing.assert_allclose(series.probability, prob, rtol=1e-12)
         np.testing.assert_allclose(series.overlap, overlap, rtol=1e-12)
+
+
+class TestMirrorBand:
+    """A y-symmetric marked set runs on one fundamental domain of the torus, with the same bits."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(mirror_sets(), st.integers(1, 2))
+    @example((5, MarkedSet.from_block(5, (3, 4), 2, 3), CoinScheme.AKR), 1)  # wraps both ways
+    @example((8, MarkedSet.from_block(8, (2, 7), 3, 2), CoinScheme.GROVER), 1)  # bond axes
+    @example((8, MarkedSet.from_block(8, (2, 6), 3, 3), CoinScheme.AKR), 1)  # site axes
+    @example((9, MarkedSet.empty(9), CoinScheme.GROVER), 1)
+    def test_walk_matches_step_composition(self, case, reach):
+        n, marked, scheme = case
+        assert _mirror_axis(marked) is not None
+        horizon = reach * default_horizon(n)
+        series = run_walk(n, marked, scheme, horizon)
+        state = uniform_state(n)
+        a0 = state.amp[0, 0, 0]
+        exact = np.empty(horizon + 1)
+        for t in range(horizon + 1):
+            assert series.probability[t] == marked_probability(state, marked)
+            exact[t] = a0 * math.fsum(state.amp.ravel())
+            state = step(state, scheme, marked)
+        np.testing.assert_allclose(series.overlap, exact, rtol=0, atol=1e-15)
+        want = fsum_halt(uniform_state(n), lambda s: step(s, scheme, marked), horizon)
+        assert series.halt_step == want
+
+    @settings(deadline=None, max_examples=100)
+    @given(mirror_sets(), st.integers(0, 2**32 - 1))
+    def test_band_coins_match_two_steps(self, case, seed):
+        # a random state with the set's mirror, not only the uniform one: frame 0 then
+        # frame 1 on the band equal two full steps at the band's columns, bit for bit
+        n, marked, scheme = case
+        band = _torus_band(marked)
+        if band.c is None:
+            return
+        rng = np.random.default_rng(seed)
+        amp = rng.standard_normal((4, n, n))
+        amp += mirrored(amp, band.c)
+        assert_array_equal(mirrored(amp, band.c), amp)
+        columns = (band.y0 + np.arange(band.h)) % n
+        work, half = amp[:, :, columns].copy(), np.empty((n, band.h))
+        flats = band.frames(marked)
+        coin0, coin1 = _frame_coins(work, scheme, half, flats, band.ghosts(work, half))
+        coin0()
+        coined, half_ref = amp.copy(), np.empty((n, n))
+        _coin_into(coined, scheme, marked, half_ref)
+        assert_array_equal(work, coined[:, :, columns])
+        once = step(GridState(n, amp), scheme, marked)
+        sel = work.reshape(-1)[flats[1]]
+        assert float(np.sum(sel * sel)) == marked_probability(once, marked)
+        coin1()
+        _coin_into(once.amp.copy(), scheme, marked, half_ref)
+        assert_array_equal(half, half_ref[:, columns])
+        assert_array_equal(work, step(once, scheme, marked).amp[:, :, columns])
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(2, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                                 max_size=n), st.integers(0, n - 1), st.booleans())))
+    @example((2, [(0, 0)], 0, True))
+    @example((2, [(0, 0), (1, 1)], 1, False))
+    @example((3, [(1, 0), (1, 2)], 2, True))
+    @example((3, [(0, 0), (0, 1)], 1, True))
+    @example((4, [(0, 0), (0, 1)], 1, True))  # bond axes, a 2-column domain
+    @example((6, [(0, 0), (2, 1), (3, 5)], 0, False))  # no axis
+    def test_axis_maps_set_onto_itself(self, case):
+        n, cells, c, mirror = case
+        if mirror:
+            cells = cells + [(x, c - y) for x, y in cells]
+        marked = MarkedSet(n, cells)
+        axes = [a for a in range(n) if {(x, (a - y) % n) for x, y in marked} == marked.cells]
+        found = _mirror_axis(marked)
+        assert found == (axes[0] if axes else None)
+        band = _torus_band(marked)
+        if found is None or band.c is None:
+            # no axis, or a domain of fewer than 3 columns: the whole torus
+            assert band == _Band(n, 0, n, None)
+            assert found is None or n <= 4
+            return
+        assert band.c == found and 3 <= band.h <= n // 2 + 1
+        columns = (band.y0 + np.arange(band.h)) % n
+        fixed = [j for j, y in enumerate(columns) if (2 * y - found) % n == 0]
+        assert fixed == band.axis
+        # the band and its mirror image cover the torus, overlapping only on the axis columns
+        image = (found - columns) % n
+        assert set(columns) | set(image) == set(range(n))
+        assert set(columns) & set(image) == set(columns[fixed])
 
 
 def fsum_halt(state, advance, horizon):
