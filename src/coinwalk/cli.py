@@ -375,7 +375,7 @@ def _verify_graph(args: argparse.Namespace) -> _Verified:
             raise ConfigError("--graph-two-marked needs --k")
         g, marked, state = build_two_marked(args.k)
         target = f"graph-two-marked k={args.k}"
-    elif args.graph_three:
+    elif args.graph_three is not None:
         vals = _parse_int_list(args.graph_three, "--graph-three")
         if len(vals) != 3:
             raise ConfigError("--graph-three takes 'l12,l23,l31'")
@@ -565,6 +565,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_IMPOSSIBLE
     except ValueError as exc:  # ConfigError, or an invalid input the library rejected
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an allocation the memory checks did not foresee
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

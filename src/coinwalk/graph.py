@@ -90,14 +90,21 @@ class Graph:
     def from_edges(cls, n: int, edges: "Iterable[tuple[int, int]] | np.ndarray") -> "Graph":
         """Graph on vertices 0..n-1; the first bad edge in input order is reported.
 
-        ``edges`` is an iterable of pairs or an ``(m, 2)`` integer array.
+        ``edges`` is an iterable of pairs or an ``(m, 2)`` integer array; it
+        is converted once, and any other shape raises ``InvalidGraphError``.
         """
-        if not isinstance(edges, np.ndarray):
-            edges = [(u, v) for u, v in edges]
+        if not isinstance(edges, (np.ndarray, list, tuple)):
+            edges = list(edges)
         try:
-            e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+            e = np.asarray(edges, dtype=np.intp)
         except OverflowError:
             raise InvalidGraphError("vertex id too large for an index array") from None
+        except ValueError:  # pairs and triples mixed
+            raise InvalidGraphError("edges must be integer vertex pairs") from None
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        elif e.ndim != 2 or e.shape[1] != 2:
+            raise InvalidGraphError(f"edges must be an (m, 2) array of vertex pairs, got shape {e.shape}")
         u, v = e[:, 0], e[:, 1]
         out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         lo, hi, span = np.minimum(u, v), np.maximum(u, v), n
@@ -523,14 +530,14 @@ class GenericThreeSpec:
 
 
 def _check_witness(r: int, core: int, privates: int) -> None:
-    """Raise ``ValueError`` before building a witness larger than physical memory.
+    """Raise ``ValueError`` before building a witness larger than memory (see ``grid._check_memory``).
 
     The witness has ``r`` marked vertices, ``core`` edges between them and
     ``privates`` private neighbours, joined by one edge each and closed into
     a cycle. It counts 300 bytes per edge and 56 per vertex: the edge list
     of Python pairs, the arrays :meth:`Graph.from_edges` sorts and keeps for
     the two arcs of each edge, and the amplitudes. Building the 800001 edges
-    of ``build_two_marked(200000)`` peaked 240 MB above the interpreter.
+    of ``build_two_marked(200000)`` peaked 187 MB above the interpreter.
     """
     edges = core + privates + (privates if privates >= 3 else privates // 2)
     nbytes = 300 * edges + 56 * (r + privates)

@@ -16,6 +16,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 __all__ = [
     "DEFAULT_ORACLE_CAP",
     "CoinScheme",
@@ -97,22 +102,26 @@ class GridState:
         return cls(n, np.moveaxis(np.asarray(vec, dtype=float).reshape((n, n, 4)), -1, 0).copy())
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _check_memory(nbytes: int, need: str) -> None:
-    """Raise ``ValueError`` when ``nbytes`` exceed physical memory, before they are allocated.
+    """Raise ``ValueError`` when ``nbytes`` exceed usable memory, before they are allocated.
 
-    ``need`` says what needs them and how many; the message adds the memory size.
+    That is the smaller of physical memory and the soft address-space limit
+    (``RLIMIT_AS``), each where the platform states one. ``need`` says what
+    needs the bytes and how many; the message adds the limit it exceeds.
     """
-    memory = _physical_memory()
-    if memory is not None and nbytes > memory:
-        raise ValueError(f"{need}, more than the {memory} bytes of physical memory")
+    limits = []
+    try:
+        limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append((soft, "the address-space limit"))
+    if limits:
+        memory, what = min(limits)
+        if nbytes > memory:
+            raise ValueError(f"{need}, more than the {memory} bytes of {what}")
 
 
 def _check_side(n: int) -> None:
@@ -201,10 +210,10 @@ def apply_query(state: GridState, marked: MarkedSet) -> GridState:
 
 
 def apply_coin(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
-    """Per-cell coin with the query folded in; see :func:`_coin_into`."""
+    """Per-cell coin with the query folded in: the frame-0 coin of :func:`_frame_coins`."""
     _check_grid(state, marked)
     out = state.amp.copy()
-    _coin_into(out, scheme, marked, np.empty((state.n, state.n)))
+    next(_frame_coins(out, scheme, np.empty((state.n, state.n)), (marked.flat,), ()))()
     return GridState(state.n, out)
 
 
@@ -228,16 +237,6 @@ def _shift_into(src: np.ndarray, dst: np.ndarray) -> None:
     dst[right, -1] = src[left, 0]
     dst[left, 1:] = src[right, :-1]
     dst[left, 0] = src[right, -1]
-
-
-def _coin_into(
-    work: np.ndarray,
-    scheme: CoinScheme,
-    marked: MarkedSet,
-    half_sum: np.ndarray,
-) -> None:
-    """Effective coin applied in place on ``work``: the frame-0 coin of :func:`_frame_coins`."""
-    next(_frame_coins(work, scheme, half_sum, (marked.flat,), ()))()
 
 
 class _Band(NamedTuple):
@@ -441,7 +440,7 @@ def step_into(
     it: ``run_walk`` runs the coins of :func:`_frame_coins` without a shift.
     Tests and the benchmark's per-layer probes drive it.
     """
-    _coin_into(src, scheme, marked, half_sum)
+    next(_frame_coins(src, scheme, half_sum, (marked.flat,), ()))()
     _shift_into(src, dst)
 
 

@@ -106,12 +106,7 @@ class _OutOfTime(Exception):
 _DEADLINE_EVERY = 64
 
 # what a target hands _drive: start state, step, marked-probability gather and exact total
-_Walk = tuple[
-    np.ndarray,
-    Callable[[np.ndarray], tuple[np.ndarray, float]],
-    Callable[[np.ndarray], float],
-    Callable[[np.ndarray], float],
-]
+_Walk = tuple[np.ndarray, Callable[[], float], Callable[[], float], Callable[[], float]]
 
 # bound on the error of the fast overlap of a unit state, derived in _drive
 _OVERLAP_BOUND = 128 * np.finfo(float).eps
@@ -119,9 +114,9 @@ _OVERLAP_BOUND = 128 * np.finfo(float).eps
 
 def _drive(
     amp: np.ndarray,
-    advance: Callable[[np.ndarray], tuple[np.ndarray, float]],
-    marked_prob: Callable[[np.ndarray], float],
-    exact_total: Callable[[np.ndarray], float],
+    advance: Callable[[], float],
+    marked_prob: Callable[[], float],
+    exact_total: Callable[[], float],
     horizon: int,
     record_overlap: bool,
     stop_at_halt: bool,
@@ -129,11 +124,10 @@ def _drive(
 ) -> RunSeries:
     """The halt-rule loop shared by every target.
 
-    ``amp`` is the uniform start state and ``advance`` returns the state one
-    step later together with its amplitude total; it may overwrite its
-    argument, so the loop never reads a state again after advancing it.
-    ``exact_total`` returns the exactly rounded amplitude total of the state
-    ``advance`` returned. The
+    ``amp`` is the uniform start state, read only for ``amp[0]`` and step 0.
+    The target steps its own state: ``advance()`` returns the amplitude total
+    after one step, ``marked_prob()`` and ``exact_total()`` read the state as
+    it is, the latter its exactly rounded amplitude total. The
     overlap with the start state, ``amp[0]`` times the total, is tracked every
     step to detect the halt crossing; step 0 sums the start state directly,
     later totals come from the coin's own sums (see :func:`_torus_walk` and
@@ -142,7 +136,8 @@ def _drive(
     the series is truncated there. With a ``deadline`` (a ``time.monotonic()``
     value) the clock is read every ``_DEADLINE_EVERY`` steps and the run
     raises :class:`_OutOfTime` once it has passed. A series larger than
-    physical memory raises ``ValueError`` before anything is allocated.
+    memory (see ``grid._check_memory``) raises ``ValueError`` before
+    anything is allocated.
 
     The halt step is the first t whose state has an exact total <= 0, so it
     does not depend on the order of the coin's sums. The fast overlap decides
@@ -175,7 +170,7 @@ def _drive(
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
 
-    prob[0] = marked_prob(amp)
+    prob[0] = marked_prob()
     overlap_now = a0 * float(amp.sum())
     if ov is not None:
         ov[0] = overlap_now
@@ -183,11 +178,10 @@ def _drive(
     halt_step: int | None = None
     steps_done = horizon
     for t in range(1, horizon + 1):
-        amp, total = advance(amp)
-        prob[t] = marked_prob(amp)
-        overlap_now = a0 * total
+        overlap_now = a0 * advance()
+        prob[t] = marked_prob()
         if abs(overlap_now) <= _OVERLAP_BOUND:
-            overlap_now = a0 * exact_total(amp)
+            overlap_now = a0 * exact_total()
         if ov is not None:
             ov[t] = overlap_now
         if halt_step is None and overlap_now <= 0.0:
@@ -255,8 +249,8 @@ def _torus_walk(
     :func:`grid._frame_coins` take the band from frame 0 to frame 1 and
     back, and the gather reads the marked amplitudes through the current
     frame's positions, in ``marked.flat`` order. Everything is bound to the
-    band once, and a step ignores the array it is passed. The start state
-    returned is the whole uniform state; :func:`_drive` sums it at step 0.
+    band once. The start state returned is the whole uniform state;
+    :func:`_drive` sums it at step 0.
 
     Both coins leave ``half`` holding half of every cell's amplitude sum.
     Grover diffusion keeps a cell's sum, both marked coins negate it and the
@@ -290,7 +284,7 @@ def _torus_walk(
     axis_half, cell_half = gathered[: on_axis.size], gathered[on_axis.size :]
     frame = 0
 
-    def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
+    def advance() -> float:
         nonlocal frame
         coins[frame]()
         frame ^= 1
@@ -298,14 +292,14 @@ def _torus_walk(
         whole = weight * float(np.add.reduce(half_flat))
         if axis:
             whole -= float(np.add.reduce(axis_half))
-        return work, 2.0 * (whole - 2.0 * float(np.add.reduce(cell_half)))
+        return 2.0 * (whole - 2.0 * float(np.add.reduce(cell_half)))
 
-    def probability(a: np.ndarray) -> float:
+    def probability() -> float:
         flat.take(index[frame], out=sel, mode="clip")
         np.multiply(sel, sel, out=sel)
         return float(np.add.reduce(sel))
 
-    def exact(a: np.ndarray) -> float:
+    def exact() -> float:
         # the memoryviews of the flat buffers hand fsum Python floats without a list
         return math.fsum(itertools.chain(flat.data, twice.ravel().data))
 
@@ -353,8 +347,8 @@ def _graph_walk(
     ``c``, and ``partner`` is an involution, so ``c`` is the new state's
     ``amp[partner]`` bit for bit. The even step then writes ``mean2`` at each
     arc's head minus ``c``, with the fix-ups at ``partner[idxs]``, which
-    needs only the per-vertex gather. Both write the state into the one
-    buffer ``_drive`` holds, so every amplitude is bit-identical to
+    needs only the per-vertex gather. Both write the state into the start
+    state's buffer, so every amplitude is bit-identical to
     :func:`graph.graph_step` after every step. The gather reads the marked
     arcs in :meth:`Graph.marked_arc_indices` order, so the probabilities are
     bit-identical too. The total after a step is
@@ -380,27 +374,27 @@ def _graph_walk(
     vertex_sums, spread = bind(amp, s, c, mean2)
     odd = True
 
-    def advance(a: np.ndarray) -> tuple[np.ndarray, float]:
+    def advance() -> float:
         nonlocal odd
         vertex_sums()
-        kept = a[idxs]
+        kept = amp[idxs]
         np.divide(s, half_degrees, out=mean2)
         fixed = -kept if akr else kept - mean2[fix_vertices]
         if odd:
             spread()
             c[idxs] = fixed
-            np.take(c, partner, out=a, mode="clip")
+            np.take(c, partner, out=amp, mode="clip")
         else:
             # mode="clip" never clips here; with out=, the default mode buffers the output
-            np.take(mean2, head, out=a, mode="clip")
-            np.subtract(a, c, out=a)
-            a[fix_arcs] = fixed
+            np.take(mean2, head, out=amp, mode="clip")
+            np.subtract(amp, c, out=amp)
+            amp[fix_arcs] = fixed
         odd = not odd
         s.take(marked_vertices, out=marked_s, mode="clip")
-        return a, float(s.sum()) - 2.0 * float(marked_s.sum())
+        return float(s.sum()) - 2.0 * float(marked_s.sum())
 
     # the memoryview of the flat buffer hands fsum Python floats without a list
-    return amp, advance, lambda a: _arc_probability(a, idxs), lambda a: math.fsum(a.data)
+    return amp, advance, lambda: _arc_probability(amp, idxs), lambda: math.fsum(amp.data)
 
 
 def run_graph_walk(

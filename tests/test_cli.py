@@ -1,11 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coinwalk
 from coinwalk.cli import (
     main,
     read_series_csv,
@@ -449,6 +457,42 @@ class TestInvalidInputs:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {size}, more than the ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--graph-two-marked", "--k", "1000000"],
+            ["simulate", "--n", "6000", "--cells", "0,0", "--coin", "akr", "--horizon", "1"],
+        ],
+        ids=["witness", "state"],
+    )
+    def test_beyond_address_space_limit_named(self, argv, tmp_path):
+        # both fit in physical memory but not under a 700 MB address-space cap
+        resource = pytest.importorskip("resource")
+        cap = 700 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(coinwalk.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        script = "import sys; from coinwalk.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env, cwd=tmp_path, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert f"more than the {cap} bytes of the address-space limit" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_memory_error_exit_2(self, monkeypatch, capsys):
+        # an allocation no check foresaw still ends in an error line, not a traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("coinwalk.cli.run_walk", exhausted)
+        assert run_cli("simulate", "--n", "10", "--block", "2x2", "--coin", "akr") == 2
+        assert capsys.readouterr().err == "error: out of memory: an allocation failed\n"
+
     @pytest.mark.parametrize("where", ["directory", "under_file"])
     @pytest.mark.parametrize(
         "argv",
@@ -476,6 +520,70 @@ class TestInvalidInputs:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot write output: ")
         assert captured.out == ""
+
+
+# edge values for every option: horizons stay at most 30 and sides at most 12,
+# or take 20 digits, which must be rejected before anything is allocated
+EDGE_VALUES = ["0", "-1", "1", "2", "3", "12", "99999999999999999999", "nan", "inf", "", "x"]
+BLOCKS = ["1x2", "2x2", "3x3", "2x3@-1,11", "1x1@99999999999999999999,0", "0x2", "13x1"]
+
+
+@st.composite
+def cli_argvs(draw, out):
+    """An argv for one of the four subcommands, with edge values in every option."""
+    # half the draws are small positive integers, so that some runs get past the checks
+    value = st.sampled_from(EDGE_VALUES) | st.sampled_from(["1", "2", "3", "12"])
+    values = st.lists(value, min_size=1, max_size=3).map(",".join)
+    coin = st.sampled_from(["akr", "grover", "x"])
+    files = st.sampled_from([str(DATA / "graph.txt"), str(DATA / "graph_marked.txt"), str(out / "missing.txt")])
+
+    def option(flag, strategy):
+        return [flag, draw(strategy)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["simulate", "verify", "table", "graph-sim"]))
+    if command == "simulate":
+        argv = ["--n", draw(value), "--coin", draw(coin), "--horizon", draw(value)]
+        argv += option("--block", st.sampled_from(BLOCKS) | value)
+        argv += option("--cells", st.sampled_from(["", "0,0", "1,2;11,11", "-1,99999999999999999999", "1,2,3"]))
+        argv += ["--output", str(out / "series.csv")]
+    elif command == "verify":
+        target = draw(st.sampled_from(["block", "two", "three", "ring"]))
+        if target == "block":
+            argv = option("--n", value) + ["--block", draw(st.sampled_from(BLOCKS) | value)]
+        elif target == "two":
+            argv = ["--graph-two-marked"] + option("--k", value)
+        else:
+            argv = [f"--graph-{target}", draw(values)]
+        argv += option("--tolerance", value) + option("--oracle-cap", value)
+    elif command == "table":
+        argv = ["--sizes", draw(values), "--blocks", draw(values), "--horizon", draw(value)]
+        argv += option("--coins", st.sampled_from(["akr", "grover,akr", ",", "x"]))
+        argv += option("--budget", value) + (["--large"] if draw(st.booleans()) else [])
+        argv += ["--output", str(out / "table")]
+    else:
+        argv = ["--graph", draw(files), "--coin", draw(coin), "--horizon", draw(value)]
+        argv += option("--marked-file", files) + ["--output", str(out / "graph.csv")]
+    return [command, *argv]
+
+
+class TestExitCodeContract:
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_exit_codes_keep_their_meaning(self, tmp_path_factory, data):
+        # main raises nothing but argparse's exit 2, only verify returns 1, and only
+        # with a report that did not pass
+        argv = data.draw(cli_argvs(tmp_path_factory.getbasetemp()), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, err.getvalue()
+                return
+        assert code in (0, 1, 2, 3, 4), err.getvalue()
+        if code == 1:
+            assert argv[0] == "verify"
+            assert json.loads(out.getvalue())["passed"] is False
 
 
 class TestRoundTrips:

@@ -184,6 +184,16 @@ class TestGraphStructure:
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
+        "edges",
+        [np.array([[0, 1, 2], [3, 4, 5]]), np.arange(6), [(0, 1, 2), (3, 4, 5)], [(0, 1), (1, 2, 3)]],
+        ids=["m-by-3", "flat", "triples", "ragged"],
+    )
+    def test_edges_not_pairs_rejected(self, edges):
+        # the first three hold six ids, which read as pairs would make a valid 3-edge graph
+        with pytest.raises(InvalidGraphError, match="vertex pairs"):
+            Graph.from_edges(6, edges)
+
+    @pytest.mark.parametrize(
         "n,edges,message",
         [
             (3_000_000_001, [(3_000_000_000, 0)], "vertex 1 is isolated; the coin is undefined there"),
@@ -357,7 +367,7 @@ class TestDegreeBuckets:
         state = graph_uniform_state(g)
         for t in range(horizon + 1):
             if t:
-                amp, _ = advance(amp)
+                advance()
                 state = graph_step(state, marked, scheme)
             # every step, odd or even, writes the whole state in the layout
             assert_array_equal(amp.view(np.int64), state.amp[arcs].view(np.int64))

@@ -17,7 +17,7 @@ from coinwalk.grid import (
     step,
     uniform_state,
 )
-from coinwalk.grid import _Band, _coin_into, _frame_coins
+from coinwalk.grid import _Band, _frame_coins
 
 RNG = np.random.default_rng(20240517)
 
@@ -241,7 +241,7 @@ class TestStep:
                 assert float(np.sum(sel * sel)) == marked_probability(once, marked)
                 # the frame-1 half sums are the frame-0 ones of the shifted state
                 half_ref = np.empty((n, n))
-                _coin_into(once.amp.copy(), scheme, marked, half_ref)
+                next(torus_coins(once.amp.copy(), scheme, marked, half_ref))[0]()
                 coin1()
                 assert_array_equal(half, half_ref)
                 assert_array_equal(work, step(once, scheme, marked).amp)

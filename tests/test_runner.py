@@ -20,7 +20,6 @@ from coinwalk.grid import (
     GridState,
     MarkedSet,
     _Band,
-    _coin_into,
     _frame_coins,
     marked_probability,
     step,
@@ -191,7 +190,7 @@ class TestRunWalk:
             prob[t] = marked_probability(state, marked)
             exact[t] = a0 * math.fsum(state.amp.ravel())
             direct[t] = a0 * float(state.amp.sum())
-            _coin_into(state.amp.copy(), scheme, marked, h)
+            next(_frame_coins(state.amp.copy(), scheme, h, (marked.flat,), ()))()
             halves[t] = a0 * fast_total(h, marked, band)
             state = step(state, scheme, marked)
         assert_array_equal(series.probability, prob)
@@ -305,13 +304,13 @@ class TestMirrorBand:
         coin0, coin1 = _frame_coins(work, scheme, half, flats, band.ghosts(work, half))
         coin0()
         coined, half_ref = amp.copy(), np.empty((n, n))
-        _coin_into(coined, scheme, marked, half_ref)
+        next(_frame_coins(coined, scheme, half_ref, (marked.flat,), ()))()
         assert_array_equal(work, coined[:, :, columns])
         once = step(GridState(n, amp), scheme, marked)
         sel = work.reshape(-1)[flats[1]]
         assert float(np.sum(sel * sel)) == marked_probability(once, marked)
         coin1()
-        _coin_into(once.amp.copy(), scheme, marked, half_ref)
+        next(_frame_coins(once.amp.copy(), scheme, half_ref, (marked.flat,), ()))()
         assert_array_equal(half, half_ref[:, columns])
         assert_array_equal(work, step(once, scheme, marked).amp[:, :, columns])
 
