@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .grid import CoinScheme, OracleTooLargeError, _check_memory
+from .grid import CoinScheme, OracleTooLargeError, _check_memory, _dense_scq, _stationarity
 from .stationary import Decomposition
 
 __all__ = [
@@ -90,17 +90,25 @@ class Graph:
     def from_edges(cls, n: int, edges: "Iterable[tuple[int, int]] | np.ndarray") -> "Graph":
         """Graph on vertices 0..n-1; the first bad edge in input order is reported.
 
-        ``edges`` is an iterable of pairs or an ``(m, 2)`` integer array; it
-        is converted once, and any other shape raises ``InvalidGraphError``.
+        ``edges`` is an iterable of integer pairs or an ``(m, 2)`` integer
+        array; it is converted once. Any other shape or dtype (floats,
+        strings, booleans) raises ``InvalidGraphError``.
         """
         if not isinstance(edges, (np.ndarray, list, tuple)):
             edges = list(edges)
         try:
-            e = np.asarray(edges, dtype=np.intp)
+            e = np.asarray(edges)
+            if e.size and e.dtype.kind not in "iu" and not isinstance(edges, np.ndarray):
+                np.asarray(edges, dtype=np.intp)  # ids beyond int64 read as float or object
         except OverflowError:
             raise InvalidGraphError("vertex id too large for an index array") from None
         except ValueError:  # pairs and triples mixed
             raise InvalidGraphError("edges must be integer vertex pairs") from None
+        if e.size and e.dtype.kind not in "iu":
+            raise InvalidGraphError(f"edges must be integer vertex pairs, got {e.dtype} ids")
+        if e.dtype.kind == "u" and e.size and e.max() > np.iinfo(np.intp).max:
+            raise InvalidGraphError("vertex id too large for an index array")
+        e = e.astype(np.intp, copy=False)
         if e.size == 0:
             e = e.reshape(0, 2)
         elif e.ndim != 2 or e.shape[1] != 2:
@@ -401,28 +409,7 @@ def graph_dense_step_matrix(
     dim = g.arc_count
     # at its peak the product holds five dim x dim matrices: q, c, s, s @ c and the result
     _check_memory(40 * dim * dim, f"oracle for {dim} arcs needs {40 * dim * dim} bytes")
-    vs = set(g.check_marked(marked))
-
-    q = np.eye(dim)
-    for v in vs:
-        sl = g.arc_slice(v)
-        q[sl, sl] = -np.eye(sl.stop - sl.start)
-
-    c = np.zeros((dim, dim))
-    for v in range(g.n):
-        d = int(g.degrees[v])
-        sl = g.arc_slice(v)
-        if v in vs and scheme is CoinScheme.AKR:
-            block = np.eye(d)
-        else:
-            block = (2.0 / d) * np.ones((d, d)) - np.eye(d)
-        c[sl, sl] = block
-
-    s = np.zeros((dim, dim))
-    for k in range(dim):
-        s[g.partner[k], k] = 1.0
-
-    return s @ c @ q
+    return _dense_scq(g.offsets, g.check_marked(marked), scheme, g.partner)
 
 
 def graph_marked_probability(state: GraphState, marked: Iterable[int]) -> float:
@@ -452,24 +439,11 @@ def graph_check_conditions(
     1. all arcs leaving unmarked vertices carry the same amplitude,
     2. each marked vertex's arc amplitudes sum to zero,
     3. each arc equals its reverse arc.
+
+    Checked by :func:`grid._stationarity`, as on the torus.
     """
     g = state.graph
-    vs = g.check_marked(marked)
-    marked_arcs = g.marked_arc_indices(vs)
-    unmarked_mask = np.ones(g.arc_count, dtype=bool)
-    unmarked_mask[marked_arcs] = False
-
-    vals = state.amp[unmarked_mask]
-    cond1 = vals.size == 0 or bool(np.max(np.abs(vals - vals.mean())) <= tol)
-
-    cond2 = True
-    for v in vs:
-        if abs(float(state.amp[g.arc_slice(v)].sum())) > tol:
-            cond2 = False
-            break
-
-    cond3 = bool(np.max(np.abs(state.amp - state.amp[g.partner])) <= tol)
-    return cond1, cond2, cond3
+    return _stationarity(state.amp, g.offsets, g.check_marked(marked), g.partner, tol)
 
 
 def decompose_graph_initial(
@@ -549,14 +523,14 @@ def _assemble_witness(
     core: Sequence[tuple[int, int, float]],
     private_counts: Sequence[int],
     unmarked_mult: float,
-    a: float | None,
 ) -> tuple[Graph, tuple[int, ...], GraphState]:
     """Marked core plus private unmarked neighbors, closed into a cycle.
 
-    ``core`` lists (p, q, w): marked vertices p, q are adjacent and their arc
-    pair carries amplitude -w * a. Private neighbors carry unmarked_mult * a
-    everywhere. The private cycle keeps every unmarked vertex's amplitudes
-    uniform, which is all the stationarity conditions ask of them.
+    With ``a = 1/sqrt(deg G)``, ``core`` lists (p, q, w): marked vertices p,
+    q are adjacent and their arc pair carries amplitude -w * a. Private
+    neighbors carry unmarked_mult * a everywhere. The private cycle keeps
+    every unmarked vertex's amplitudes uniform, which is all the
+    stationarity conditions ask of them.
     """
     edges: list[tuple[int, int]] = [(p, q) for p, q, _ in core]
     privates: list[int] = []
@@ -574,8 +548,7 @@ def _assemble_witness(
             for i in range(len(privates))
         )
     g = Graph.from_edges(nxt, edges)
-    if a is None:
-        a = 1.0 / math.sqrt(g.arc_count)
+    a = 1.0 / math.sqrt(g.arc_count)
     amp = np.full(g.arc_count, unmarked_mult * a, dtype=float)
     for p, q, w in core:
         amp[g.arc_index(p, q)] = -w * a
@@ -583,28 +556,25 @@ def _assemble_witness(
     return g, tuple(range(r)), GraphState(g, amp)
 
 
-def build_two_marked(
-    k: int, a: float | None = None
-) -> tuple[Graph, tuple[int, ...], GraphState]:
+def build_two_marked(k: int) -> tuple[Graph, tuple[int, ...], GraphState]:
     """Witness for two adjacent marked vertices with k private neighbors each.
 
-    All arcs carry ``a`` except the pair between the marked vertices at
-    ``-k a``. Defaults ``a`` to the uniform amplitude so psi0 minus the
-    witness is supported on that arc pair alone.
+    All arcs carry the uniform amplitude ``a = 1/sqrt(deg G)`` except the
+    pair between the marked vertices at ``-k a``, so psi0 minus the witness
+    is supported on that arc pair alone.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     _check_witness(2, 1, 2 * k)
-    return _assemble_witness(2, [(0, 1, float(k))], [k, k], 1.0, a)
+    return _assemble_witness(2, [(0, 1, float(k))], [k, k], 1.0)
 
 
-def build_generic_three(
-    spec: GenericThreeSpec, a: float | None = None
-) -> tuple[Graph, tuple[int, ...], GraphState]:
+def build_generic_three(spec: GenericThreeSpec) -> tuple[Graph, tuple[int, ...], GraphState]:
     """Witness for three mutually adjacent marked vertices with unequal degrees.
 
-    Marked pair (p, q) carries -l_pq * a on both arcs; vertex p gets its m_p
-    private neighbors, so each marked vertex's amplitudes sum to zero.
+    With ``a = 1/sqrt(deg G)``, marked pair (p, q) carries -l_pq * a on both
+    arcs and every other arc ``a``; vertex p gets its m_p private neighbors,
+    so each marked vertex's amplitudes sum to zero.
     """
     _check_witness(3, 3, spec.m1 + spec.m2 + spec.m3)
     core = [
@@ -612,29 +582,28 @@ def build_generic_three(
         (1, 2, float(spec.l23)),
         (2, 0, float(spec.l31)),
     ]
-    return _assemble_witness(3, core, [spec.m1, spec.m2, spec.m3], 1.0, a)
+    return _assemble_witness(3, core, [spec.m1, spec.m2, spec.m3], 1.0)
 
 
-def build_symmetric_ring(
-    r: int, k: int, a: float | None = None
-) -> tuple[Graph, tuple[int, ...], GraphState]:
+def build_symmetric_ring(r: int, k: int) -> tuple[Graph, tuple[int, ...], GraphState]:
     """Witness with r marked vertices in a cycle, k private neighbors each.
 
-    For r = 2 this is exactly :func:`build_two_marked`. For r >= 3 the
-    marked-to-marked arcs carry -(k/2) a when k is even; for odd k all
-    amplitudes are scaled integrally instead (unmarked arcs 2a, marked arcs
-    -k a), which keeps the same zero sums.
+    For r = 2 this is exactly :func:`build_two_marked`. For r >= 3, with
+    ``a = 1/sqrt(deg G)``, the marked-to-marked arcs carry -(k/2) a when k
+    is even and every other arc ``a``; for odd k all amplitudes are scaled
+    integrally instead (unmarked arcs 2a, marked arcs -k a), which keeps the
+    same zero sums.
     """
     if r < 2:
         raise ValueError(f"need at least 2 marked vertices, got {r}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if r == 2:
-        return build_two_marked(k, a)
+        return build_two_marked(k)
     _check_witness(r, r, r * k)
     if k % 2 == 0:
         weight, mult = k / 2.0, 1.0
     else:
         weight, mult = float(k), 2.0
     core = [(p, (p + 1) % r, weight) for p in range(r)]
-    return _assemble_witness(r, core, [k] * r, mult, a)
+    return _assemble_witness(r, core, [k] * r, mult)

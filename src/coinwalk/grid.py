@@ -189,9 +189,9 @@ class MarkedSet:
         return f"MarkedSet(n={self.n}, k={len(self.cells)})"
 
 
-def _check_grid(state: GridState, marked: MarkedSet) -> None:
-    if marked.n != state.n:
-        raise ValueError(f"marked set is on a side-{marked.n} grid, state on {state.n}")
+def _check_grid(n: int, marked: MarkedSet) -> None:
+    if marked.n != n:
+        raise ValueError(f"marked set is on a side-{marked.n} grid, state on {n}")
 
 
 def uniform_state(n: int) -> GridState:
@@ -203,7 +203,7 @@ def uniform_state(n: int) -> GridState:
 
 def apply_query(state: GridState, marked: MarkedSet) -> GridState:
     """Flip the sign of every amplitude at marked cells."""
-    _check_grid(state, marked)
+    _check_grid(state.n, marked)
     out = state.amp.copy()
     out.reshape(-1)[marked.flat] *= -1.0
     return GridState(state.n, out)
@@ -211,7 +211,7 @@ def apply_query(state: GridState, marked: MarkedSet) -> GridState:
 
 def apply_coin(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
     """Per-cell coin with the query folded in: the frame-0 coin of :func:`_frame_coins`."""
-    _check_grid(state, marked)
+    _check_grid(state.n, marked)
     out = state.amp.copy()
     next(_frame_coins(out, scheme, np.empty((state.n, state.n)), (marked.flat,), ()))()
     return GridState(state.n, out)
@@ -419,7 +419,7 @@ def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
     conditional coin (D at unmarked cells; I under AKR / D under GROVER at
     marked cells).
     """
-    _check_grid(state, marked)
+    _check_grid(state.n, marked)
     src = state.amp.copy()
     dst = np.empty_like(src)
     step_into(src, dst, scheme, marked, np.empty((state.n, state.n)))
@@ -453,49 +453,76 @@ def dense_step_matrix(
     """Explicit S C Q as a 4N x 4N orthogonal matrix, for verification.
 
     Basis index is (x * n + y) * 4 + d with d in (UP, DOWN, LEFT, RIGHT).
-    Assembled from the operator definitions independently of the
-    structured kernel, so the two paths can check each other.
+    Assembled by :func:`_dense_scq` from the operator definitions,
+    independently of the structured kernel, so the two paths can check
+    each other.
     """
     if n > cap:
         raise OracleTooLargeError(f"oracle for n={n} exceeds cap {cap}")
+    _check_grid(n, marked)
     dim = 4 * n * n
     # at its peak the product holds five dim x dim matrices: q, c, s, s @ c and the result
     _check_memory(40 * dim * dim, f"oracle for n={n} needs {40 * dim * dim} bytes")
+    return _dense_scq(np.arange(0, dim + 1, 4), marked.xs * n + marked.ys, scheme, _torus_shift(n))
 
-    def idx(x: int, y: int, d: int) -> int:
-        return (x * n + y) * 4 + d
 
+def _torus_shift(n: int) -> np.ndarray:
+    """Where the flip-flop shift moves each amplitude, in the oracle basis.
+
+    Direction d of cell (x, y) goes to direction d ^ 1 of cell (x + dx,
+    y + dy). Built from ``_DX``/``_DY``, not from the kernel's shift, so the
+    oracle and the conditions stay independent of the kernel.
+    """
+    x, y, d = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(4)
+    return (((x + np.array(_DX)) % n * n + (y + np.array(_DY)) % n) * 4 + (d ^ 1)).reshape(-1)
+
+
+def _dense_scq(
+    offsets: np.ndarray, marked: Iterable[int], scheme: CoinScheme, target: np.ndarray
+) -> np.ndarray:
+    """S C Q as a dense matrix over amplitudes grouped by location: a torus or a graph.
+
+    Location v owns amplitudes ``offsets[v]:offsets[v + 1]``. Q negates the
+    ``marked`` locations. C is the Grover diffusion (2/d) J - I of each
+    location's degree d, or I at marked locations under AKR. S moves
+    amplitude k to ``target[k]``.
+    """
+    dim, degrees = int(offsets[-1]), np.diff(offsets)
+    owner = np.repeat(np.arange(degrees.size), degrees)
+    marked_amps = np.flatnonzero(np.isin(owner, marked))
     q = np.eye(dim)
-    for x, y in sorted(marked.cells):
-        for d in range(4):
-            q[idx(x, y, d), idx(x, y, d)] = -1.0
-
-    d4 = 0.5 * np.ones((4, 4)) - np.eye(4)
-    eye4 = np.eye(4)
-    c = np.zeros((dim, dim))
-    for x in range(n):
-        for y in range(n):
-            if (x, y) in marked and scheme is CoinScheme.AKR:
-                block = eye4
-            else:
-                block = d4
-            base = idx(x, y, 0)
-            c[base : base + 4, base : base + 4] = block
-
+    q[marked_amps, marked_amps] = -1.0
+    c = np.where(owner[:, None] == owner, (2.0 / degrees)[owner][:, None], 0.0)
+    c.flat[:: dim + 1] -= 1.0
+    if scheme is CoinScheme.AKR:
+        c[marked_amps] = 0.0
+        c[marked_amps, marked_amps] = 1.0
     s = np.zeros((dim, dim))
-    for x in range(n):
-        for y in range(n):
-            for d in Direction:
-                nx = (x + _DX[d]) % n
-                ny = (y + _DY[d]) % n
-                s[idx(nx, ny, d.opposite), idx(x, y, d)] = 1.0
-
+    s[target, np.arange(dim)] = 1.0
     return s @ c @ q
+
+
+def _stationarity(
+    amp: np.ndarray, offsets: np.ndarray, marked: Iterable[int], target: np.ndarray, tol: float
+) -> tuple[bool, bool, bool]:
+    """The three stationarity conditions, over amplitudes grouped as in :func:`_dense_scq`.
+
+    1. the amplitudes of unmarked locations are all equal,
+    2. the amplitudes of each marked location sum to zero,
+    3. each amplitude equals the one at its shift target.
+    """
+    degrees = np.diff(offsets)
+    is_marked = np.isin(np.arange(degrees.size), marked)
+    unmarked = amp[~np.repeat(is_marked, degrees)]
+    cond1 = unmarked.size == 0 or bool(np.max(np.abs(unmarked - unmarked.mean())) <= tol)
+    cond2 = bool(np.all(np.abs(np.add.reduceat(amp, offsets[:-1])[is_marked]) <= tol))
+    cond3 = bool(np.max(np.abs(amp - amp[target])) <= tol)
+    return cond1, cond2, cond3
 
 
 def marked_probability(state: GridState, marked: MarkedSet) -> float:
     """Probability of measuring the location register inside the marked set."""
-    _check_grid(state, marked)
+    _check_grid(state.n, marked)
     sel = state.amp.reshape(-1)[marked.flat]
     return float(np.sum(sel * sel))
 

@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import Direction, GridState, MarkedSet, _check_side, _shift_into, uniform_state
+from .grid import Direction, GridState, MarkedSet, _check_grid, _check_side, uniform_state
+from .grid import _stationarity, _torus_shift
 
 if TYPE_CHECKING:
     from .graph import GraphState
@@ -218,22 +219,17 @@ def check_conditions(
        (equivalently, the state is shift-invariant).
 
     A state satisfying all three is unchanged by a Grover-coin step.
+    Checked by :func:`grid._stationarity` in the oracle basis.
     """
-    amp = candidate.state.amp
-    marked = candidate.marked
-
-    unmarked = amp[:, ~marked.mask]
-    cond1 = unmarked.size == 0 or bool(
-        np.max(np.abs(unmarked - unmarked.mean())) <= tol
+    n, marked = candidate.state.n, candidate.marked
+    _check_grid(n, marked)
+    return _stationarity(
+        candidate.state.flatten(),
+        np.arange(0, 4 * n * n + 1, 4),
+        marked.xs * n + marked.ys,
+        _torus_shift(n),
+        tol,
     )
-
-    cond2 = bool(np.all(np.abs(amp[:, marked.xs, marked.ys].sum(axis=0)) <= tol))
-
-    shifted = np.empty_like(amp)
-    _shift_into(amp, shifted)
-    cond3 = bool(np.max(np.abs(shifted - amp)) <= tol)
-
-    return cond1, cond2, cond3
 
 
 def decompose_initial(n: int, candidate: StationaryCandidate) -> Decomposition:

@@ -194,6 +194,21 @@ class TestGraphStructure:
             Graph.from_edges(6, edges)
 
     @pytest.mark.parametrize(
+        "edges",
+        [[(0.5, 1), (1, 2), (2, 0)], [("0", "1"), ("1", "2"), ("2", "0")], np.array([[0.0, 1], [1, 2], [2, 0]])],
+        ids=["float", "string", "float-array"],
+    )
+    def test_non_integer_ids_rejected(self, edges):
+        # each would otherwise be read as the triangle on 0, 1, 2
+        with pytest.raises(InvalidGraphError, match="integer vertex pairs"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("edges", [[(2**63, 1)], [(2**70, 1)], np.array([[2**63, 1]], dtype=np.uint64)])
+    def test_id_beyond_index_array_rejected(self, edges):
+        with pytest.raises(InvalidGraphError, match="vertex id too large for an index array"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize(
         "n,edges,message",
         [
             (3_000_000_001, [(3_000_000_000, 0)], "vertex 1 is isolated; the coin is undefined there"),
