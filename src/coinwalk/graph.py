@@ -48,6 +48,13 @@ class InvalidGraphError(ValueError):
     """Graph unsuitable for the walk (isolated vertex, self-loop, ...)."""
 
 
+def _holds_bool(pair) -> bool:
+    """Whether an edge-list entry is, or holds, a Python or numpy bool."""
+    if isinstance(pair, (list, tuple)) or (isinstance(pair, np.ndarray) and pair.ndim):
+        return any(isinstance(v, (bool, np.bool_)) for v in pair)
+    return isinstance(pair, (bool, np.bool_))
+
+
 class Graph:
     """Simple undirected graph with a fixed arc ordering.
 
@@ -92,10 +99,13 @@ class Graph:
 
         ``edges`` is an iterable of integer pairs or an ``(m, 2)`` integer
         array; it is converted once. Any other shape or dtype (floats,
-        strings, booleans) raises ``InvalidGraphError``.
+        strings, booleans) raises ``InvalidGraphError``, and so does a bool
+        among integer ids, which ``np.asarray`` would read as 0 or 1.
         """
         if not isinstance(edges, (np.ndarray, list, tuple)):
             edges = list(edges)
+        if not isinstance(edges, np.ndarray) and any(map(_holds_bool, edges)):
+            raise InvalidGraphError("edges must be integer vertex pairs, got bool ids")
         try:
             e = np.asarray(edges)
             if e.size and e.dtype.kind not in "iu" and not isinstance(edges, np.ndarray):

@@ -239,28 +239,32 @@ def _shift_into(src: np.ndarray, dst: np.ndarray) -> None:
     dst[left, 0] = src[right, -1]
 
 
-class _Band(NamedTuple):
-    """The columns ``y0 + j`` (mod n), ``j < h``, of the torus that a walk holds.
+class _Fold(NamedTuple):
+    """The lines ``start + j`` (mod n), ``j < size``, that a walk holds along one axis of the torus.
 
-    With ``c`` None the band is the whole torus (``y0 = 0``, ``h = n``).
-    Otherwise the state is symmetric under the y-mirror ``y -> c - y`` (mod
-    n), which swaps UP and DOWN, and the band is one fundamental domain: it
-    runs from one axis of the mirror to the other. An axis through a row of
-    cells (a site axis) is a column of the band, one between two rows (a
-    bond axis) lies beyond the band's edge. ``near`` and ``far`` are the
-    columns that the mirror puts in place of columns -1 and h; the columns
-    from ``near`` to ``far`` are the ones off the axes.
+    A line is a row (fixed x) on the x axis and a column (fixed y) on the y
+    axis. With ``c`` None the fold is the whole axis (``start = 0``, ``size
+    = n``). Otherwise the state is symmetric under the mirror ``p -> c - p``
+    (mod n) along the axis, which swaps the axis's two directions, and the
+    fold is one fundamental domain: it runs from one axis of the mirror to
+    the other. An axis through a line of cells (a site axis) is a line of
+    the fold, one between two lines (a bond axis) lies beyond the fold's
+    edge. ``near`` and ``far`` are the lines that the mirror puts in place
+    of lines -1 and ``size``; the lines from ``near`` to ``far`` are the
+    ones off the axes.
     """
 
     n: int
-    y0: int
-    h: int
+    start: int
+    size: int
     c: int | None
 
     @property
     def axis(self) -> list[int]:
-        """The band's site-axis columns: 0, h - 1, both or neither."""
-        return [j for j in (0, self.h - 1) if (2 * (self.y0 + j) - self.c) % self.n == 0]
+        """The fold's site-axis lines: 0, size - 1, both or neither (always neither for the whole axis)."""
+        if self.c is None:
+            return []
+        return [j for j in (0, self.size - 1) if (2 * (self.start + j) - self.c) % self.n == 0]
 
     @property
     def near(self) -> int:
@@ -268,48 +272,76 @@ class _Band(NamedTuple):
 
     @property
     def far(self) -> int:
-        return self.h - 2 if self.h - 1 in self.axis else self.h - 1
+        return self.size - 2 if self.size - 1 in self.axis else self.size - 1
 
-    def fold(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The band column of each row position y, and whether it is its mirror image's."""
-        n, y0, h, c = self
-        j = (ys - y0) % n
+    @property
+    def off_axis(self) -> slice:
+        """The lines whose mirror image is another line, held once for both: none on the whole axis."""
+        return slice(0) if self.c is None else slice(self.near, self.far + 1)
+
+    def fold(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The fold's line of each position p on the axis, and whether it is its mirror image's."""
+        n, start, size, c = self
+        j = (ps - start) % n
         if c is None:
             return j, np.zeros(j.shape, dtype=bool)
-        mirrored = j >= h
-        return np.where(mirrored, (c - ys - y0) % n, j), mirrored
+        mirrored = j >= size
+        return np.where(mirrored, (c - ps - start) % n, j), mirrored
+
+    def seams(self, before: np.ndarray, after: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Frame 1's sources at the fold's edges, the lines -1 and ``size``.
+
+        ``before`` and ``half`` of line -1, then ``after`` and ``half`` of
+        line ``size``. ``before`` is the plane of the direction that moves up
+        the axis (DOWN or RIGHT), ``after`` its opposite; the fold's axis is
+        the first axis of all three. The torus wraps the lines to ``size - 1``
+        and 0; the mirror swaps the two planes and reads them at ``near`` and
+        ``far``.
+        """
+        if self.c is None:
+            return before[-1], half[-1], after[0], half[0]
+        return after[self.near], half[self.near], before[self.far], half[self.far]
+
+
+class _Band(NamedTuple):
+    """The cells that a walk holds: the rows of fold ``x`` crossed with the columns of fold ``y``.
+
+    Each fold is the whole axis or one fundamental domain of a mirror
+    along it (see :class:`_Fold`), so the band is the whole torus, half of
+    it or a quarter. It holds a state in a (4, w, h) buffer, ``w`` and ``h``
+    the folds' sizes; a cell outside it is read at its mirror image, with
+    UP and DOWN swapped across the y-mirror and LEFT and RIGHT across the
+    x-mirror.
+    """
+
+    x: _Fold
+    y: _Fold
 
     def positions(self, planes: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Flat positions in a (4, n, h) band of the amplitudes (plane, x, y), any x and y.
-
-        A row position outside the band is read at its mirror image, with
-        UP and DOWN swapped.
-        """
-        j, mirrored = self.fold(ys)
-        planes = np.where(mirrored & (planes < 2), planes ^ 1, planes)
-        return ((planes * self.n + xs % self.n) * self.h + j).reshape(-1)
+        """Flat positions in the band of the amplitudes (plane, x, y), any x and y."""
+        i, x_mirrored = self.x.fold(xs)
+        j, y_mirrored = self.y.fold(ys)
+        planes = np.where(np.where(planes < 2, y_mirrored, x_mirrored), planes ^ 1, planes)
+        return ((planes * self.x.size + i) * self.y.size + j).reshape(-1)
 
     def frames(self, marked: MarkedSet) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the marked amplitudes in frames 0 and 1, in ``marked.flat`` order.
 
         Frame 1 stores direction d of cell (x, y) in plane ``d ^ 1`` of cell
-        (x + dx, y + dy); see :func:`_frame_coins`. In a mirror band two
-        entries can share a position, the amplitude and its mirror image.
+        (x + dx, y + dy); see :func:`_frame_coins`. In a mirror band two or
+        four entries can share a position, the amplitude and its mirror images.
         """
         xs, ys, d = marked.xs[:, None], marked.ys[:, None], np.arange(4)
         return self.positions(d, xs, ys), self.positions(d ^ 1, xs + np.array(_DX), ys + np.array(_DY))
 
     def ghosts(self, work: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The seam sources of frame 1: DOWN and ``half`` of column -1, UP and ``half`` of column h.
+        """The seam sources of frame 1, the y fold's then the x fold's (see :meth:`_Fold.seams`).
 
-        The torus wraps them to columns h - 1 and 0. The mirror of a band
-        turns DOWN into UP and reads them at ``near`` and ``far``.
+        DOWN and ``half`` of column -1, UP and ``half`` of column h, RIGHT
+        and ``half`` of row -1, LEFT and ``half`` of row w.
         """
-        up, down = work[0], work[1]
-        if self.c is None:
-            return down[:, -1], half[:, -1], up[:, 0], half[:, 0]
-        near, far = self.near, self.far
-        return up[:, near], half[:, near], down[:, far], half[:, far]
+        up, down, left, right = work
+        return self.y.seams(down.T, up.T, half.T) + self.x.seams(right, left, half)
 
 
 def _frame_coins(
@@ -321,12 +353,14 @@ def _frame_coins(
 ) -> Iterator[Callable[[], None]]:
     """Yield the in-place coin of ``work`` in frame 0, then in frame 1, each bound once.
 
-    ``work`` is a (4, n, h) band of a state (see :class:`_Band`) and ``half``
-    (n, h) scratch. Unmarked cells get Grover diffusion (alpha -> s/2 -
+    ``work`` is a (4, w, h) band of a state (see :class:`_Band`) and ``half``
+    (w, h) scratch. Unmarked cells get Grover diffusion (alpha -> s/2 -
     alpha with s the cell's amplitude sum); marked cells get the scheme's
     effective coin: -I under AKR, -D (alpha -> alpha - s/2) under GROVER.
     ``flats[f]`` lists the flat positions of the marked amplitudes in frame
     f; repeats are allowed. Either coin leaves s/2 in ``half`` in cell order.
+    The sum is ``(u + d) + (l + r)``, so a mirror that swaps UP and DOWN or
+    LEFT and RIGHT leaves its bits unchanged.
 
     Frame 1 is the shift done as a relabel: after the frame-0 coin, the
     shifted state's amplitude of direction ``d`` at a cell is the one still
@@ -338,15 +372,16 @@ def _frame_coins(
     The frame-1 coin writes each amplitude back where it was read, so the
     next shift is again a relabel and leaves the state in frame 0. Both coins
     add in the same order, so every amplitude is bit-identical to
-    ``step_into``. At the band's first and last columns frame 1 reads DOWN
-    and ``half`` of column -1 and UP and ``half`` of column h from
-    ``ghosts``, in that order (:meth:`_Band.ghosts`); the kernel is the same
-    for the torus seams and for the mirror's. A caller that needs only
-    frame 0 takes ``next()`` and may leave out ``flats[1]`` and ``ghosts``;
-    frame 1 needs h >= 2.
+    ``step_into``. At the band's edges frame 1 reads DOWN and ``half`` of
+    column -1, UP and ``half`` of column h, RIGHT and ``half`` of row -1 and
+    LEFT and ``half`` of row w from ``ghosts``, in that order
+    (:meth:`_Band.ghosts`); the kernel is the same for the torus seams and
+    for the mirrors'. A caller that needs only frame 0 takes ``next()`` and
+    may leave out ``flats[1]`` and ``ghosts``; frame 1 needs w, h >= 2.
     """
     up, down, left, right = work
     flat = work.reshape(-1)
+    lr = np.empty_like(half)
     akr = scheme is CoinScheme.AKR
 
     def coin(diffuse: Callable[[], None], idx: np.ndarray) -> Callable[[], None]:
@@ -365,37 +400,39 @@ def _frame_coins(
 
     def diffuse0() -> None:
         np.add(up, down, out=half)
-        np.add(half, left, out=half)
-        np.add(half, right, out=half)
+        np.add(left, right, out=lr)
+        np.add(half, lr, out=half)
         np.multiply(half, 0.5, out=half)
         np.subtract(half, work, out=work)
 
     yield coin(diffuse0, flats[0])
 
-    n = work.shape[1]
-    h_flat, seam = half.reshape(-1), np.empty(n)
+    h_flat, seam = half.reshape(-1), np.empty(work.shape[1])
     up_flat, down_flat = up.reshape(-1), down.reshape(-1)
-    h_head, h_tail, l_tail, r_head = half[:-1], half[1:], left[1:], right[:-1]
-    # rows (0, n-1) of half and the rows that wrap the torus into them: RIGHT's
-    # row n-1 and LEFT's row 0, the rows 4n-1 and 2n of the (4n, h) band
-    h_wraps, x_wraps = half[:: n - 1], work.reshape(4 * n, -1)[4 * n - 1 : 1 : 1 - 2 * n]
+    down_before, half_before, up_after, half_after, right_before, row_before, left_after, row_after = ghosts
     # UP + DOWN of cell (x, y) sit at down[x, y-1] and up[x, y+1]: one flat
     # offset op for the bulk; the seam columns 0 and h-1 read the ghosts
     ud_bulk = down_flat[:-2], up_flat[2:], h_flat[1:-1]
-    down_before, half_before, up_after, half_after = ghosts
     ud_first = down_before, up[:, 1], half[:, 0]
     ud_last = down[:, -2], up_after, half[:, -1]
+    # LEFT + RIGHT of cell (x, y) sit at right[x-1, y] and left[x+1, y]; the
+    # seam rows 0 and w-1 read the ghosts
+    lr_bulk = right[:-2], left[2:], lr[1:-1]
+    lr_first = right_before, left[1], lr[0]
+    lr_last = right[-2], left_after, lr[-1]
     h_fwd, d_col_last, d_head = h_flat[1:], down[:, -1], down_flat[:-1]
     h_back, u_col0, u_tail = h_flat[:-1], up[:, 0], up_flat[1:]
+    h_head, h_tail, l_tail, r_head = half[:-1], half[1:], left[1:], right[:-1]
+    l_row0, r_row_last = left[0], right[-1]
 
     def diffuse1() -> None:
         np.add(*ud_bulk)
         np.add(*ud_first)
         np.add(*ud_last)
-        # RIGHT comes before LEFT in every cell, as in frame 0
-        np.add(h_tail, r_head, out=h_tail)
-        np.add(h_wraps, x_wraps, out=h_wraps)
-        np.add(h_head, l_tail, out=h_head)
+        np.add(*lr_bulk)
+        np.add(*lr_first)
+        np.add(*lr_last)
+        np.add(half, lr, out=half)
         np.multiply(half, 0.5, out=half)
         # the flat writes of the y-displaced planes run over their seam column
         # before it is read, so each seam goes through the scratch first
@@ -406,8 +443,9 @@ def _frame_coins(
         np.subtract(h_back, u_tail, out=u_tail)
         u_col0[...] = seam
         np.subtract(h_head, l_tail, out=l_tail)
+        np.subtract(row_before, l_row0, out=l_row0)
         np.subtract(h_tail, r_head, out=r_head)
-        np.subtract(h_wraps, x_wraps, out=x_wraps)
+        np.subtract(row_after, r_row_last, out=r_row_last)
 
     yield coin(diffuse1, flats[1])
 

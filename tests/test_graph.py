@@ -203,6 +203,22 @@ class TestGraphStructure:
         with pytest.raises(InvalidGraphError, match="integer vertex pairs"):
             Graph.from_edges(3, edges)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(True, 2), (2, 0), (0, 1)],
+            [(np.True_, 2), (2, 0), (0, 1)],
+            [(0, 1), (1, 2), (2, False)],
+            [np.array([True, False]), (1, 2), (2, 0)],
+            np.array([[True, False], [False, True]]),
+        ],
+        ids=["python-bool", "numpy-bool", "last-id", "bool-row", "bool-array"],
+    )
+    def test_bool_ids_rejected(self, edges):
+        # np.asarray reads a bool among integer ids as 0 or 1: the first four would be triangles
+        with pytest.raises(InvalidGraphError, match="integer vertex pairs"):
+            Graph.from_edges(3, edges)
+
     @pytest.mark.parametrize("edges", [[(2**63, 1)], [(2**70, 1)], np.array([[2**63, 1]], dtype=np.uint64)])
     def test_id_beyond_index_array_rejected(self, edges):
         with pytest.raises(InvalidGraphError, match="vertex id too large for an index array"):

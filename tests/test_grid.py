@@ -17,7 +17,7 @@ from coinwalk.grid import (
     step,
     uniform_state,
 )
-from coinwalk.grid import _Band, _frame_coins
+from coinwalk.grid import _Band, _Fold, _frame_coins
 
 RNG = np.random.default_rng(20240517)
 
@@ -35,7 +35,8 @@ def random_marked(n, rng=RNG):
 
 def torus_coins(work, scheme, marked, half):
     """The frame coins of the whole torus, each paired with its marked positions."""
-    band = _Band(marked.n, 0, marked.n, None)
+    whole = _Fold(marked.n, 0, marked.n, None)
+    band = _Band(whole, whole)
     flats = band.frames(marked)
     return zip(_frame_coins(work, scheme, half, flats, band.ghosts(work, half)), flats)
 
@@ -251,7 +252,7 @@ class TestStep:
         [(n, (x, y)) for n in (2, 3) for x in range(n) for y in range(n) if {x, y} & {0, n - 1}],
     )
     def test_frame_kernels_seam_cells(self, n, cell):
-        # one marked cell at a time on the seam columns and wrap rows of the paired seam view
+        # one marked cell at a time on the seam columns and seam rows, which read the ghosts
         rng = np.random.default_rng(10 * n + cell[0] * n + cell[1])
         marked = MarkedSet(n, [cell])
         for scheme in CoinScheme:

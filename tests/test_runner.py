@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -19,7 +19,7 @@ from coinwalk.grid import (
     CoinScheme,
     GridState,
     MarkedSet,
-    _Band,
+    _Fold,
     _frame_coins,
     marked_probability,
     step,
@@ -70,40 +70,59 @@ def edge_pair_walk(n, edges, marked, scheme, horizon):
 def fast_total(h, marked, band):
     """The torus walk's total after a coin, from that coin's half sums ``h`` on the whole torus.
 
-    A mirror band takes its own n x h cells twice, its axis cells once less
-    and the marked cells twice: the formula of the path the walk takes.
+    Each of the band's half sums times the number of torus cells it stands
+    for (2 along a mirror, 1 on its axis or without one), negated at the
+    marked cells, in one sum: the formula of the path the walk takes.
     """
-    cells = h[marked.xs, marked.ys].sum()
-    if band.c is None:
-        return 2.0 * (h.sum() - 2.0 * cells)
-    columns = (band.y0 + np.arange(band.h)) % band.n
-    axis = [j for j, y in enumerate(columns) if (2 * y - band.c) % band.n == 0]
-    # the walk sums its (n, h) band and the axis cells x-major, as C-ordered copies do
-    held = np.ascontiguousarray(h[:, columns])
-    whole = 2.0 * held.sum()
-    if axis:
-        whole -= np.ascontiguousarray(held[:, axis]).sum()
-    return 2.0 * (whole - 2.0 * cells)
+    n = marked.n
+    lines = [(fold.start + np.arange(fold.size)) % n for fold in band]
+    images = [
+        np.array([1 if fold.c is None or (2 * p - fold.c) % n == 0 else 2 for p in ps])
+        for fold, ps in zip(band, lines)
+    ]
+    held = h[np.ix_(*lines)] * images[0][:, None] * images[1]
+    held[marked.mask[np.ix_(*lines)]] *= -1.0
+    # the walk sums each row of its (w, h) band, then the row sums
+    return 2.0 * np.add.reduce(np.add.reduce(held, axis=1))
 
 
-def mirrored(amp, c):
-    """The state ``amp`` reflected through y -> c - y (mod n): UP and DOWN swap."""
+def mirrored(amp, c, axis):
+    """The state ``amp`` reflected through p -> c - p (mod n) along x (axis 1) or y (axis 2).
+
+    The x-mirror swaps LEFT and RIGHT, the y-mirror UP and DOWN.
+    """
     n = amp.shape[1]
-    return amp[[1, 0, 2, 3]][:, :, (c - np.arange(n)) % n]
+    planes = [0, 1, 3, 2] if axis == 1 else [1, 0, 2, 3]
+    return np.take(amp[planes], (c - np.arange(n)) % n, axis=axis)
+
+
+def transposed(marked):
+    """The marked set with x and y swapped: its y-mirror is the set's x-mirror."""
+    return MarkedSet(marked.n, [(y, x) for x, y in marked])
 
 
 @st.composite
 def mirror_sets(draw):
-    """Side 4..13 and a marked set with a y-mirror: a block, maybe wrapping, or mirrored cells."""
+    """Side 4..13 and a marked set with a mirror: a block, maybe wrapping, or cells and their images.
+
+    The images are under a y-mirror, an x-mirror or both, so a set can have
+    either axis alone or both.
+    """
     n = draw(st.integers(4, 13))
     coord = st.integers(0, n - 1)
     if draw(st.booleans()):
         side = st.integers(1, n)
         marked = MarkedSet.from_block(n, (draw(coord), draw(coord)), draw(side), draw(side))
     else:
-        c = draw(coord)
         cells = draw(st.lists(st.tuples(coord, coord), max_size=n))
-        marked = MarkedSet(n, cells + [(x, c - y) for x, y in cells])
+        mirrors = draw(st.sampled_from(["y", "x", "xy"]))
+        if "y" in mirrors:
+            c = draw(coord)
+            cells = cells + [(x, c - y) for x, y in cells]
+        if "x" in mirrors:
+            c = draw(coord)
+            cells = cells + [(c - x, y) for x, y in cells]
+        marked = MarkedSet(n, cells)
     return n, marked, draw(st.sampled_from(list(CoinScheme)))
 
 
@@ -261,17 +280,22 @@ class TestRunWalk:
 
 
 class TestMirrorBand:
-    """A y-symmetric marked set runs on one fundamental domain of the torus, with the same bits."""
+    """A set with an x-mirror, a y-mirror or both runs on a fundamental domain, with the same bits."""
 
     @settings(deadline=None, max_examples=100)
     @given(mirror_sets(), st.integers(1, 2))
     @example((5, MarkedSet.from_block(5, (3, 4), 2, 3), CoinScheme.AKR), 1)  # wraps both ways
-    @example((8, MarkedSet.from_block(8, (2, 7), 3, 2), CoinScheme.GROVER), 1)  # bond axes
-    @example((8, MarkedSet.from_block(8, (2, 6), 3, 3), CoinScheme.AKR), 1)  # site axes
+    @example((8, MarkedSet.from_block(8, (2, 7), 3, 2), CoinScheme.GROVER), 1)  # site rows, bond columns
+    @example((8, MarkedSet.from_block(8, (2, 6), 3, 3), CoinScheme.AKR), 1)  # site axes both ways
+    @example((10, MarkedSet.from_block(10, (9, 4), 2, 2), CoinScheme.GROVER), 1)  # bond axes, wraps
+    @example((9, MarkedSet.from_block(9, (3, 3), 3, 3), CoinScheme.GROVER), 1)  # odd n: site, bond
     @example((9, MarkedSet.empty(9), CoinScheme.GROVER), 1)
+    @example((7, MarkedSet(7, [(1, 0), (5, 0), (2, 3), (4, 3)]), CoinScheme.AKR), 1)  # x-mirror only
+    @example((6, MarkedSet(6, [(5, 1), (1, 1), (0, 2)]), CoinScheme.GROVER), 1)  # x-mirror only, wraps
+    @example((10, MarkedSet(10, [(1, 2), (9, 2), (1, 6), (9, 6), (0, 4)]), CoinScheme.AKR), 1)  # no block
     def test_walk_matches_step_composition(self, case, reach):
         n, marked, scheme = case
-        assert _mirror_axis(marked) is not None
+        assert _mirror_axis(marked) is not None or _mirror_axis(transposed(marked)) is not None
         horizon = reach * default_horizon(n)
         series = run_walk(n, marked, scheme, horizon)
         state = uniform_state(n)
@@ -285,34 +309,59 @@ class TestMirrorBand:
         want = fsum_halt(uniform_state(n), lambda s: step(s, scheme, marked), horizon)
         assert series.halt_step == want
 
-    @settings(deadline=None, max_examples=100)
+    @settings(deadline=None, max_examples=150)
     @given(mirror_sets(), st.integers(0, 2**32 - 1))
+    @example((8, MarkedSet.from_block(8, (2, 6), 3, 3), CoinScheme.AKR), 0)  # site axes both ways
+    @example((10, MarkedSet.from_block(10, (9, 4), 2, 2), CoinScheme.GROVER), 1)  # bond axes both ways
+    @example((9, MarkedSet.from_block(9, (3, 3), 3, 3), CoinScheme.AKR), 2)  # odd n
+    @example((6, MarkedSet(6, [(5, 1), (1, 1), (0, 2)]), CoinScheme.GROVER), 3)  # x-mirror only
     def test_band_coins_match_two_steps(self, case, seed):
-        # a random state with the set's mirror, not only the uniform one: frame 0 then
-        # frame 1 on the band equal two full steps at the band's columns, bit for bit
+        # a random state with the set's mirrors, not only the uniform one: frame 0 then
+        # frame 1 on the band equal two full steps at the band's cells, bit for bit; the
+        # band's seam rows and columns read the torus wrap or the mirror ghosts
         n, marked, scheme = case
         band = _torus_band(marked)
-        if band.c is None:
+        if band.x.c is None and band.y.c is None:
             return
         rng = np.random.default_rng(seed)
         amp = rng.standard_normal((4, n, n))
-        amp += mirrored(amp, band.c)
-        assert_array_equal(mirrored(amp, band.c), amp)
-        columns = (band.y0 + np.arange(band.h)) % n
-        work, half = amp[:, :, columns].copy(), np.empty((n, band.h))
+        folds = [(1, band.x), (2, band.y)]
+        for axis, fold in folds:
+            if fold.c is not None:
+                amp += mirrored(amp, fold.c, axis)
+        for axis, fold in folds:
+            if fold.c is not None:
+                assert_array_equal(mirrored(amp, fold.c, axis), amp)
+        cells = np.ix_(*[(fold.start + np.arange(fold.size)) % n for fold in band])
+        work, half = amp[:, cells[0], cells[1]].copy(), np.empty((band.x.size, band.y.size))
         flats = band.frames(marked)
         coin0, coin1 = _frame_coins(work, scheme, half, flats, band.ghosts(work, half))
         coin0()
         coined, half_ref = amp.copy(), np.empty((n, n))
         next(_frame_coins(coined, scheme, half_ref, (marked.flat,), ()))()
-        assert_array_equal(work, coined[:, :, columns])
+        assert_array_equal(work, coined[:, cells[0], cells[1]])
         once = step(GridState(n, amp), scheme, marked)
         sel = work.reshape(-1)[flats[1]]
         assert float(np.sum(sel * sel)) == marked_probability(once, marked)
         coin1()
         next(_frame_coins(once.amp.copy(), scheme, half_ref, (marked.flat,), ()))()
-        assert_array_equal(half, half_ref[:, columns])
-        assert_array_equal(work, step(once, scheme, marked).amp[:, :, columns])
+        assert_array_equal(half, half_ref[cells])
+        assert_array_equal(work, step(once, scheme, marked).amp[:, cells[0], cells[1]])
+
+    @settings(deadline=None, max_examples=100)
+    @given(mirror_sets())
+    @example((9, MarkedSet.from_block(9, (3, 3), 3, 3), CoinScheme.GROVER))
+    @example((10, MarkedSet.from_block(10, (4, 4), 2, 2), CoinScheme.AKR))
+    def test_step_keeps_both_mirrors_bit_for_bit(self, case):
+        # the coin adds (u + d) + (l + r), so neither mirror moves a bit of the whole-torus state
+        n, marked, scheme = case
+        cx, cy = _mirror_axis(transposed(marked)), _mirror_axis(marked)
+        assume(cx is not None and cy is not None)
+        state = uniform_state(n)
+        for _ in range(3 * n):
+            state = step(state, scheme, marked)
+            assert_array_equal(mirrored(state.amp, cx, 1), state.amp)
+            assert_array_equal(mirrored(state.amp, cy, 2), state.amp)
 
     @settings(deadline=None, max_examples=200)
     @given(st.integers(2, 9).flatmap(
@@ -333,19 +382,52 @@ class TestMirrorBand:
         found = _mirror_axis(marked)
         assert found == (axes[0] if axes else None)
         band = _torus_band(marked)
-        if found is None or band.c is None:
-            # no axis, or a domain of fewer than 3 columns: the whole torus
-            assert band == _Band(n, 0, n, None)
+        # the rows are folded as the columns of the transposed set, read through views
+        assert _mirror_axis(marked, transposed=True) == _mirror_axis(transposed(marked))
+        assert band.x == _torus_band(transposed(marked)).y
+        fold = band.y
+        if found is None or fold.c is None:
+            # no axis, or a domain of fewer than 3 columns: the whole axis
+            assert fold == _Fold(n, 0, n, None)
             assert found is None or n <= 4
             return
-        assert band.c == found and 3 <= band.h <= n // 2 + 1
-        columns = (band.y0 + np.arange(band.h)) % n
+        assert fold.c == found and 3 <= fold.size <= n // 2 + 1
+        columns = (fold.start + np.arange(fold.size)) % n
         fixed = [j for j, y in enumerate(columns) if (2 * y - found) % n == 0]
-        assert fixed == band.axis
+        assert fixed == fold.axis
         # the band and its mirror image cover the torus, overlapping only on the axis columns
         image = (found - columns) % n
         assert set(columns) | set(image) == set(range(n))
         assert set(columns) & set(image) == set(columns[fixed])
+
+
+class TestDiagonalBaseline:
+    """The paper's baseline from Ambainis and Rivosh (2008): marked diagonals of the torus.
+
+    The marked probability never moves from its start, under either coin.
+    The halt rule still calls these runs a success where the overlap first
+    crosses zero; that is not asserted here.
+    """
+
+    LINES = {
+        "diagonal": lambda n: [(i, i) for i in range(n)],
+        "anti-diagonal": lambda n: [(i, -i) for i in range(n)],
+        "two-diagonals": lambda n: [(i, i) for i in range(n)] + [(i, i + 3) for i in range(n)],
+    }
+
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    @pytest.mark.parametrize("lines", list(LINES))
+    @pytest.mark.parametrize("n", [8, 16, 17])
+    def test_marked_probability_never_moves(self, n, lines, scheme):
+        series = run_walk(n, MarkedSet(n, self.LINES[lines](n)), scheme, 4 * n)
+        assert np.max(np.abs(series.probability - series.probability[0])) == 0.0
+
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    @pytest.mark.parametrize("n", [8, 16, 17])
+    def test_diagonal_overlap_falls_linearly(self, n, scheme):
+        series = run_walk(n, MarkedSet(n, self.LINES["diagonal"](n)), scheme, n)
+        t = np.arange(n + 1)
+        np.testing.assert_allclose(series.overlap, 1.0 - 2.0 * t / n, rtol=0, atol=1e-15)
 
 
 def fsum_halt(state, advance, horizon):
@@ -469,9 +551,10 @@ class TestReproduceTables:
         assert len(report.truncated) == 2
 
     def test_budget_stops_a_running_cell(self):
-        # an n=300 cell runs for about a second: the first is stopped inside the
-        # walk instead of finishing past the budget, the second is skipped
-        report = reproduce_tables([300], [3], time_budget_s=0.05)
+        # the n=300 AKR cell takes about 60 ms to its halt step on a 2-core Xeon, six
+        # times the budget: it is stopped inside the walk instead of finishing past
+        # the budget, and the second cell is skipped
+        report = reproduce_tables([300], [3], time_budget_s=0.01)
         assert not report.rows
         assert len(report.truncated) == 2
         assert all(m.endswith("time budget exceeded") for m in report.truncated)
