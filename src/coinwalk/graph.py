@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .grid import CoinScheme, OracleTooLargeError, _check_memory, _dense_scq, _stationarity
+from .grid import CoinScheme, OracleTooLargeError, _check_memory, _dense_scq, _located_step, _stationarity
 from .stationary import Decomposition
 
 __all__ = [
@@ -288,7 +288,7 @@ def graph_uniform_state(g: Graph) -> GraphState:
 def graph_step(
     state: GraphState, marked: Iterable[int], scheme: CoinScheme
 ) -> GraphState:
-    """One walk step: fused query+coin per vertex, then the arc swap.
+    """One walk step: fused query+coin per vertex, then the arc swap, by :func:`grid._located_step`.
 
     Unmarked vertices get degree-d Grover diffusion (alpha -> 2 s / d - alpha);
     marked vertices get -I under AKR and -D under GROVER, the query's sign
@@ -298,11 +298,8 @@ def graph_step(
     zero residual of the stationary witnesses to about 6e-17.
     """
     g, amp = state.graph, state.amp
-    idxs = g.marked_arc_indices(marked)
-    mean2 = np.add.reduceat(amp, g.offsets[:-1]) * 2.0 / g.degrees
-    c = np.repeat(mean2, g.degrees) - amp
-    c[idxs] = -amp[idxs] if scheme is CoinScheme.AKR else amp[idxs] - mean2[g.tail[idxs]]
-    return GraphState(g, c[g.partner])
+    sums = np.add.reduceat(amp, g.offsets[:-1])
+    return GraphState(g, _located_step(amp, g.offsets, g.check_marked(marked), g.partner, scheme, sums))
 
 
 # numpy's pairwise sum of d terms is c0 + p(c1 .. c_{d-1}). p adds fewer than 8
@@ -419,7 +416,7 @@ def graph_dense_step_matrix(
     dim = g.arc_count
     # at its peak the product holds five dim x dim matrices: q, c, s, s @ c and the result
     _check_memory(40 * dim * dim, f"oracle for {dim} arcs needs {40 * dim * dim} bytes")
-    return _dense_scq(g.offsets, g.check_marked(marked), scheme, g.partner)
+    return _dense_scq(g.offsets, g.check_marked(marked), g.partner, scheme)
 
 
 def graph_marked_probability(state: GraphState, marked: Iterable[int]) -> float:

@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -136,6 +136,14 @@ def _check_side(n: int) -> None:
     _check_memory(32 * n * n, f"grid side {n} needs {32 * n * n} bytes for its state")
 
 
+def _check_block(n: int, width: int, height: int) -> None:
+    """Reject a block side below 1, or one longer than the side-n torus it would wrap onto itself on."""
+    if width < 1 or height < 1:
+        raise ValueError(f"block sides must be positive, got {width}x{height}")
+    if width > n or height > n:
+        raise ValueError(f"{width}x{height} block wraps onto itself on a side-{n} torus")
+
+
 class MarkedSet:
     """Set of marked cells with a dense boolean membership plane.
 
@@ -165,12 +173,7 @@ class MarkedSet:
     ) -> "MarkedSet":
         """Rectangular block of cells anchored at ``origin`` (may wrap the torus)."""
         _check_side(n)
-        if width < 1 or height < 1:
-            raise ValueError(f"block sides must be positive, got {width}x{height}")
-        if width > n or height > n:
-            raise ValueError(
-                f"{width}x{height} block wraps onto itself on a side-{n} torus"
-            )
+        _check_block(n, width, height)
         ox, oy = origin
         cells = [((ox + i) % n, (oy + j) % n) for i in range(width) for j in range(height)]
         return cls(n, cells)
@@ -210,33 +213,15 @@ def apply_query(state: GridState, marked: MarkedSet) -> GridState:
 
 
 def apply_coin(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
-    """Per-cell coin with the query folded in: the frame-0 coin of :func:`_frame_coins`."""
-    _check_grid(state.n, marked)
-    out = state.amp.copy()
-    next(_frame_coins(out, scheme, np.empty((state.n, state.n)), (marked.flat,), ()))()
-    return GridState(state.n, out)
+    """Per-cell coin with the query folded in: :func:`step`, then the shift, its own inverse."""
+    return apply_shift(step(state, scheme, marked))
 
 
 def apply_shift(state: GridState) -> GridState:
     """Flip-flop shift: move to the adjacent cell and reverse the direction."""
-    out = np.empty_like(state.amp)
-    _shift_into(state.amp, out)
-    return GridState(state.n, out)
-
-
-def _shift_into(src: np.ndarray, dst: np.ndarray) -> None:
-    """Shift permutation, written into a separate buffer (src is not read back)."""
-    up, down, left, right = Direction.UP, Direction.DOWN, Direction.LEFT, Direction.RIGHT
-    # UP amplitude moves to the cell above and becomes DOWN, and so on;
-    # the single seam row/column carries the torus wrap.
-    dst[down, :, :-1] = src[up, :, 1:]
-    dst[down, :, -1] = src[up, :, 0]
-    dst[up, :, 1:] = src[down, :, :-1]
-    dst[up, :, 0] = src[down, :, -1]
-    dst[right, :-1] = src[left, 1:]
-    dst[right, -1] = src[left, 0]
-    dst[left, 1:] = src[right, :-1]
-    dst[left, 0] = src[right, -1]
+    out = np.empty(4 * state.n * state.n)
+    out[_torus_shift(state.n)] = state.flatten()
+    return GridState.from_flat(state.n, out)
 
 
 class _Fold(NamedTuple):
@@ -350,8 +335,8 @@ def _frame_coins(
     half: np.ndarray,
     flats: tuple[np.ndarray, ...],
     ghosts: tuple[np.ndarray, ...],
-) -> Iterator[Callable[[], None]]:
-    """Yield the in-place coin of ``work`` in frame 0, then in frame 1, each bound once.
+) -> tuple[Callable[[], None], Callable[[], None]]:
+    """The in-place coins of ``work`` in frame 0 and in frame 1, each bound once.
 
     ``work`` is a (4, w, h) band of a state (see :class:`_Band`) and ``half``
     (w, h) scratch. Unmarked cells get Grover diffusion (alpha -> s/2 -
@@ -371,13 +356,14 @@ def _frame_coins(
 
     The frame-1 coin writes each amplitude back where it was read, so the
     next shift is again a relabel and leaves the state in frame 0. Both coins
-    add in the same order, so every amplitude is bit-identical to
-    ``step_into``. At the band's edges frame 1 reads DOWN and ``half`` of
-    column -1, UP and ``half`` of column h, RIGHT and ``half`` of row -1 and
-    LEFT and ``half`` of row w from ``ghosts``, in that order
-    (:meth:`_Band.ghosts`); the kernel is the same for the torus seams and
-    for the mirrors'. A caller that needs only frame 0 takes ``next()`` and
-    may leave out ``flats[1]`` and ``ghosts``; frame 1 needs w, h >= 2.
+    add in the same order as :func:`step`, so after the two coins every
+    amplitude equals that of two :func:`step` calls, bit for bit but for the
+    sign of a zero: a GROVER marked amplitude equal to half its cell's sum
+    becomes -0 here and +0 in :func:`step`. At the band's edges frame 1
+    reads DOWN and ``half`` of column -1, UP and ``half`` of column h, RIGHT
+    and ``half`` of row -1 and LEFT and ``half`` of row w from ``ghosts``,
+    in that order (:meth:`_Band.ghosts`); the kernel is the same for the
+    torus seams and for the mirrors'. Frame 1 needs w, h >= 2.
     """
     up, down, left, right = work
     flat = work.reshape(-1)
@@ -404,8 +390,6 @@ def _frame_coins(
         np.add(half, lr, out=half)
         np.multiply(half, 0.5, out=half)
         np.subtract(half, work, out=work)
-
-    yield coin(diffuse0, flats[0])
 
     h_flat, seam = half.reshape(-1), np.empty(work.shape[1])
     up_flat, down_flat = up.reshape(-1), down.reshape(-1)
@@ -447,7 +431,7 @@ def _frame_coins(
         np.subtract(h_tail, r_head, out=r_head)
         np.subtract(row_after, r_row_last, out=r_row_last)
 
-    yield coin(diffuse1, flats[1])
+    return coin(diffuse0, flats[0]), coin(diffuse1, flats[1])
 
 
 def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
@@ -455,31 +439,24 @@ def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
 
     The operator equals S C Q where Q flips marked signs and C is the
     conditional coin (D at unmarked cells; I under AKR / D under GROVER at
-    marked cells).
+    marked cells). It is the torus's reference step, :func:`_located_step`
+    in the oracle basis with each cell summed ``(u + d) + (l + r)``, the
+    order of the run's coins; no run calls it.
     """
     _check_grid(state.n, marked)
-    src = state.amp.copy()
-    dst = np.empty_like(src)
-    step_into(src, dst, scheme, marked, np.empty((state.n, state.n)))
-    return GridState(state.n, dst)
+    a = state.flatten()
+    sums = (a[0::4] + a[1::4]) + (a[2::4] + a[3::4])
+    return GridState.from_flat(state.n, _located_step(a, *_torus_arcs(marked), scheme, sums))
 
 
 def step_into(
-    src: np.ndarray,
-    dst: np.ndarray,
-    scheme: CoinScheme,
-    marked: MarkedSet,
-    half_sum: np.ndarray,
+    src: np.ndarray, dst: np.ndarray, scheme: CoinScheme, marked: MarkedSet, half_sum: np.ndarray
 ) -> None:
-    """The reference step of :func:`step` on caller-owned buffers.
+    """Write :func:`step` of the (4, n, n) state ``src`` into ``dst``; kept for the benchmark's probes.
 
-    ``src`` and ``dst`` are C-contiguous (4, n, n) arrays. Mutates ``src``
-    (coin phase) and writes the shifted result into ``dst``. No run calls
-    it: ``run_walk`` runs the coins of :func:`_frame_coins` without a shift.
-    Tests and the benchmark's per-layer probes drive it.
+    ``src`` and ``half_sum`` are left as they are.
     """
-    next(_frame_coins(src, scheme, half_sum, (marked.flat,), ()))()
-    _shift_into(src, dst)
+    dst[...] = step(GridState(src.shape[1], src), scheme, marked).amp
 
 
 def dense_step_matrix(
@@ -501,7 +478,7 @@ def dense_step_matrix(
     dim = 4 * n * n
     # at its peak the product holds five dim x dim matrices: q, c, s, s @ c and the result
     _check_memory(40 * dim * dim, f"oracle for n={n} needs {40 * dim * dim} bytes")
-    return _dense_scq(np.arange(0, dim + 1, 4), marked.xs * n + marked.ys, scheme, _torus_shift(n))
+    return _dense_scq(*_torus_arcs(marked), scheme)
 
 
 def _torus_shift(n: int) -> np.ndarray:
@@ -515,8 +492,14 @@ def _torus_shift(n: int) -> np.ndarray:
     return (((x + np.array(_DX)) % n * n + (y + np.array(_DY)) % n) * 4 + (d ^ 1)).reshape(-1)
 
 
+def _torus_arcs(marked: MarkedSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The torus in the oracle basis as located amplitudes: offsets, marked cells and shift target."""
+    n = marked.n
+    return np.arange(0, 4 * n * n + 1, 4), marked.xs * n + marked.ys, _torus_shift(n)
+
+
 def _dense_scq(
-    offsets: np.ndarray, marked: Iterable[int], scheme: CoinScheme, target: np.ndarray
+    offsets: np.ndarray, marked: Iterable[int], target: np.ndarray, scheme: CoinScheme
 ) -> np.ndarray:
     """S C Q as a dense matrix over amplitudes grouped by location: a torus or a graph.
 
@@ -538,6 +521,32 @@ def _dense_scq(
     s = np.zeros((dim, dim))
     s[target, np.arange(dim)] = 1.0
     return s @ c @ q
+
+
+def _located_step(
+    amp: np.ndarray,
+    offsets: np.ndarray,
+    marked: Iterable[int],
+    target: np.ndarray,
+    scheme: CoinScheme,
+    sums: np.ndarray,
+) -> np.ndarray:
+    """S C Q applied to ``amp``, grouped as in :func:`_dense_scq`: the reference step of both targets.
+
+    ``sums[v]`` is the amplitude sum of location v, added in the order the
+    target's run adds it. Unmarked amplitudes get 2 s / d - alpha; marked
+    ones -alpha under AKR and alpha - 2 s / d under GROVER, the query's sign
+    folded in. It shares no code with the run kernels, so the tests that
+    compare a run with it check both.
+    """
+    degrees = np.diff(offsets)
+    mean2 = np.repeat(sums * 2.0 / degrees, degrees)
+    fix = np.repeat(np.isin(np.arange(degrees.size), marked), degrees)
+    c = mean2 - amp
+    c[fix] = -amp[fix] if scheme is CoinScheme.AKR else amp[fix] - mean2[fix]
+    out = np.empty_like(c)
+    out[target] = c
+    return out
 
 
 def _stationarity(

@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, _arc_probability, _jagged_arcs, graph_uniform_state
-from .grid import CoinScheme, MarkedSet, _Band, _Fold, _check_memory, _check_side, _frame_coins, uniform_state
+from .grid import CoinScheme, MarkedSet, _Band, _check_block, _check_memory, _check_side, _Fold
+from .grid import _frame_coins, uniform_state
 
 __all__ = [
     "LARGE_N_THRESHOLD",
@@ -291,7 +292,7 @@ def _torus_walk(
     work = amp.reshape(-1)[: 4 * w * h].reshape(4, w, h)
     half = np.empty((w, h))
     index = band.frames(marked)
-    coins = tuple(_frame_coins(work, scheme, half, index, band.ghosts(work, half)))
+    coins = _frame_coins(work, scheme, half, index, band.ghosts(work, half))
     flat = work.reshape(-1)
     xo, yo = band.x.off_axis, band.y.off_axis
     # how many torus cells each band cell stands for, negated at the marked ones
@@ -496,7 +497,8 @@ def reproduce_tables(
     run stops at ``horizon`` steps (default :func:`default_horizon` of its
     size). A wall clock budget, when given, is checked before each cell and
     every ``_DEADLINE_EVERY`` steps inside it; cells that do not finish in it
-    are listed as truncation markers instead of raising. A size below 2 or a
+    are listed as truncation markers instead of raising. A size below 2, a
+    block side that is not positive or wraps onto itself at some size, or a
     NaN or negative budget raises ``ValueError`` before any cell runs.
     """
     if not sizes:
@@ -514,6 +516,8 @@ def reproduce_tables(
                 f"grid size {n} is above the desk-scale threshold "
                 f"{LARGE_N_THRESHOLD}; pass large_n_opt_in=True to run it"
             )
+        for side in block_sides:
+            _check_block(n, side, side)
 
     deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
     report = TableReport()

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .grid import Direction, GridState, MarkedSet, _check_grid, _check_side, uniform_state
-from .grid import _stationarity, _torus_shift
+from .grid import _stationarity, _torus_arcs
 
 if TYPE_CHECKING:
     from .graph import GraphState
@@ -221,15 +221,8 @@ def check_conditions(
     A state satisfying all three is unchanged by a Grover-coin step.
     Checked by :func:`grid._stationarity` in the oracle basis.
     """
-    n, marked = candidate.state.n, candidate.marked
-    _check_grid(n, marked)
-    return _stationarity(
-        candidate.state.flatten(),
-        np.arange(0, 4 * n * n + 1, 4),
-        marked.xs * n + marked.ys,
-        _torus_shift(n),
-        tol,
-    )
+    _check_grid(candidate.state.n, candidate.marked)
+    return _stationarity(candidate.state.flatten(), *_torus_arcs(candidate.marked), tol)
 
 
 def decompose_initial(n: int, candidate: StationaryCandidate) -> Decomposition:

@@ -28,7 +28,7 @@ from coinwalk.grid import (
     step,
     uniform_state,
 )
-from coinwalk.grid import step_into
+from coinwalk.grid import _Band, _Fold, _frame_coins
 from coinwalk.runner import centered_block, reproduce_tables, run_walk, runtime_metric
 from coinwalk.stationary import (
     BlockSpec,
@@ -261,14 +261,18 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_unitarity_over_ten_thousand_steps(self):
+        # the run's whole-torus coin pair, 5000 times: an even step count leaves the buffer in
+        # frame 0, where it is the state after 10^4 steps
         n = 100
         marked = centered_block(n, 3, 3)
         amp = uniform_state(n).amp
-        out = np.empty_like(amp)
         half = np.empty((n, n))
-        for _ in range(10_000):
-            step_into(amp, out, GROVER, marked, half)
-            amp, out = out, amp
+        whole = _Fold(n, 0, n, None)
+        band = _Band(whole, whole)
+        coins = _frame_coins(amp, GROVER, half, band.frames(marked), band.ghosts(amp, half))
+        for _ in range(5000):
+            for coin in coins:
+                coin()
         drift = abs(float(np.sqrt(np.sum(amp * amp))) - 1.0)
         ok = drift <= 1e-9
         record_criterion(8, "norm drift over 10^4 steps at n=100", ok, f"drift {drift:.2e}")
@@ -296,9 +300,8 @@ class TestCriterion9:
         even_cells = MarkedSet.from_block(n, (10, 10), 2, 2)
         marked = MarkedSet(n, list(odd_cells.cells | even_cells.cells))
 
-        amp = uniform_state(n).amp
-        out = np.empty_like(amp)
-        half = np.empty((n, n))
+        state = uniform_state(n)
+        amp = state.amp
 
         def total(sel, a):
             s = a[:, sel.xs, sel.ys]
@@ -307,8 +310,8 @@ class TestCriterion9:
         best_prob = total(marked, amp)
         best_amp = amp.copy()
         for _ in range(400):
-            step_into(amp, out, GROVER, marked, half)
-            amp, out = out, amp
+            state = step(state, GROVER, marked)
+            amp = state.amp
             p = total(marked, amp)
             if p > best_prob:
                 best_prob = p

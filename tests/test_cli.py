@@ -393,6 +393,10 @@ class TestInvalidInputs:
             ["verify", "--graph-two-marked", "--k", "99999999999999999999"],
             ["verify", "--graph-ring", "3,99999999999"],
             ["verify", "--graph-three", "1,1,99999999999"],
+            # a block side that does not fit some size, found before any cell runs or the budget ends
+            ["table", "--sizes", "10", "--blocks", "11", "--budget", "0"],
+            ["table", "--sizes", "10", "--blocks", "0", "--budget", "0"],
+            ["table", "--sizes", "200,10", "--blocks", "3,11"],
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):

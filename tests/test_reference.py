@@ -1,10 +1,10 @@
-"""The dense S C Q oracle and the stationarity conditions, written once for both targets.
+"""The dense S C Q oracle, the stationarity conditions and the reference step, written once for both targets.
 
-``grid._dense_scq`` and ``grid._stationarity`` serve the torus and the graph
-alike. These tests hold them to a loop-by-loop assembly of each target's
-operator and conditions: the oracles must agree to the bit, the condition
-tuples exactly, also with one amplitude moved just inside or just outside
-the tolerance.
+``grid._dense_scq``, ``grid._stationarity`` and ``grid._located_step`` serve
+the torus and the graph alike. These tests hold them to a loop-by-loop
+assembly of each target's operator, conditions and step: the oracles and the
+steps must agree to the bit, the condition tuples exactly, also with one
+amplitude moved just inside or just outside the tolerance.
 """
 
 import itertools
@@ -24,10 +24,11 @@ from coinwalk.graph import (
     build_two_marked,
     graph_check_conditions,
     graph_dense_step_matrix,
+    graph_step,
     graph_uniform_state,
 )
-from coinwalk.grid import _DX, _DY, CoinScheme, Direction, GridState, MarkedSet, _shift_into
-from coinwalk.grid import dense_step_matrix, uniform_state
+from coinwalk.grid import _DX, _DY, CoinScheme, Direction, GridState, MarkedSet
+from coinwalk.grid import dense_step_matrix, step, uniform_state
 from coinwalk.stationary import BlockSpec, StationaryCandidate, build_block_layered, check_conditions
 
 TOL = 1e-12
@@ -80,14 +81,76 @@ def loop_graph_oracle(g, marked, scheme):
     return s @ c @ q
 
 
+def loop_torus_shift(amp):
+    """The flip-flop shift of a (4, n, n) state, one cell and one direction at a time."""
+    n = amp.shape[1]
+    shifted = np.empty_like(amp)
+    for x in range(n):
+        for y in range(n):
+            for d in Direction:
+                shifted[d.opposite, (x + _DX[d]) % n, (y + _DY[d]) % n] = amp[d, x, y]
+    return shifted
+
+
 def loop_torus_conditions(amp, marked, tol):
-    """The three conditions on a (4, n, n) state, the shift taken from the kernel."""
+    """The three conditions on a (4, n, n) state, one cell at a time for the shift."""
     unmarked = amp[:, ~marked.mask]
     cond1 = unmarked.size == 0 or bool(np.max(np.abs(unmarked - unmarked.mean())) <= tol)
     cond2 = bool(np.all(np.abs(amp[:, marked.xs, marked.ys].sum(axis=0)) <= tol))
-    shifted = np.empty_like(amp)
-    _shift_into(amp, shifted)
-    return cond1, cond2, bool(np.max(np.abs(shifted - amp)) <= tol)
+    return cond1, cond2, bool(np.max(np.abs(loop_torus_shift(amp) - amp)) <= tol)
+
+
+def loop_coin(alpha, mean2, marked, scheme):
+    """One amplitude's coin output, the query folded in; ``mean2`` is 2 s / d of its location."""
+    if not marked:
+        return mean2 - alpha
+    return -alpha if scheme is CoinScheme.AKR else alpha - mean2
+
+
+def loop_torus_step(amp, marked, scheme):
+    """S C Q on a (4, n, n) state, one cell at a time, its sum added ``(u + d) + (l + r)``."""
+    n = amp.shape[1]
+    coined = np.empty_like(amp)
+    for x in range(n):
+        for y in range(n):
+            u, d, l, r = (float(a) for a in amp[:, x, y])
+            mean2 = ((u + d) + (l + r)) * 2.0 / 4
+            for k in Direction:
+                coined[k, x, y] = loop_coin(float(amp[k, x, y]), mean2, (x, y) in marked, scheme)
+    return loop_torus_shift(coined)
+
+
+def pairwise_sum(terms):
+    """numpy's pairwise sum of ``terms`` as ``graph._JAGGED_DEGREE``'s comment documents it, below 16 terms.
+
+    Fewer than 8 terms one by one; 8 to 15 as ((t0 + t1) + (t2 + t3)) +
+    ((t4 + t5) + (t6 + t7)), then the rest one by one.
+    """
+    assert len(terms) < 16
+    if len(terms) < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total += t
+        return total
+    t = terms
+    total = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+    for rest in t[8:]:
+        total += rest
+    return total
+
+
+def loop_graph_step(g, amp, marked, scheme):
+    """S C Q over a graph's arcs, one vertex at a time, its sum c0 + p(c1 .. c_{d-1}) as ``reduceat`` adds."""
+    vs = set(g.check_marked(marked))
+    out = np.empty_like(amp)
+    for v in range(g.n):
+        sl = g.arc_slice(v)
+        arcs = [float(a) for a in amp[sl]]
+        s = arcs[0] if len(arcs) == 1 else arcs[0] + pairwise_sum(arcs[1:])
+        mean2 = s * 2.0 / len(arcs)
+        for k, alpha in zip(range(sl.start, sl.stop), arcs):
+            out[g.partner[k]] = loop_coin(alpha, mean2, v in vs, scheme)
+    return out
 
 
 def loop_graph_conditions(g, amp, marked, tol):
@@ -189,6 +252,43 @@ class TestConditions:
             moved[rng.integers(moved.size)] += factor * TOL
             got = graph_check_conditions(GraphState(g, moved), marked, TOL)
             assert got == loop_graph_conditions(g, moved, marked, TOL)
+
+
+# a random state, or small integers, whose exact ties put a marked amplitude at 2 s / d and a
+# coin output at zero
+states = st.tuples(st.integers(0, 2**32 - 1), st.booleans())
+
+
+def draw_amp(shape, seed, integers):
+    rng = np.random.default_rng(seed)
+    return rng.integers(-2, 3, shape).astype(float) if integers else rng.standard_normal(shape)
+
+
+class TestStep:
+    @settings(deadline=None, max_examples=80)
+    @given(torus_marked_sets(), states, st.sampled_from(list(CoinScheme)))
+    def test_torus_matches_loop_step(self, case, state, scheme):
+        n, marked = case
+        amp = draw_amp((4, n, n), *state)
+        got = step(GridState(n, amp.copy()), scheme, marked).amp
+        assert_same_bits(got, loop_torus_step(amp, marked, scheme))
+
+    @settings(deadline=None, max_examples=80)
+    @given(small_graphs(), st.data(), states, st.sampled_from(list(CoinScheme)))
+    def test_graph_matches_loop_step(self, g, data, state, scheme):
+        marked = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
+        amp = draw_amp(g.arc_count, *state)
+        got = graph_step(GraphState(g, amp.copy()), marked, scheme).amp
+        assert_same_bits(got, loop_graph_step(g, amp, marked, scheme))
+
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    def test_hub_above_degree_eight_matches_loop_step(self, scheme):
+        # a hub of degree 12, whose sum takes numpy's block of eight accumulators
+        g = Graph.from_edges(13, [(0, v) for v in range(1, 13)])
+        for seed, marked in enumerate(([], [0], [0, 3])):
+            amp = draw_amp(g.arc_count, seed, False)
+            got = graph_step(GraphState(g, amp.copy()), marked, scheme).amp
+            assert_same_bits(got, loop_graph_step(g, amp, marked, scheme))
 
 
 class TestSideMismatch:

@@ -21,10 +21,12 @@ from coinwalk.grid import (
     MarkedSet,
     _Fold,
     _frame_coins,
+    apply_coin,
     marked_probability,
     step,
     uniform_state,
 )
+from coinwalk import runner
 from coinwalk.runner import (
     _OVERLAP_BOUND,
     RunSeries,
@@ -65,6 +67,11 @@ def edge_pair_walk(n, edges, marked, scheme, horizon):
         prob.append(float(amp[on_marked] @ amp[on_marked]))
         overlap.append(a0 * float(amp.sum()))
     return np.array(prob), np.array(overlap)
+
+
+def half_sums(amp):
+    """Half of each cell's amplitude sum, added ``(u + d) + (l + r)`` as the coin adds it."""
+    return ((amp[0] + amp[1]) + (amp[2] + amp[3])) * 0.5
 
 
 def fast_total(h, marked, band):
@@ -204,13 +211,11 @@ class TestRunWalk:
         a0 = state.amp[0, 0, 0]
         prob, exact, direct = np.empty(horizon + 1), np.empty(horizon + 1), np.empty(horizon + 1)
         halves = np.empty(horizon + 1)
-        h = np.empty((n, n))
         for t in range(horizon + 1):
             prob[t] = marked_probability(state, marked)
             exact[t] = a0 * math.fsum(state.amp.ravel())
             direct[t] = a0 * float(state.amp.sum())
-            next(_frame_coins(state.amp.copy(), scheme, h, (marked.flat,), ()))()
-            halves[t] = a0 * fast_total(h, marked, band)
+            halves[t] = a0 * fast_total(half_sums(state.amp), marked, band)
             state = step(state, scheme, marked)
         assert_array_equal(series.probability, prob)
         assert series.overlap[0] == direct[0]
@@ -337,15 +342,14 @@ class TestMirrorBand:
         flats = band.frames(marked)
         coin0, coin1 = _frame_coins(work, scheme, half, flats, band.ghosts(work, half))
         coin0()
-        coined, half_ref = amp.copy(), np.empty((n, n))
-        next(_frame_coins(coined, scheme, half_ref, (marked.flat,), ()))()
+        coined = apply_coin(GridState(n, amp), scheme, marked).amp
+        assert_array_equal(half, half_sums(amp)[cells])
         assert_array_equal(work, coined[:, cells[0], cells[1]])
         once = step(GridState(n, amp), scheme, marked)
         sel = work.reshape(-1)[flats[1]]
         assert float(np.sum(sel * sel)) == marked_probability(once, marked)
         coin1()
-        next(_frame_coins(once.amp.copy(), scheme, half_ref, (marked.flat,), ()))()
-        assert_array_equal(half, half_ref[cells])
+        assert_array_equal(half, half_sums(once.amp)[cells])
         assert_array_equal(work, step(once, scheme, marked).amp[:, cells[0], cells[1]])
 
     @settings(deadline=None, max_examples=100)
@@ -538,6 +542,21 @@ class TestReproduceTables:
         # before the horizon's log or the block check sees the size
         with pytest.raises(ValueError, match=rf"^grid side must be at least 2, got {n}$"):
             reproduce_tables([50, n], [1])
+
+    @pytest.mark.parametrize(
+        "sides,budget,message",
+        [([3, 11], None, "^11x11 block wraps onto itself on a side-10 torus$"),
+         # with no time left every cell would be skipped, so nothing but the check can raise
+         ([0], 0.0, "^block sides must be positive, got 0x0$")],
+        ids=["wraps", "not-positive"],
+    )
+    def test_block_sides_checked_against_every_size_before_any_cell(self, sides, budget, message, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the configuration was checked")
+
+        monkeypatch.setattr(runner, "_drive", no_cell)
+        with pytest.raises(ValueError, match=message):
+            reproduce_tables([200, 10], sides, time_budget_s=budget)
 
     @pytest.mark.parametrize("budget", [math.nan, -1.0, -1e-9])
     def test_nan_or_negative_budget_rejected(self, budget):
