@@ -77,8 +77,6 @@ class Graph:
             )
         self.offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(self.degrees, out=self.offsets[1:])
-        # arc keys tail * n + head ascend strictly, so arc_index is one search away
-        self._keys = tail * n + head
         # the reverse keys head * n + tail are the arc keys permuted, so the arc
         # holding the k-th smallest reverse key is the reverse of arc k
         self.partner = np.argsort(head * n + tail)
@@ -153,10 +151,11 @@ class Graph:
 
     def arc_index(self, i: int, j: int) -> int:
         """Position of arc (i, j); KeyError when i and j are not adjacent."""
-        key = i * self.n + j
-        k = int(np.searchsorted(self._keys, key))
-        if 0 <= i < self.n and 0 <= j < self.n and k < self.arc_count and self._keys[k] == key:
-            return k
+        if 0 <= i < self.n and 0 <= j < self.n:
+            sl = self.arc_slice(i)
+            k = sl.start + int(np.searchsorted(self.head[sl], j))
+            if k < sl.stop and self.head[k] == j:
+                return k
         raise KeyError((i, j))
 
     def arc_slice(self, v: int) -> slice:

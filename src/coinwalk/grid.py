@@ -8,6 +8,7 @@ the same operator for cross-checking on small grids.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -341,7 +342,7 @@ def _frame_coins(
     ``work`` is a (4, w, h) band of a state (see :class:`_Band`) and ``half``
     (w, h) scratch. Unmarked cells get Grover diffusion (alpha -> s/2 -
     alpha with s the cell's amplitude sum); marked cells get the scheme's
-    effective coin: -I under AKR, -D (alpha -> alpha - s/2) under GROVER.
+    effective coin: -I under AKR, -D (alpha -> -(s/2 - alpha)) under GROVER.
     ``flats[f]`` lists the flat positions of the marked amplitudes in frame
     f; repeats are allowed. Either coin leaves s/2 in ``half`` in cell order.
     The sum is ``(u + d) + (l + r)``, so a mirror that swaps UP and DOWN or
@@ -357,13 +358,12 @@ def _frame_coins(
     The frame-1 coin writes each amplitude back where it was read, so the
     next shift is again a relabel and leaves the state in frame 0. Both coins
     add in the same order as :func:`step`, so after the two coins every
-    amplitude equals that of two :func:`step` calls, bit for bit but for the
-    sign of a zero: a GROVER marked amplitude equal to half its cell's sum
-    becomes -0 here and +0 in :func:`step`. At the band's edges frame 1
-    reads DOWN and ``half`` of column -1, UP and ``half`` of column h, RIGHT
-    and ``half`` of row -1 and LEFT and ``half`` of row w from ``ghosts``,
-    in that order (:meth:`_Band.ghosts`); the kernel is the same for the
-    torus seams and for the mirrors'. Frame 1 needs w, h >= 2.
+    amplitude equals that of two :func:`step` calls, bit for bit. At the
+    band's edges frame 1 reads DOWN and ``half`` of column -1, UP and
+    ``half`` of column h, RIGHT and ``half`` of row -1 and LEFT and ``half``
+    of row w from ``ghosts``, in that order (:meth:`_Band.ghosts`); the
+    kernel is the same for the torus seams and for the mirrors'. Frame 1
+    needs w, h >= 2.
     """
     up, down, left, right = work
     flat = work.reshape(-1)
@@ -481,15 +481,18 @@ def dense_step_matrix(
     return _dense_scq(*_torus_arcs(marked), scheme)
 
 
+@functools.lru_cache(maxsize=4)
 def _torus_shift(n: int) -> np.ndarray:
     """Where the flip-flop shift moves each amplitude, in the oracle basis.
 
     Direction d of cell (x, y) goes to direction d ^ 1 of cell (x + dx,
-    y + dy). Built from ``_DX``/``_DY``, not from the kernel's shift, so the
-    oracle and the conditions stay independent of the kernel.
+    y + dy). Built once per side, read-only, from ``_DX``/``_DY``, not from
+    the kernel's shift, so the oracle and the conditions stay independent of it.
     """
     x, y, d = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(4)
-    return (((x + np.array(_DX)) % n * n + (y + np.array(_DY)) % n) * 4 + (d ^ 1)).reshape(-1)
+    target = (((x + np.array(_DX)) % n * n + (y + np.array(_DY)) % n) * 4 + (d ^ 1)).reshape(-1)
+    target.flags.writeable = False
+    return target
 
 
 def _torus_arcs(marked: MarkedSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -535,7 +538,7 @@ def _located_step(
 
     ``sums[v]`` is the amplitude sum of location v, added in the order the
     target's run adds it. Unmarked amplitudes get 2 s / d - alpha; marked
-    ones -alpha under AKR and alpha - 2 s / d under GROVER, the query's sign
+    ones -alpha under AKR and -(2 s / d - alpha) under GROVER, the query
     folded in. It shares no code with the run kernels, so the tests that
     compare a run with it check both.
     """
@@ -543,7 +546,7 @@ def _located_step(
     mean2 = np.repeat(sums * 2.0 / degrees, degrees)
     fix = np.repeat(np.isin(np.arange(degrees.size), marked), degrees)
     c = mean2 - amp
-    c[fix] = -amp[fix] if scheme is CoinScheme.AKR else amp[fix] - mean2[fix]
+    c[fix] = -amp[fix] if scheme is CoinScheme.AKR else -c[fix]
     out = np.empty_like(c)
     out[target] = c
     return out

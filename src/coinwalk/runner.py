@@ -21,8 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, _arc_probability, _jagged_arcs, graph_uniform_state
-from .grid import CoinScheme, MarkedSet, _Band, _check_block, _check_memory, _check_side, _Fold
-from .grid import _frame_coins, uniform_state
+from .grid import CoinScheme, MarkedSet, _Band, _check_block, _check_memory, _check_side, _Fold, _frame_coins
 
 __all__ = [
     "LARGE_N_THRESHOLD",
@@ -264,8 +263,8 @@ def _torus_walk(
     :func:`grid._frame_coins` take the band from frame 0 to frame 1 and
     back, and the gather reads the marked amplitudes through the current
     frame's positions, in ``marked.flat`` order. Everything is bound to the
-    band once. The start state returned is the whole uniform state;
-    :func:`_drive` sums it at step 0.
+    band once, the only state allocated; the start state is a stride-0 view
+    whose step-0 sum has the bits of the filled ``(4, n, n)`` array's.
 
     Both coins leave ``half`` holding half of every cell's amplitude sum.
     Grover diffusion keeps a cell's sum, both marked coins negate it and the
@@ -285,11 +284,10 @@ def _torus_walk(
     """
     if marked.n != n:
         raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
-    amp = uniform_state(n).amp
+    a = 1.0 / math.sqrt(4.0 * n * n)  # the uniform amplitude, as grid.uniform_state rounds it
     band = _torus_band(marked)
     w, h = band.x.size, band.y.size
-    # the band takes the head of the start state's buffer: every uniform amplitude is the same
-    work = amp.reshape(-1)[: 4 * w * h].reshape(4, w, h)
+    work = np.full((4, w, h), a)
     half = np.empty((w, h))
     index = band.frames(marked)
     coins = _frame_coins(work, scheme, half, index, band.ghosts(work, half))
@@ -323,7 +321,7 @@ def _torus_walk(
         # the memoryviews of the flat buffers hand fsum Python floats without a list
         return math.fsum(itertools.chain(flat.data, *(part.ravel().data for part in again)))
 
-    return amp, advance, probability, exact
+    return np.broadcast_to(a, (4, n, n)), advance, probability, exact
 
 
 def run_walk(
@@ -336,13 +334,13 @@ def run_walk(
 ) -> RunSeries:
     """Run the torus walk from the uniform state for up to ``horizon`` steps.
 
-    See :func:`_drive` for the halt rule and the two flags. Probabilities are
-    bit-identical to a composition of :func:`grid.step` calls. The overlap of
-    step t >= 1 is summed from the coin's half sums, one signed value per
-    cell of the band the walk holds, not from the 4n^2 amplitudes (see
-    :func:`_torus_walk`); it agrees with an exact sum of the state to about
-    3e-16. Where it is zero up to rounding, :func:`_drive` takes the exact
-    sum, so the halt step is that of the exact totals.
+    See :func:`_drive` for the halt rule and the two flags. Amplitudes and
+    probabilities are bit-identical to a composition of :func:`grid.step`
+    calls; the run allocates only the band it steps (see :func:`_torus_walk`).
+    The overlap of step t >= 1 is summed from the coin's half sums, one
+    signed value per band cell, not from the 4n^2 amplitudes; it agrees with
+    an exact sum of the state to about 3e-16. Where it is zero up to
+    rounding, :func:`_drive` takes the exact sum, so the halt step is the exact totals'.
     """
     return _drive(*_torus_walk(n, marked, scheme), horizon, record_overlap, stop_at_halt)
 
@@ -358,7 +356,7 @@ def _graph_walk(
     the marked arcs are remapped into it once, and every view of the state,
     the vertex sums, ``mean2 = 2 s / d`` and the coin output ``c`` is bound
     once, so a step allocates no array longer than the marked arcs. The
-    marked arcs' coin output is ``-amp`` under AKR and ``amp - mean2`` at
+    marked arcs' coin output is ``-amp`` under AKR and ``-(mean2 - amp)`` at
     their tail under GROVER, as in :func:`graph.graph_step`.
 
     The steps alternate. An odd step writes ``c`` with one broadcast per row
@@ -399,7 +397,7 @@ def _graph_walk(
         vertex_sums()
         kept = amp[idxs]
         np.divide(s, half_degrees, out=mean2)
-        fixed = -kept if akr else kept - mean2[fix_vertices]
+        fixed = -kept if akr else -(mean2[fix_vertices] - kept)
         if odd:
             spread()
             c[idxs] = fixed

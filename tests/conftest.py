@@ -1,6 +1,9 @@
-"""Shared test helpers: acceptance-criterion recording and summary printout."""
+"""Shared test helpers: acceptance-criterion recording and summary printout, and a bitwise array check."""
 
 from __future__ import annotations
+
+import numpy as np
+from numpy.testing import assert_array_equal
 
 _ACCEPTANCE_RESULTS: list[tuple[float, str, bool, str]] = []
 
@@ -8,6 +11,13 @@ _ACCEPTANCE_RESULTS: list[tuple[float, str, bool, str]] = []
 def record_criterion(num: float, description: str, passed: bool, detail: str = "") -> None:
     """Register one acceptance-criterion outcome for the terminal summary."""
     _ACCEPTANCE_RESULTS.append((num, description, passed, detail))
+
+
+def assert_same_bits(a, b) -> None:
+    """The two float arrays hold the same bits: unlike ``==``, this tells -0.0 from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -257,10 +257,15 @@ class TestGraphStructure:
 
     def test_arc_index_rejects_non_arcs(self):
         g = triangle()
-        # 0 * 3 + 5 is the key of arc (1, 2), so the range check must catch it
-        for i, j in [(0, 0), (0, 5), (-1, 2), (3, 0)]:
+        # ids out of range, also one past int64, raise KeyError and not IndexError
+        for i, j in [(0, 0), (0, 5), (-1, 2), (3, 0), (2**64, 0)]:
             with pytest.raises(KeyError):
                 g.arc_index(i, j)
+        # vertex 0's one head is 2, so the search for head 3 runs past its slice onto arc (1, 3)
+        g = Graph.from_edges(4, [(0, 2), (1, 3), (2, 3)])
+        assert g.arc_index(1, 3) == 1
+        with pytest.raises(KeyError):
+            g.arc_index(0, 3)
 
     def test_partner_is_involution(self):
         g = random_simple_graph(np.random.default_rng(0))

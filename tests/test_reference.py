@@ -11,9 +11,9 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import assert_same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
 
 from coinwalk.graph import (
     GenericThreeSpec,
@@ -104,7 +104,7 @@ def loop_coin(alpha, mean2, marked, scheme):
     """One amplitude's coin output, the query folded in; ``mean2`` is 2 s / d of its location."""
     if not marked:
         return mean2 - alpha
-    return -alpha if scheme is CoinScheme.AKR else alpha - mean2
+    return -alpha if scheme is CoinScheme.AKR else -(mean2 - alpha)
 
 
 def loop_torus_step(amp, marked, scheme):
@@ -162,11 +162,6 @@ def loop_graph_conditions(g, amp, marked, tol):
     cond1 = vals.size == 0 or bool(np.max(np.abs(vals - vals.mean())) <= tol)
     cond2 = all(abs(float(amp[g.arc_slice(v)].sum())) <= tol for v in vs)
     return cond1, cond2, bool(np.max(np.abs(amp - amp[g.partner])) <= tol)
-
-
-def assert_same_bits(a, b):
-    assert a.shape == b.shape
-    assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @st.composite

@@ -1,24 +1,29 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_same_bits
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from coinwalk.graph import (
     Graph,
+    GraphState,
     graph_step,
     graph_uniform_state,
     parse_edge_list,
     parse_vertex_ids,
     torus_graph,
 )
+from coinwalk.graph import _jagged_arcs
 from coinwalk.grid import (
     CoinScheme,
     GridState,
     MarkedSet,
+    _Band,
     _Fold,
     _frame_coins,
     apply_coin,
@@ -30,6 +35,7 @@ from coinwalk import runner
 from coinwalk.runner import (
     _OVERLAP_BOUND,
     RunSeries,
+    _graph_walk,
     _horizon,
     _mirror_axis,
     _torus_band,
@@ -343,14 +349,14 @@ class TestMirrorBand:
         coin0, coin1 = _frame_coins(work, scheme, half, flats, band.ghosts(work, half))
         coin0()
         coined = apply_coin(GridState(n, amp), scheme, marked).amp
-        assert_array_equal(half, half_sums(amp)[cells])
-        assert_array_equal(work, coined[:, cells[0], cells[1]])
+        assert_same_bits(half, half_sums(amp)[cells])
+        assert_same_bits(work, coined[:, cells[0], cells[1]])
         once = step(GridState(n, amp), scheme, marked)
         sel = work.reshape(-1)[flats[1]]
         assert float(np.sum(sel * sel)) == marked_probability(once, marked)
         coin1()
-        assert_array_equal(half, half_sums(once.amp)[cells])
-        assert_array_equal(work, step(once, scheme, marked).amp[:, cells[0], cells[1]])
+        assert_same_bits(half, half_sums(once.amp)[cells])
+        assert_same_bits(work, step(once, scheme, marked).amp[:, cells[0], cells[1]])
 
     @settings(deadline=None, max_examples=100)
     @given(mirror_sets())
@@ -364,8 +370,8 @@ class TestMirrorBand:
         state = uniform_state(n)
         for _ in range(3 * n):
             state = step(state, scheme, marked)
-            assert_array_equal(mirrored(state.amp, cx, 1), state.amp)
-            assert_array_equal(mirrored(state.amp, cy, 2), state.amp)
+            assert_same_bits(mirrored(state.amp, cx, 1), state.amp)
+            assert_same_bits(mirrored(state.amp, cy, 2), state.amp)
 
     @settings(deadline=None, max_examples=200)
     @given(st.integers(2, 9).flatmap(
@@ -403,6 +409,66 @@ class TestMirrorBand:
         image = (found - columns) % n
         assert set(columns) | set(image) == set(range(n))
         assert set(columns) & set(image) == set(columns[fixed])
+
+
+class TestStartState:
+    """The torus walk allocates only its band; its start state is a stride-0 view."""
+
+    def test_holds_less_than_twice_its_band(self):
+        n, marked = 200, centered_block(200, 3, 3)
+        band = _torus_band(marked)
+        band_bytes = 32 * band.x.size * band.y.size
+        runner._torus_walk(n, marked, CoinScheme.GROVER)  # first-call set-up is not the walk's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            walk = runner._torus_walk(n, marked, CoinScheme.GROVER)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert walk[0].shape == (4, n, n) and not walk[0].flags.writeable
+        # the band, its half sums, their signed counts and the coin's scratch: 7 w h floats
+        assert held < 2 * band_bytes
+
+    def test_start_state_sums_as_the_filled_one(self):
+        # _drive takes the step-0 overlap from the start state's sum; if a numpy release sums
+        # the stride-0 view in another order than the filled array, this fails
+        for n in range(2, 131):
+            start = runner._torus_walk(n, MarkedSet.empty(n), CoinScheme.GROVER)[0]
+            filled = uniform_state(n).amp
+            assert start.shape == filled.shape and start.strides == (0, 0, 0)
+            assert start.flat[0] == filled.flat[0]
+            assert_same_bits(start.sum(), filled.sum())
+
+
+class TestGroverTie:
+    """A Grover marked amplitude equal to 2 s / d: every path writes -(2 s / d - alpha), a -0.0."""
+
+    def test_every_path_writes_the_same_zero(self):
+        n, scheme, cell = 4, CoinScheme.GROVER, (1, 1)
+        marked = MarkedSet(n, [cell])
+        amp = np.zeros((4, n, n))
+        amp[:, 1, 1] = 1.0, 1.0, 0.0, 0.0
+        stepped = step(GridState(n, amp), scheme, marked).amp
+        # UP and DOWN of cell (1, 1) move to DOWN of (1, 0) and UP of (1, 2)
+        assert np.signbit(stepped[1, 1, 0]) and np.signbit(stepped[0, 1, 2])
+        whole = _Fold(n, 0, n, None)
+        band = _Band(whole, whole)
+        work, half = amp.copy(), np.empty((n, n))
+        coin0 = _frame_coins(work, scheme, half, band.frames(marked), band.ghosts(work, half))[0]
+        coin0()
+        assert_same_bits(work, apply_coin(GridState(n, amp), scheme, marked).amp)
+
+        g, v = torus_graph(n), cell[0] * n + cell[1]
+        arc_amp = np.zeros(g.arc_count)
+        arc_amp[g.arc_slice(v)] = 1.0, 1.0, 0.0, 0.0
+        arc_stepped = graph_step(GraphState(g, arc_amp), [v], scheme).amp
+        assert np.signbit(arc_stepped[g.partner[g.arc_slice(v)][:2]]).all()
+        layout, advance = _graph_walk(g, [v], scheme)[:2]
+        arcs = _jagged_arcs(g)[1]
+        layout[...] = arc_amp[arcs]
+        advance()
+        assert_same_bits(layout, arc_stepped[arcs])
 
 
 class TestDiagonalBaseline:
