@@ -457,10 +457,11 @@ def cmd_table(args: argparse.Namespace) -> int:
 
     row_dicts = [{**dataclasses.asdict(r), "scheme": r.scheme.value} for r in report.rows]
     ratio_dicts = [dataclasses.asdict(r) for r in report.ratios]
-    rows_name = f"{args.output or 'table'}_rows.{args.format}"
+    prefix = args.output or "table"
+    rows_name, ratios_name = f"{prefix}_rows.{args.format}", f"{prefix}_ratios.{args.format}"
     with _output_errors():
         rows_path = _output_path(args.output and rows_name, rows_name)
-        ratios_path = rows_path.with_name(rows_path.name.replace("_rows.", "_ratios."))
+        ratios_path = _output_path(args.output and ratios_name, ratios_name)
         if args.format == "csv":
             write_table_csv(rows_path, row_dicts)
             write_table_csv(ratios_path, ratio_dicts)

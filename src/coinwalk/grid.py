@@ -225,6 +225,27 @@ def apply_shift(state: GridState) -> GridState:
     return GridState.from_flat(state.n, out)
 
 
+def _mirror_axis(marked: MarkedSet, transposed: bool = False) -> int | None:
+    """An axis c with (x, y) marked iff (x, c - y mod n) marked, or None.
+
+    With ``transposed`` x and y swap roles: the axis of the x-mirror, read
+    from views of the set, not from a copy. The mirror of a marked cell lies
+    in its own row x, so the candidates are the sums of the first cell's y
+    with the y of each cell in its row; the smallest that maps the set into
+    itself maps it onto itself.
+    """
+    if not len(marked):
+        return 0
+    n, xs, ys, mask = marked.n, marked.xs, marked.ys, marked.mask
+    if transposed:
+        xs, ys, mask = ys, xs, mask.T
+    # a set, not np.unique: numpy's sort would page in code that no step runs
+    for c in sorted({(int(ys[0]) + y) % n for y in ys[xs == xs[0]].tolist()}):
+        if mask[xs, (c - ys) % n].all():
+            return c
+    return None
+
+
 class _Fold(NamedTuple):
     """The lines ``start + j`` (mod n), ``j < size``, that a walk holds along one axis of the torus.
 
@@ -245,6 +266,24 @@ class _Fold(NamedTuple):
     size: int
     c: int | None
 
+    @classmethod
+    def of(cls, n: int, c: int | None) -> "_Fold":
+        """One fundamental domain of the mirror ``p -> c - p`` along an axis of the side-n torus.
+
+        The domain runs from the site axis (``2 start = c``) or from the line
+        past the bond axis (``2 start = c + 1``), over ``n/2 + 1`` lines between
+        two site axes, ``n/2`` between two bond axes and ``(n + 1)/2`` for odd
+        n, which has one of each. No axis, or a domain of fewer than 3 lines,
+        keeps the whole axis.
+        """
+        if c is not None:
+            even = n % 2 == 0
+            start = (c + 1) // 2 if even else c * (n + 1) // 2 % n
+            size = n // 2 + 1 if even and c % 2 == 0 else (n + 1) // 2
+            if size >= 3:
+                return cls(n, start, size, c)
+        return cls(n, 0, n, None)
+
     @property
     def axis(self) -> list[int]:
         """The fold's site-axis lines: 0, size - 1, both or neither (always neither for the whole axis)."""
@@ -261,9 +300,11 @@ class _Fold(NamedTuple):
         return self.size - 2 if self.size - 1 in self.axis else self.size - 1
 
     @property
-    def off_axis(self) -> slice:
-        """The lines whose mirror image is another line, held once for both: none on the whole axis."""
-        return slice(0) if self.c is None else slice(self.near, self.far + 1)
+    def weights(self) -> np.ndarray:
+        """How many torus lines each line stands for: 2 off the mirror's axes, 1 on them and on the whole axis."""
+        weights = np.full(self.size, 1.0 if self.c is None else 2.0)
+        weights[self.axis] = 1.0
+        return weights
 
     def fold(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The fold's line of each position p on the axis, and whether it is its mirror image's."""
@@ -297,11 +338,18 @@ class _Band(NamedTuple):
     it or a quarter. It holds a state in a (4, w, h) buffer, ``w`` and ``h``
     the folds' sizes; a cell outside it is read at its mirror image, with
     UP and DOWN swapped across the y-mirror and LEFT and RIGHT across the
-    x-mirror.
+    x-mirror. A band cell stands for ``x.weights[i] * y.weights[j]`` cells
+    of the torus: 1, 2 or 4.
     """
 
     x: _Fold
     y: _Fold
+
+    @classmethod
+    def of(cls, marked: MarkedSet) -> "_Band":
+        """The band a walk on ``marked`` holds: a fundamental domain of the set's x-mirror and y-mirror, if any."""
+        n = marked.n
+        return cls(_Fold.of(n, _mirror_axis(marked, transposed=True)), _Fold.of(n, _mirror_axis(marked)))
 
     def positions(self, planes: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Flat positions in the band of the amplitudes (plane, x, y), any x and y."""

@@ -12,7 +12,6 @@ start state) after every step. Two step counts come out of a series:
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, _arc_probability, _jagged_arcs, graph_uniform_state
-from .grid import CoinScheme, MarkedSet, _Band, _check_block, _check_memory, _check_side, _Fold, _frame_coins
+from .grid import CoinScheme, MarkedSet, _Band, _check_block, _check_memory, _check_side, _frame_coins
 
 __all__ = [
     "LARGE_N_THRESHOLD",
@@ -144,9 +143,9 @@ def _drive(
     it wherever it lies outside ``±c eps`` (``_OVERLAP_BOUND``, c = 128);
     inside, the step falls back to ``amp[0]`` times ``exact_total``, an
     ``math.fsum`` of every amplitude of the state (the torus walk's band
-    adds the amplitudes it holds once for each of their mirror images), so
-    that is the exactly rounded overlap, and it is what the series records at
-    such a step.
+    weighs each amplitude it holds by the torus cells its cell stands for),
+    so that is the exactly rounded overlap, and it is what the series
+    records at such a step.
 
     The bound: numpy's pairwise sum of m terms takes each term through at
     most L(m) <= 26 + max(0, ceil(log2(m / 128))) roundings (8 accumulators
@@ -204,59 +203,14 @@ def _drive(
     return RunSeries(prob, ov, peak_step, peak_probability, halt_step, halt_probability)
 
 
-def _mirror_axis(marked: MarkedSet, transposed: bool = False) -> int | None:
-    """An axis c with (x, y) marked iff (x, c - y mod n) marked, or None.
-
-    With ``transposed`` x and y swap roles: the axis of the x-mirror, read
-    from views of the set, not from a copy. The mirror of a marked cell lies
-    in its own row x, so the candidates are the sums of the first cell's y
-    with the y of each cell in its row; the smallest that maps the set into
-    itself maps it onto itself.
-    """
-    if not len(marked):
-        return 0
-    n, xs, ys, mask = marked.n, marked.xs, marked.ys, marked.mask
-    if transposed:
-        xs, ys, mask = ys, xs, mask.T
-    # a set, not np.unique: numpy's sort would page in code that no step runs
-    for c in sorted({(int(ys[0]) + y) % n for y in ys[xs == xs[0]].tolist()}):
-        if mask[xs, (c - ys) % n].all():
-            return c
-    return None
-
-
-def _torus_fold(n: int, c: int | None) -> _Fold:
-    """One fundamental domain of the mirror ``p -> c - p`` along an axis of the side-n torus.
-
-    The domain runs from the site axis (``2 start = c``) or from the line
-    past the bond axis (``2 start = c + 1``), over ``n/2 + 1`` lines between
-    two site axes, ``n/2`` between two bond axes and ``(n + 1)/2`` for odd
-    n, which has one of each. No axis, or a domain of fewer than 3 lines,
-    keeps the whole axis.
-    """
-    if c is not None:
-        even = n % 2 == 0
-        start = (c + 1) // 2 if even else c * (n + 1) // 2 % n
-        size = n // 2 + 1 if even and c % 2 == 0 else (n + 1) // 2
-        if size >= 3:
-            return _Fold(n, start, size, c)
-    return _Fold(n, 0, n, None)
-
-
-def _torus_band(marked: MarkedSet) -> _Band:
-    """The band :func:`_torus_walk` holds: a fundamental domain of the set's x-mirror and y-mirror, if any."""
-    n = marked.n
-    return _Band(_torus_fold(n, _mirror_axis(marked, transposed=True)), _torus_fold(n, _mirror_axis(marked)))
-
-
 def _torus_walk(
     n: int, marked: MarkedSet, scheme: CoinScheme
 ) -> _Walk:
     """Start state, step, marked-probability gather and exact total of the torus walk for :func:`_drive`.
 
-    The state stays in one (4, w, h) band (see :class:`grid._Band`): the
-    whole torus, or, along each axis where the marked set has a mirror, one
-    fundamental domain of it, so a block is held on a quarter of the torus.
+    The state stays in one (4, w, h) band, :meth:`grid._Band.of` the marked
+    set: the whole torus, or, along each axis where the set has a mirror,
+    one fundamental domain of it, so a block is held on a quarter of the torus.
     The coin adds ``(u + d) + (l + r)``, the y-mirror swaps ``u`` and ``d``
     and the x-mirror ``l`` and ``r``, so each maps the walk state onto
     itself bit for bit and the band holds the whole state. The coins of
@@ -270,37 +224,34 @@ def _torus_walk(
     Grover diffusion keeps a cell's sum, both marked coins negate it and the
     shift only moves amplitudes, so the total after the step is twice the
     torus's half sums with the marked ones negated. A band cell stands for
-    itself and its mirror images: 2 cells along each mirror, 1 on the
-    mirror's site axis or along an axis without one, so 1, 2 or 4 in all,
-    all marked or all unmarked. So the total is twice one sum over the band
-    of ``half`` times these signed counts, row by row and then over the
+    itself and its mirror images, the product of its row's and its column's
+    :attr:`grid._Fold.weights`: 1, 2 or 4, all marked or all unmarked. So
+    the total is twice one sum over the band of ``half`` times these counts,
+    negated at the marked cells (``signed``), row by row and then over the
     rows. On a quarter that is ``2 (4 H - 2 A_col - 2 A_row + A_both - 2
     M)`` (H the band's half sums, A those of its axis columns, rows and
     their crossings, M the marked cells'), but summed in that grouping the
     marked sum cancels against the whole: on 400 dense doubly symmetric sets
     it was off an exact sum by up to 1.2e-15, the signed sum by at most
-    3.3e-16. The exact total sums the band with the lines off the axes
-    again, once per mirror.
+    3.3e-16. The exact total is an ``math.fsum`` of the band's amplitudes
+    times the same counts; multiplying by 1, 2 or 4 is exact, so it is the
+    exactly rounded total of the whole torus.
     """
     if marked.n != n:
         raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
     a = 1.0 / math.sqrt(4.0 * n * n)  # the uniform amplitude, as grid.uniform_state rounds it
-    band = _torus_band(marked)
+    band = _Band.of(marked)
     w, h = band.x.size, band.y.size
     work = np.full((4, w, h), a)
     half = np.empty((w, h))
     index = band.frames(marked)
     coins = _frame_coins(work, scheme, half, index, band.ghosts(work, half))
     flat = work.reshape(-1)
-    xo, yo = band.x.off_axis, band.y.off_axis
     # how many torus cells each band cell stands for, negated at the marked ones
-    signed = np.ones((w, h))
-    signed[xo] *= 2.0
-    signed[:, yo] *= 2.0
+    signed = np.multiply.outer(band.x.weights, band.y.weights)
     i, j = band.x.fold(marked.xs)[0], band.y.fold(marked.ys)[0]
     signed[i, j] = -signed[i, j]
     row_sums, sel = np.empty(w), np.empty(4 * len(marked))
-    again = work[:, xo], work[:, :, yo], work[:, xo, yo]
     frame = 0
 
     def advance() -> float:
@@ -318,8 +269,8 @@ def _torus_walk(
         return float(np.add.reduce(sel))
 
     def exact() -> float:
-        # the memoryviews of the flat buffers hand fsum Python floats without a list
-        return math.fsum(itertools.chain(flat.data, *(part.ravel().data for part in again)))
+        # the memoryview of the flat product hands fsum Python floats without a list
+        return math.fsum((work * np.abs(signed)).reshape(-1).data)
 
     return np.broadcast_to(a, (4, n, n)), advance, probability, exact
 

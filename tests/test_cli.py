@@ -278,6 +278,12 @@ class TestTable:
         rows = read_table_json(Path(prefix + "_rows.json"))
         assert rows and rows[0]["n"] == 30
 
+    def test_prefix_holding_rows_names_both_files_from_it(self, tmp_path, capsys):
+        prefix = str(tmp_path / "run_rows.v1")
+        assert run_cli("table", "--sizes", "10", "--blocks", "3", "--output", prefix) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run_rows.v1_ratios.csv", "run_rows.v1_rows.csv"]
+        assert f"and {prefix}_ratios.csv (1 ratios)" in capsys.readouterr().out
+
     def test_empty_sizes_exit_2(self):
         assert run_cli("table", "--sizes", "", "--blocks", "3") == 2
 

@@ -26,6 +26,7 @@ from coinwalk.grid import (
     _Band,
     _Fold,
     _frame_coins,
+    _mirror_axis,
     apply_coin,
     marked_probability,
     step,
@@ -37,8 +38,6 @@ from coinwalk.runner import (
     RunSeries,
     _graph_walk,
     _horizon,
-    _mirror_axis,
-    _torus_band,
     centered_block,
     default_horizon,
     detect_peak,
@@ -80,19 +79,30 @@ def half_sums(amp):
     return ((amp[0] + amp[1]) + (amp[2] + amp[3])) * 0.5
 
 
+def band_lines(band):
+    """The torus rows and columns that the band holds, in its order."""
+    return [(fold.start + np.arange(fold.size)) % fold.n for fold in band]
+
+
+def band_images(band):
+    """How many torus rows and columns each band row and column stands for.
+
+    2 along a mirror, 1 on its axis or without one, read from the lines' positions alone.
+    """
+    return [
+        np.array([1 if fold.c is None or (2 * p - fold.c) % fold.n == 0 else 2 for p in ps])
+        for fold, ps in zip(band, band_lines(band))
+    ]
+
+
 def fast_total(h, marked, band):
     """The torus walk's total after a coin, from that coin's half sums ``h`` on the whole torus.
 
     Each of the band's half sums times the number of torus cells it stands
-    for (2 along a mirror, 1 on its axis or without one), negated at the
-    marked cells, in one sum: the formula of the path the walk takes.
+    for (see :func:`band_images`), negated at the marked cells, in one sum:
+    the formula of the path the walk takes.
     """
-    n = marked.n
-    lines = [(fold.start + np.arange(fold.size)) % n for fold in band]
-    images = [
-        np.array([1 if fold.c is None or (2 * p - fold.c) % n == 0 else 2 for p in ps])
-        for fold, ps in zip(band, lines)
-    ]
+    lines, images = band_lines(band), band_images(band)
     held = h[np.ix_(*lines)] * images[0][:, None] * images[1]
     held[marked.mask[np.ix_(*lines)]] *= -1.0
     # the walk sums each row of its (w, h) band, then the row sums
@@ -136,6 +146,15 @@ def mirror_sets(draw):
             c = draw(coord)
             cells = cells + [(c - x, y) for x, y in cells]
         marked = MarkedSet(n, cells)
+    return n, marked, draw(st.sampled_from(list(CoinScheme)))
+
+
+@st.composite
+def plain_sets(draw):
+    """Side 2..13 and up to n cells anywhere, most without a mirror, and a coin."""
+    n = draw(st.integers(2, 13))
+    coord = st.integers(0, n - 1)
+    marked = MarkedSet(n, draw(st.lists(st.tuples(coord, coord), max_size=n)))
     return n, marked, draw(st.sampled_from(list(CoinScheme)))
 
 
@@ -212,7 +231,7 @@ class TestRunWalk:
         # band), except within the bound, where they are exact sums; the exact sum's halt step
         n, marked, scheme, horizon = walk
         series = run_walk(n, marked, scheme, horizon)
-        band = _torus_band(marked)
+        band = _Band.of(marked)
         state = uniform_state(n)
         a0 = state.amp[0, 0, 0]
         prob, exact, direct = np.empty(horizon + 1), np.empty(horizon + 1), np.empty(horizon + 1)
@@ -331,7 +350,7 @@ class TestMirrorBand:
         # frame 1 on the band equal two full steps at the band's cells, bit for bit; the
         # band's seam rows and columns read the torus wrap or the mirror ghosts
         n, marked, scheme = case
-        band = _torus_band(marked)
+        band = _Band.of(marked)
         if band.x.c is None and band.y.c is None:
             return
         rng = np.random.default_rng(seed)
@@ -391,10 +410,10 @@ class TestMirrorBand:
         axes = [a for a in range(n) if {(x, (a - y) % n) for x, y in marked} == marked.cells]
         found = _mirror_axis(marked)
         assert found == (axes[0] if axes else None)
-        band = _torus_band(marked)
+        band = _Band.of(marked)
         # the rows are folded as the columns of the transposed set, read through views
         assert _mirror_axis(marked, transposed=True) == _mirror_axis(transposed(marked))
-        assert band.x == _torus_band(transposed(marked)).y
+        assert band.x == _Band.of(transposed(marked)).y
         fold = band.y
         if found is None or fold.c is None:
             # no axis, or a domain of fewer than 3 columns: the whole axis
@@ -411,12 +430,49 @@ class TestMirrorBand:
         assert set(columns) & set(image) == set(columns[fixed])
 
 
+class TestBandCounts:
+    """How many torus cells each band cell stands for, and the exact total that reads those counts."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(mirror_sets(), plain_sets()))
+    @example((9, MarkedSet(9, [(0, 0), (2, 1), (3, 5)]), CoinScheme.AKR))  # no mirror
+    @example((10, MarkedSet(10, [(1, 2), (1, 6), (4, 4)]), CoinScheme.GROVER))  # y-mirror only
+    @example((10, MarkedSet.from_block(10, (9, 4), 2, 2), CoinScheme.GROVER))  # bond axes both ways
+    @example((9, MarkedSet.from_block(9, (3, 3), 3, 3), CoinScheme.AKR))  # odd n: site, bond
+    def test_counts_cover_the_torus(self, case):
+        n, marked, _ = case
+        band = _Band.of(marked)
+        counts = np.multiply.outer(band.x.weights, band.y.weights)
+        assert counts.sum() == n * n
+        images = band_images(band)
+        assert_array_equal(counts, np.multiply.outer(*images))
+        # every torus cell folds onto the band cell that counts it
+        i, j = band.x.fold(np.arange(n))[0], band.y.fold(np.arange(n))[0]
+        assert_array_equal(counts, np.bincount((i[:, None] * band.y.size + j).ravel()).reshape(counts.shape))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(mirror_sets(), plain_sets()), st.integers(0, 40))
+    @example((9, MarkedSet(9, [(0, 0), (2, 1), (3, 5)]), CoinScheme.AKR), 7)  # no mirror
+    @example((10, MarkedSet(10, [(1, 2), (1, 6), (4, 4)]), CoinScheme.GROVER), 5)  # y-mirror only
+    @example((10, MarkedSet.from_block(10, (9, 4), 2, 2), CoinScheme.GROVER), 3)  # bond axes both ways
+    @example((9, MarkedSet.from_block(9, (3, 3), 3, 3), CoinScheme.AKR), 4)  # odd n: site, bond
+    def test_exact_total_is_the_whole_torus_fsum(self, case, t):
+        # after an odd step the band holds the coin's output, a permutation of the state's
+        n, marked, scheme = case
+        _, advance, _, exact = runner._torus_walk(n, marked, scheme)
+        state = uniform_state(n)
+        for _ in range(t):
+            advance()
+            state = step(state, scheme, marked)
+        assert_same_bits(exact(), math.fsum(state.amp.ravel()))
+
+
 class TestStartState:
     """The torus walk allocates only its band; its start state is a stride-0 view."""
 
     def test_holds_less_than_twice_its_band(self):
         n, marked = 200, centered_block(200, 3, 3)
-        band = _torus_band(marked)
+        band = _Band.of(marked)
         band_bytes = 32 * band.x.size * band.y.size
         runner._torus_walk(n, marked, CoinScheme.GROVER)  # first-call set-up is not the walk's
         tracemalloc.start()
