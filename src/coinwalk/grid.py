@@ -256,9 +256,8 @@ class _Fold(NamedTuple):
     fold is one fundamental domain: it runs from one axis of the mirror to
     the other. An axis through a line of cells (a site axis) is a line of
     the fold, one between two lines (a bond axis) lies beyond the fold's
-    edge. ``near`` and ``far`` are the lines that the mirror puts in place
-    of lines -1 and ``size``; the lines from ``near`` to ``far`` are the
-    ones off the axes.
+    edge. :meth:`fold` is the one statement of this geometry: the fold's
+    :attr:`weights` and :meth:`seams` are read off it.
     """
 
     n: int
@@ -284,28 +283,6 @@ class _Fold(NamedTuple):
                 return cls(n, start, size, c)
         return cls(n, 0, n, None)
 
-    @property
-    def axis(self) -> list[int]:
-        """The fold's site-axis lines: 0, size - 1, both or neither (always neither for the whole axis)."""
-        if self.c is None:
-            return []
-        return [j for j in (0, self.size - 1) if (2 * (self.start + j) - self.c) % self.n == 0]
-
-    @property
-    def near(self) -> int:
-        return 1 if 0 in self.axis else 0
-
-    @property
-    def far(self) -> int:
-        return self.size - 2 if self.size - 1 in self.axis else self.size - 1
-
-    @property
-    def weights(self) -> np.ndarray:
-        """How many torus lines each line stands for: 2 off the mirror's axes, 1 on them and on the whole axis."""
-        weights = np.full(self.size, 1.0 if self.c is None else 2.0)
-        weights[self.axis] = 1.0
-        return weights
-
     def fold(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The fold's line of each position p on the axis, and whether it is its mirror image's."""
         n, start, size, c = self
@@ -315,19 +292,25 @@ class _Fold(NamedTuple):
         mirrored = j >= size
         return np.where(mirrored, (c - ps - start) % n, j), mirrored
 
+    @property
+    def weights(self) -> np.ndarray:
+        """How many torus lines each line stands for: how many positions :meth:`fold` maps onto it.
+
+        2 off the mirror's axes, 1 on its site axes and on the whole axis.
+        """
+        return np.bincount(self.fold(np.arange(self.n))[0], minlength=self.size).astype(float)
+
     def seams(self, before: np.ndarray, after: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
         """Frame 1's sources at the fold's edges, the lines -1 and ``size``.
 
         ``before`` and ``half`` of line -1, then ``after`` and ``half`` of
         line ``size``. ``before`` is the plane of the direction that moves up
         the axis (DOWN or RIGHT), ``after`` its opposite; the fold's axis is
-        the first axis of all three. The torus wraps the lines to ``size - 1``
-        and 0; the mirror swaps the two planes and reads them at ``near`` and
-        ``far``.
+        the first axis of all three. Each line is read at its :meth:`fold`
+        line, from the opposite plane where that is its mirror image.
         """
-        if self.c is None:
-            return before[-1], half[-1], after[0], half[0]
-        return after[self.near], half[self.near], before[self.far], half[self.far]
+        (j0, j1), (m0, m1) = self.fold(np.array([self.start - 1, self.start + self.size]))
+        return (after if m0 else before)[j0], half[j0], (before if m1 else after)[j1], half[j1]
 
 
 class _Band(NamedTuple):
@@ -339,7 +322,8 @@ class _Band(NamedTuple):
     the folds' sizes; a cell outside it is read at its mirror image, with
     UP and DOWN swapped across the y-mirror and LEFT and RIGHT across the
     x-mirror. A band cell stands for ``x.weights[i] * y.weights[j]`` cells
-    of the torus: 1, 2 or 4.
+    of the torus: 1, 2 or 4. :func:`_frame_coins` reads the cells just
+    outside it from each fold's :meth:`_Fold.seams`.
     """
 
     x: _Fold
@@ -368,26 +352,17 @@ class _Band(NamedTuple):
         xs, ys, d = marked.xs[:, None], marked.ys[:, None], np.arange(4)
         return self.positions(d, xs, ys), self.positions(d ^ 1, xs + np.array(_DX), ys + np.array(_DY))
 
-    def ghosts(self, work: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The seam sources of frame 1, the y fold's then the x fold's (see :meth:`_Fold.seams`).
-
-        DOWN and ``half`` of column -1, UP and ``half`` of column h, RIGHT
-        and ``half`` of row -1, LEFT and ``half`` of row w.
-        """
-        up, down, left, right = work
-        return self.y.seams(down.T, up.T, half.T) + self.x.seams(right, left, half)
-
 
 def _frame_coins(
     work: np.ndarray,
     scheme: CoinScheme,
     half: np.ndarray,
     flats: tuple[np.ndarray, ...],
-    ghosts: tuple[np.ndarray, ...],
+    band: _Band,
 ) -> tuple[Callable[[], None], Callable[[], None]]:
     """The in-place coins of ``work`` in frame 0 and in frame 1, each bound once.
 
-    ``work`` is a (4, w, h) band of a state (see :class:`_Band`) and ``half``
+    ``work`` is a (4, w, h) state held on ``band`` (see :class:`_Band`) and ``half``
     (w, h) scratch. Unmarked cells get Grover diffusion (alpha -> s/2 -
     alpha with s the cell's amplitude sum); marked cells get the scheme's
     effective coin: -I under AKR, -D (alpha -> -(s/2 - alpha)) under GROVER.
@@ -407,11 +382,11 @@ def _frame_coins(
     next shift is again a relabel and leaves the state in frame 0. Both coins
     add in the same order as :func:`step`, so after the two coins every
     amplitude equals that of two :func:`step` calls, bit for bit. At the
-    band's edges frame 1 reads DOWN and ``half`` of column -1, UP and
-    ``half`` of column h, RIGHT and ``half`` of row -1 and LEFT and ``half``
-    of row w from ``ghosts``, in that order (:meth:`_Band.ghosts`); the
-    kernel is the same for the torus seams and for the mirrors'. Frame 1
-    needs w, h >= 2.
+    band's edges frame 1 reads DOWN and ``half`` of column -1 and UP and
+    ``half`` of column h from ``band.y``'s seams, RIGHT and ``half`` of row
+    -1 and LEFT and ``half`` of row w from ``band.x``'s (see
+    :meth:`_Fold.seams`); the kernel is the same for the torus seams and for
+    the mirrors'. Frame 1 needs w, h >= 2.
     """
     up, down, left, right = work
     flat = work.reshape(-1)
@@ -441,14 +416,15 @@ def _frame_coins(
 
     h_flat, seam = half.reshape(-1), np.empty(work.shape[1])
     up_flat, down_flat = up.reshape(-1), down.reshape(-1)
-    down_before, half_before, up_after, half_after, right_before, row_before, left_after, row_after = ghosts
+    down_before, half_before, up_after, half_after = band.y.seams(down.T, up.T, half.T)
+    right_before, row_before, left_after, row_after = band.x.seams(right, left, half)
     # UP + DOWN of cell (x, y) sit at down[x, y-1] and up[x, y+1]: one flat
-    # offset op for the bulk; the seam columns 0 and h-1 read the ghosts
+    # offset op for the bulk; the seam columns 0 and h-1 read the seams
     ud_bulk = down_flat[:-2], up_flat[2:], h_flat[1:-1]
     ud_first = down_before, up[:, 1], half[:, 0]
     ud_last = down[:, -2], up_after, half[:, -1]
     # LEFT + RIGHT of cell (x, y) sit at right[x-1, y] and left[x+1, y]; the
-    # seam rows 0 and w-1 read the ghosts
+    # seam rows 0 and w-1 read the seams
     lr_bulk = right[:-2], left[2:], lr[1:-1]
     lr_first = right_before, left[1], lr[0]
     lr_last = right[-2], left_after, lr[-1]

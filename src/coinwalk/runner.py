@@ -111,6 +111,14 @@ _Walk = tuple[np.ndarray, Callable[[], float], Callable[[], float], Callable[[],
 _OVERLAP_BOUND = 128 * np.finfo(float).eps
 
 
+def _check_horizon(horizon: int, record_overlap: bool) -> None:
+    """Reject a horizon below 1, or one whose series memory cannot hold (see ``grid._check_memory``)."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    series_bytes = 8 * (horizon + 1) * (2 if record_overlap else 1)
+    _check_memory(series_bytes, f"horizon {horizon} needs {series_bytes} bytes for its series")
+
+
 def _drive(
     amp: np.ndarray,
     advance: Callable[[], float],
@@ -134,9 +142,9 @@ def _drive(
     is kept. With ``stop_at_halt`` the run ends right after the crossing and
     the series is truncated there. With a ``deadline`` (a ``time.monotonic()``
     value) the clock is read every ``_DEADLINE_EVERY`` steps and the run
-    raises :class:`_OutOfTime` once it has passed. A series larger than
-    memory (see ``grid._check_memory``) raises ``ValueError`` before
-    anything is allocated.
+    raises :class:`_OutOfTime` once it has passed. A horizon below 1 or a
+    series larger than memory (:func:`_check_horizon`) raises ``ValueError``
+    before anything is allocated.
 
     The halt step is the first t whose state has an exact total <= 0, so it
     does not depend on the order of the coin's sums. The fast overlap decides
@@ -165,10 +173,7 @@ def _drive(
     below 2^31 (L <= 50) the overlap is off by at most 204 u < 128 eps, and
     the torus's by at most 103 u.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    series_bytes = 8 * (horizon + 1) * (2 if record_overlap else 1)
-    _check_memory(series_bytes, f"horizon {horizon} needs {series_bytes} bytes for its series")
+    _check_horizon(horizon, record_overlap)
     a0 = float(amp.flat[0])
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
@@ -214,7 +219,8 @@ def _torus_walk(
     The coin adds ``(u + d) + (l + r)``, the y-mirror swaps ``u`` and ``d``
     and the x-mirror ``l`` and ``r``, so each maps the walk state onto
     itself bit for bit and the band holds the whole state. The coins of
-    :func:`grid._frame_coins` take the band from frame 0 to frame 1 and
+    :func:`grid._frame_coins`, handed the band to read its edges from its
+    folds' :meth:`grid._Fold.seams`, take it from frame 0 to frame 1 and
     back, and the gather reads the marked amplitudes through the current
     frame's positions, in ``marked.flat`` order. Everything is bound to the
     band once, the only state allocated; the start state is a stride-0 view
@@ -245,7 +251,7 @@ def _torus_walk(
     work = np.full((4, w, h), a)
     half = np.empty((w, h))
     index = band.frames(marked)
-    coins = _frame_coins(work, scheme, half, index, band.ghosts(work, half))
+    coins = _frame_coins(work, scheme, half, index, band)
     flat = work.reshape(-1)
     # how many torus cells each band cell stands for, negated at the marked ones
     signed = np.multiply.outer(band.x.weights, band.y.weights)
@@ -442,13 +448,16 @@ def reproduce_tables(
 ) -> TableReport:
     """Run the (n, k, scheme) grid of halt-rule measurements and their ratios.
 
-    Sizes at or above ``LARGE_N_THRESHOLD`` require ``large_n_opt_in``. Each
-    run stops at ``horizon`` steps (default :func:`default_horizon` of its
-    size). A wall clock budget, when given, is checked before each cell and
-    every ``_DEADLINE_EVERY`` steps inside it; cells that do not finish in it
-    are listed as truncation markers instead of raising. A size below 2, a
-    block side that is not positive or wraps onto itself at some size, or a
-    NaN or negative budget raises ``ValueError`` before any cell runs.
+    Sizes at or above ``LARGE_N_THRESHOLD`` require ``large_n_opt_in``. A
+    size, block side or scheme given twice runs once, where it first
+    appears. Each run stops at ``horizon`` steps (default
+    :func:`default_horizon` of its size). A wall clock budget, when given,
+    is checked before each cell and every ``_DEADLINE_EVERY`` steps inside
+    it; cells that do not finish in it are listed as truncation markers
+    instead of raising. A size below 2, a block side that is not positive
+    or wraps onto itself at some size, a horizon below 1 or with a series
+    beyond memory, or a NaN or negative budget raises ``ValueError`` before
+    any cell runs.
     """
     if not sizes:
         raise ValueError("no grid sizes given")
@@ -458,6 +467,10 @@ def reproduce_tables(
         raise ValueError("no coin schemes given")
     if time_budget_s is not None and not time_budget_s >= 0.0:
         raise ValueError(f"time budget must be a number of seconds >= 0, got {time_budget_s}")
+    if horizon is not None:
+        _check_horizon(horizon, record_overlap=False)
+    # a repeated entry would run its cells twice: keep each once, where it first appears
+    sizes, block_sides, schemes = (list(dict.fromkeys(v)) for v in (sizes, block_sides, schemes))
     for n in sizes:
         _check_side(n)
         if n >= LARGE_N_THRESHOLD and not large_n_opt_in:

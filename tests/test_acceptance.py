@@ -269,7 +269,7 @@ class TestCriterion8:
         half = np.empty((n, n))
         whole = _Fold(n, 0, n, None)
         band = _Band(whole, whole)
-        coins = _frame_coins(amp, GROVER, half, band.frames(marked), band.ghosts(amp, half))
+        coins = _frame_coins(amp, GROVER, half, band.frames(marked), band)
         for _ in range(5000):
             for coin in coins:
                 coin()

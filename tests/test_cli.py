@@ -284,6 +284,14 @@ class TestTable:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run_rows.v1_ratios.csv", "run_rows.v1_rows.csv"]
         assert f"and {prefix}_ratios.csv (1 ratios)" in capsys.readouterr().out
 
+    def test_repeated_cell_written_once(self, tmp_path):
+        prefix = str(tmp_path / "t")
+        argv = ["--sizes", "10,10", "--blocks", "3,3", "--coins", "akr,grover,akr", "--output", prefix]
+        assert run_cli("table", *argv) == 0
+        rows = read_table_csv(Path(prefix + "_rows.csv"))
+        assert [(r["n"], r["k"], r["scheme"]) for r in rows] == [(10, 9, "akr"), (10, 9, "grover")]
+        assert len(read_table_csv(Path(prefix + "_ratios.csv"))) == 1
+
     def test_empty_sizes_exit_2(self):
         assert run_cli("table", "--sizes", "", "--blocks", "3") == 2
 
@@ -403,6 +411,10 @@ class TestInvalidInputs:
             ["table", "--sizes", "10", "--blocks", "11", "--budget", "0"],
             ["table", "--sizes", "10", "--blocks", "0", "--budget", "0"],
             ["table", "--sizes", "200,10", "--blocks", "3,11"],
+            # a horizon below 1 or beyond memory, found before the budget ends
+            ["table", "--sizes", "10", "--blocks", "1", "--horizon", "0", "--budget", "0"],
+            ["table", "--sizes", "10", "--blocks", "1", "--horizon", "-1", "--budget", "0"],
+            ["table", "--sizes", "10", "--blocks", "1", "--horizon", str(10**15), "--budget", "0"],
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):

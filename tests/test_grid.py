@@ -39,7 +39,7 @@ def torus_coins(work, scheme, marked, half):
     whole = _Fold(marked.n, 0, marked.n, None)
     band = _Band(whole, whole)
     flats = band.frames(marked)
-    return zip(_frame_coins(work, scheme, half, flats, band.ghosts(work, half)), flats)
+    return zip(_frame_coins(work, scheme, half, flats, band), flats)
 
 
 class TestDirection:
@@ -253,7 +253,7 @@ class TestStep:
         [(n, (x, y)) for n in (2, 3) for x in range(n) for y in range(n) if {x, y} & {0, n - 1}],
     )
     def test_frame_kernels_seam_cells(self, n, cell):
-        # one marked cell at a time on the seam columns and seam rows, which read the ghosts
+        # one marked cell at a time on the seam columns and seam rows, which read the seams
         rng = np.random.default_rng(10 * n + cell[0] * n + cell[1])
         marked = MarkedSet(n, [cell])
         for scheme in CoinScheme:

@@ -5,6 +5,10 @@ the torus and the graph alike. These tests hold them to a loop-by-loop
 assembly of each target's operator, conditions and step: the oracles and the
 steps must agree to the bit, the condition tuples exactly, also with one
 amplitude moved just inside or just outside the tolerance.
+
+The torus walk's mirror band reads its weights and seams off one map,
+``grid._Fold.fold``; these tests also hold them to the axis lines derived by
+hand, for every fold of every side up to 60.
 """
 
 import itertools
@@ -27,7 +31,7 @@ from coinwalk.graph import (
     graph_step,
     graph_uniform_state,
 )
-from coinwalk.grid import _DX, _DY, CoinScheme, Direction, GridState, MarkedSet
+from coinwalk.grid import _DX, _DY, CoinScheme, Direction, GridState, MarkedSet, _Fold
 from coinwalk.grid import dense_step_matrix, step, uniform_state
 from coinwalk.stationary import BlockSpec, StationaryCandidate, build_block_layered, check_conditions
 
@@ -164,6 +168,42 @@ def loop_graph_conditions(g, amp, marked, tol):
     return cond1, cond2, bool(np.max(np.abs(amp - amp[g.partner])) <= tol)
 
 
+def hand_axis(fold):
+    """The fold's site-axis lines: the lines j with 2 (start + j) = c (mod n), none on the whole axis."""
+    if fold.c is None:
+        return []
+    return [j for j in range(fold.size) if (2 * (fold.start + j) - fold.c) % fold.n == 0]
+
+
+def hand_weights(fold):
+    """2 torus lines for each line off the mirror's axes, 1 on them and on the whole axis."""
+    weights = np.full(fold.size, 1.0 if fold.c is None else 2.0)
+    weights[hand_axis(fold)] = 1.0
+    return weights
+
+
+def hand_seams(fold, before, after, half):
+    """Lines -1 and ``size``: the torus wraps them to ``size - 1`` and 0; the mirror swaps the
+    planes and reads them at ``near`` and ``far``, the first and last lines off the axes."""
+    if fold.c is None:
+        return before[fold.size - 1], half[fold.size - 1], after[0], half[0]
+    off = [j for j in range(fold.size) if j not in hand_axis(fold)]
+    near, far = off[0], off[-1]
+    return after[near], half[near], before[far], half[far]
+
+
+def view(a):
+    """What makes two arrays the same view: data pointer, shape and strides."""
+    return a.__array_interface__["data"][0], a.shape, a.strides
+
+
+def every_fold(sides):
+    """Each side's fold of every mirror axis, and its whole axis."""
+    for n in sides:
+        yield _Fold(n, 0, n, None)
+        yield from (_Fold.of(n, c) for c in range(n))
+
+
 @st.composite
 def torus_marked_sets(draw, n_max=6):
     """A side n = 2..n_max and an empty, random or full set of marked cells."""
@@ -284,6 +324,20 @@ class TestStep:
             amp = draw_amp(g.arc_count, seed, False)
             got = graph_step(GraphState(g, amp.copy()), marked, scheme).amp
             assert_same_bits(got, loop_graph_step(g, amp, marked, scheme))
+
+
+class TestFold:
+    def test_weights_match_hand_axis(self):
+        for fold in every_fold(range(2, 61)):
+            assert_same_bits(fold.weights, hand_weights(fold))
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["rows", "columns"])
+    def test_seams_match_hand_axis(self, transpose):
+        # the same views of the same planes: data pointer, shape and strides
+        for fold in every_fold(range(2, 61)):
+            planes = [np.empty((3, fold.size)).T if transpose else np.empty((fold.size, 3)) for _ in range(3)]
+            got, want = fold.seams(*planes), hand_seams(fold, *planes)
+            assert [view(v) for v in got] == [view(v) for v in want]
 
 
 class TestSideMismatch:

@@ -348,7 +348,7 @@ class TestMirrorBand:
     def test_band_coins_match_two_steps(self, case, seed):
         # a random state with the set's mirrors, not only the uniform one: frame 0 then
         # frame 1 on the band equal two full steps at the band's cells, bit for bit; the
-        # band's seam rows and columns read the torus wrap or the mirror ghosts
+        # band's seam rows and columns read the torus wrap or the mirror images
         n, marked, scheme = case
         band = _Band.of(marked)
         if band.x.c is None and band.y.c is None:
@@ -365,7 +365,7 @@ class TestMirrorBand:
         cells = np.ix_(*[(fold.start + np.arange(fold.size)) % n for fold in band])
         work, half = amp[:, cells[0], cells[1]].copy(), np.empty((band.x.size, band.y.size))
         flats = band.frames(marked)
-        coin0, coin1 = _frame_coins(work, scheme, half, flats, band.ghosts(work, half))
+        coin0, coin1 = _frame_coins(work, scheme, half, flats, band)
         coin0()
         coined = apply_coin(GridState(n, amp), scheme, marked).amp
         assert_same_bits(half, half_sums(amp)[cells])
@@ -423,7 +423,8 @@ class TestMirrorBand:
         assert fold.c == found and 3 <= fold.size <= n // 2 + 1
         columns = (fold.start + np.arange(fold.size)) % n
         fixed = [j for j, y in enumerate(columns) if (2 * y - found) % n == 0]
-        assert fixed == fold.axis
+        # the axis columns are the ones the fold maps a single torus column onto
+        assert fixed == np.flatnonzero(fold.weights == 1).tolist()
         # the band and its mirror image cover the torus, overlapping only on the axis columns
         image = (found - columns) % n
         assert set(columns) | set(image) == set(range(n))
@@ -511,7 +512,7 @@ class TestGroverTie:
         whole = _Fold(n, 0, n, None)
         band = _Band(whole, whole)
         work, half = amp.copy(), np.empty((n, n))
-        coin0 = _frame_coins(work, scheme, half, band.frames(marked), band.ghosts(work, half))[0]
+        coin0 = _frame_coins(work, scheme, half, band.frames(marked), band)[0]
         coin0()
         assert_same_bits(work, apply_coin(GridState(n, amp), scheme, marked).amp)
 
@@ -679,6 +680,29 @@ class TestReproduceTables:
         monkeypatch.setattr(runner, "_drive", no_cell)
         with pytest.raises(ValueError, match=message):
             reproduce_tables([200, 10], sides, time_budget_s=budget)
+
+    @pytest.mark.parametrize("budget", [None, 0.0])
+    @pytest.mark.parametrize(
+        "horizon,message",
+        [(0, "^horizon must be at least 1, got 0$"),
+         (-1, "^horizon must be at least 1, got -1$"),
+         (10**15, f"^horizon {10**15} needs {8 * (10**15 + 1)} bytes for its series, more than the ")],
+        ids=["zero", "negative", "beyond-memory"],
+    )
+    def test_horizon_checked_before_any_cell(self, horizon, message, budget, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the configuration was checked")
+
+        monkeypatch.setattr(runner, "_drive", no_cell)
+        with pytest.raises(ValueError, match=message):
+            reproduce_tables([10], [1], horizon=horizon, time_budget_s=budget)
+
+    def test_repeated_cells_run_once_in_first_seen_order(self):
+        akr, grover = CoinScheme.AKR, CoinScheme.GROVER
+        report = reproduce_tables([20, 10, 20], [1, 1], (grover, akr, grover), time_budget_s=0.0)
+        assert [m.split(":")[0] for m in report.truncated] == [
+            "n=20 k=1 grover", "n=20 k=1 akr", "n=10 k=1 grover", "n=10 k=1 akr",
+        ]
 
     @pytest.mark.parametrize("budget", [math.nan, -1.0, -1e-9])
     def test_nan_or_negative_budget_rejected(self, budget):
