@@ -550,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsim.add_argument("--horizon", type=int)
     gsim.add_argument("--output", help="series file path")
     gsim.add_argument("--format", choices=["csv", "json"], default="csv")
-    gsim.add_argument("--no-overlap", action="store_true")
+    gsim.add_argument("--no-overlap", action="store_true", help="do not store the overlap column")
     gsim.set_defaults(func=cmd_graph_sim)
 
     return parser

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,11 +104,31 @@ class _OutOfTime(Exception):
 # steps between deadline checks; a torus step at n=200 takes about 0.2 ms
 _DEADLINE_EVERY = 64
 
-# what a target hands _drive: start state, step, marked-probability gather and exact total
-_Walk = tuple[np.ndarray, Callable[[], float], Callable[[], float], Callable[[], float]]
+
+class _Walk(NamedTuple):
+    """What a target hands :func:`_drive`: its start state and five callables bound to its state.
+
+    After each ``advance()`` (one step, nothing returned), ``probability()``
+    returns the marked probability, ``marked_sum()`` the total of the marked
+    cells' (or vertices') amplitude sums before the step, ``total()`` the
+    state's amplitude total from the coin's sums and ``exact()`` its exactly
+    rounded total. ``total()`` may overwrite what ``marked_sum()`` reads, so
+    a step calls ``marked_sum()`` first, if at all.
+    """
+
+    start: np.ndarray
+    advance: Callable[[], None]
+    probability: Callable[[], float]
+    marked_sum: Callable[[], float]
+    total: Callable[[], float]
+    exact: Callable[[], float]
+
 
 # bound on the error of the fast overlap of a unit state, derived in _drive
 _OVERLAP_BOUND = 128 * np.finfo(float).eps
+
+# bound on what one step adds to the error of the running overlap, derived in _drive
+_STEP_BOUND = 160 * np.finfo(float).eps
 
 
 def _check_horizon(horizon: int, record_overlap: bool) -> None:
@@ -120,10 +140,7 @@ def _check_horizon(horizon: int, record_overlap: bool) -> None:
 
 
 def _drive(
-    amp: np.ndarray,
-    advance: Callable[[], float],
-    marked_prob: Callable[[], float],
-    exact_total: Callable[[], float],
+    walk: _Walk,
     horizon: int,
     record_overlap: bool,
     stop_at_halt: bool,
@@ -131,29 +148,40 @@ def _drive(
 ) -> RunSeries:
     """The halt-rule loop shared by every target.
 
-    ``amp`` is the uniform start state, read only for ``amp[0]`` and step 0.
-    The target steps its own state: ``advance()`` returns the amplitude total
-    after one step, ``marked_prob()`` and ``exact_total()`` read the state as
-    it is, the latter its exactly rounded amplitude total. The
-    overlap with the start state, ``amp[0]`` times the total, is tracked every
-    step to detect the halt crossing; step 0 sums the start state directly,
-    later totals come from the coin's own sums (see :func:`_torus_walk` and
-    :func:`_graph_walk`). ``record_overlap`` only controls whether the series
-    is kept. With ``stop_at_halt`` the run ends right after the crossing and
-    the series is truncated there. With a ``deadline`` (a ``time.monotonic()``
-    value) the clock is read every ``_DEADLINE_EVERY`` steps and the run
-    raises :class:`_OutOfTime` once it has passed. A horizon below 1 or a
-    series larger than memory (:func:`_check_horizon`) raises ``ValueError``
-    before anything is allocated.
+    ``walk.start`` is the uniform start state, read only for its first
+    amplitude ``a0`` and, in a recording run, for the step-0 overlap,
+    ``a0`` times its sum. The overlap with the start state is ``a0`` times
+    the state's amplitude total. ``record_overlap`` controls whether that
+    series is kept. With ``stop_at_halt`` the run ends right after the
+    crossing and the series is truncated there. With a ``deadline`` (a
+    ``time.monotonic()`` value) the clock is read every ``_DEADLINE_EVERY``
+    steps and the run raises :class:`_OutOfTime` once it has passed. A
+    horizon below 1 or a series larger than memory (:func:`_check_horizon`)
+    raises ``ValueError`` before anything is allocated.
 
     The halt step is the first t whose state has an exact total <= 0, so it
-    does not depend on the order of the coin's sums. The fast overlap decides
-    it wherever it lies outside ``±c eps`` (``_OVERLAP_BOUND``, c = 128);
-    inside, the step falls back to ``amp[0]`` times ``exact_total``, an
-    ``math.fsum`` of every amplitude of the state (the torus walk's band
+    does not depend on the order of the coin's sums. A recording run takes
+    every step's overlap from ``walk.total()``, the fast total from the
+    coin's own sums (see :func:`_torus_walk` and :func:`_graph_walk`). It
+    decides the sign wherever it lies outside ``±c eps`` (``_OVERLAP_BOUND``,
+    c = 128); inside, the step falls back to ``a0`` times ``walk.exact()``,
+    an ``math.fsum`` of every amplitude of the state (the torus walk's band
     weighs each amplitude it holds by the torus cells its cell stands for),
     so that is the exactly rounded overlap, and it is what the series
     records at such a step.
+
+    A run that records no overlap needs only its sign, and certifies it
+    from a running overlap instead. The coin keeps every unmarked sum and
+    negates every marked one, so a step takes ``2 a0 M`` off the overlap,
+    ``M`` the marked sums before it (``walk.marked_sum()``, O(k) reads).
+    The run keeps ``running -= 2 a0 M`` and a bound ``err`` on its distance
+    from the exact overlap, which grows by ``c' eps`` a step
+    (``_STEP_BOUND``, c' = 160). Where ``|running| > err`` its sign is the
+    exact overlap's. Elsewhere, and on step 1, which has no anchor yet, the
+    step is decided by the fast total and the fallback above, and
+    ``running`` and ``err`` restart from that overlap and ``c eps``. No
+    running value is ever recorded, so a series or a summary has the same
+    bits either way.
 
     The bound: numpy's pairwise sum of m terms takes each term through at
     most L(m) <= 26 + max(0, ceil(log2(m / 128))) roundings (8 accumulators
@@ -172,27 +200,61 @@ def _drive(
     M amplitudes has sum(|x|) <= sqrt(M) = 1 / amp[0], so with every count
     below 2^31 (L <= 50) the overlap is off by at most 204 u < 128 eps, and
     the torus's by at most 103 u.
+
+    The step bound, in units of u, with ``a0 sum(|x|) <= 1`` over any part
+    of a unit state, the marked amplitudes' ``A`` included:
+
+    * The coin. A torus cell's half sum is ``(s + e) / 2`` with ``|e| <= 2 u
+      sum(|x|)`` over the cell (two adds), and an unmarked or Grover-marked
+      cell's new sum is ``4 half - s``, off ``s`` by ``2 e`` plus a rounding
+      per subtraction: 5 per step over the whole torus, the states before
+      and after both counted. AKR negates exactly. A band cell stands for
+      1, 2 or 4 torus cells with the same bits, so the torus's cells are
+      what count. A graph vertex's sum is off by ``L(d)``, its
+      ``mean2 = s / (d / 2)`` (``d / 2`` exact) adds a rounding, and ``d``
+      copies of ``mean2`` minus the arcs give ``s`` plus twice the two, plus
+      the subtractions: 2 L(d) + 3.
+    * The marked sum. The torus takes the half sum of each of the k marked
+      torus cells (a band cell once per marked cell it stands for) and sums
+      them pairwise: off by (L(k) + 2) u A, twice that in ``2 a0 M``. The
+      graph sums its k computed vertex sums: 2 (L(d) + L(k)).
+    * The update ``running - (2 a0) M``: one rounding of a product at most
+      2 in size and one of a difference at most 1, 3.
+
+    That is 2 L(k) + 12 on the torus and 4 L(d) + 2 L(k) + 6 on a graph, at
+    most 306 u < 160 eps with every count below 2^31; the norm of the state
+    may grow by 4% before this slack is spent.
     """
     _check_horizon(horizon, record_overlap)
+    amp, advance, marked_prob, marked_sum, total, exact = walk
     a0 = float(amp.flat[0])
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
 
+    def overlap() -> float:
+        fast = a0 * total()
+        return a0 * exact() if abs(fast) <= _OVERLAP_BOUND else fast
+
     prob[0] = marked_prob()
-    overlap_now = a0 * float(amp.sum())
     if ov is not None:
-        ov[0] = overlap_now
+        ov[0] = a0 * float(amp.sum())
+    # an unrecorded run's running overlap and its error bound, unanchored before step 1
+    running, err = 0.0, math.inf
 
     halt_step: int | None = None
     steps_done = horizon
     for t in range(1, horizon + 1):
-        overlap_now = a0 * advance()
+        advance()
         prob[t] = marked_prob()
-        if abs(overlap_now) <= _OVERLAP_BOUND:
-            overlap_now = a0 * exact_total()
         if ov is not None:
-            ov[t] = overlap_now
-        if halt_step is None and overlap_now <= 0.0:
+            now = ov[t] = overlap()
+        elif halt_step is None:
+            running -= 2.0 * a0 * marked_sum()
+            err += _STEP_BOUND
+            if abs(running) <= err:
+                running, err = overlap(), _OVERLAP_BOUND
+            now = running
+        if halt_step is None and now <= 0.0:
             halt_step = t
             if stop_at_halt:
                 steps_done = t
@@ -211,7 +273,7 @@ def _drive(
 def _torus_walk(
     n: int, marked: MarkedSet, scheme: CoinScheme
 ) -> _Walk:
-    """Start state, step, marked-probability gather and exact total of the torus walk for :func:`_drive`.
+    """The torus walk as the :class:`_Walk` that :func:`_drive` runs.
 
     The state stays in one (4, w, h) band, :meth:`grid._Band.of` the marked
     set: the whole torus, or, along each axis where the set has a mirror,
@@ -239,9 +301,11 @@ def _torus_walk(
     their crossings, M the marked cells'), but summed in that grouping the
     marked sum cancels against the whole: on 400 dense doubly symmetric sets
     it was off an exact sum by up to 1.2e-15, the signed sum by at most
-    3.3e-16. The exact total is an ``math.fsum`` of the band's amplitudes
-    times the same counts; multiplying by 1, 2 or 4 is exact, so it is the
-    exactly rounded total of the whole torus.
+    3.3e-16. The marked sum is twice the ``half`` of each marked torus
+    cell's band cell, taken before ``total`` scales ``half`` in place. The
+    exact total is an ``math.fsum`` of the band's amplitudes times the same
+    counts; multiplying by 1, 2 or 4 is exact, so it is the exactly rounded
+    total of the whole torus.
     """
     if marked.n != n:
         raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
@@ -257,13 +321,21 @@ def _torus_walk(
     signed = np.multiply.outer(band.x.weights, band.y.weights)
     i, j = band.x.fold(marked.xs)[0], band.y.fold(marked.ys)[0]
     signed[i, j] = -signed[i, j]
+    # the band cell of each marked torus cell, in half's flat order
+    marked_cells, marked_half = i * h + j, np.empty(len(marked))
     row_sums, sel = np.empty(w), np.empty(4 * len(marked))
     frame = 0
 
-    def advance() -> float:
+    def advance() -> None:
         nonlocal frame
         coins[frame]()
         frame ^= 1
+
+    def marked_sum() -> float:
+        half.take(marked_cells, out=marked_half, mode="clip")
+        return 2.0 * float(np.add.reduce(marked_half))
+
+    def total() -> float:
         # half is scratch once the coin has run: the next coin writes all of it
         np.multiply(half, signed, out=half)
         np.add.reduce(half, axis=1, out=row_sums)
@@ -278,7 +350,7 @@ def _torus_walk(
         # the memoryview of the flat product hands fsum Python floats without a list
         return math.fsum((work * np.abs(signed)).reshape(-1).data)
 
-    return np.broadcast_to(a, (4, n, n)), advance, probability, exact
+    return _Walk(np.broadcast_to(a, (4, n, n)), advance, probability, marked_sum, total, exact)
 
 
 def run_walk(
@@ -298,14 +370,17 @@ def run_walk(
     signed value per band cell, not from the 4n^2 amplitudes; it agrees with
     an exact sum of the state to about 3e-16. Where it is zero up to
     rounding, :func:`_drive` takes the exact sum, so the halt step is the exact totals'.
+    Without ``record_overlap`` the sign comes from a running overlap that
+    subtracts the k marked cells' sums each step, and the band sum is taken
+    only where that sign is not certain; the halt step is the same.
     """
-    return _drive(*_torus_walk(n, marked, scheme), horizon, record_overlap, stop_at_halt)
+    return _drive(_torus_walk(n, marked, scheme), horizon, record_overlap, stop_at_halt)
 
 
 def _graph_walk(
     g: Graph, marked: Iterable[int], scheme: CoinScheme
 ) -> _Walk:
-    """Start state, step, marked-probability gather and exact total of the graph walk for :func:`_drive`.
+    """The graph walk as the :class:`_Walk` that :func:`_drive` runs.
 
     The state is held in the jagged arc layout of :func:`graph._jagged_arcs`,
     whose vertex sums have the bits of ``reduceat`` with one add per row for
@@ -328,7 +403,8 @@ def _graph_walk(
     arcs in :meth:`Graph.marked_arc_indices` order, so the probabilities are
     bit-identical too. The total after a step is
     ``s.sum() - 2 * s[marked].sum()`` over the vertex sums ``s`` before it,
-    in the layout's vertex order, by the identity of :func:`_torus_walk`.
+    in the layout's vertex order, by the identity of :func:`_torus_walk`;
+    ``s[marked].sum()`` is the marked sum.
     """
     vs = np.array(g.check_marked(marked), dtype=np.intp)
     order, arcs, bind = _jagged_arcs(g)
@@ -349,7 +425,7 @@ def _graph_walk(
     vertex_sums, spread = bind(amp, s, c, mean2)
     odd = True
 
-    def advance() -> float:
+    def advance() -> None:
         nonlocal odd
         vertex_sums()
         kept = amp[idxs]
@@ -366,10 +442,16 @@ def _graph_walk(
             amp[fix_arcs] = fixed
         odd = not odd
         s.take(marked_vertices, out=marked_s, mode="clip")
-        return float(s.sum()) - 2.0 * float(marked_s.sum())
 
-    # the memoryview of the flat buffer hands fsum Python floats without a list
-    return amp, advance, lambda: _arc_probability(amp, idxs), lambda: math.fsum(amp.data)
+    return _Walk(
+        amp,
+        advance,
+        lambda: _arc_probability(amp, idxs),
+        lambda: float(marked_s.sum()),
+        lambda: float(s.sum()) - 2.0 * float(marked_s.sum()),
+        # the memoryview of the flat buffer hands fsum Python floats without a list
+        lambda: math.fsum(amp.data),
+    )
 
 
 def run_graph_walk(
@@ -396,9 +478,11 @@ def run_graph_walk(
     is summed from those vertex sums, one value per vertex with the marked
     vertices subtracted twice, not from the arc amplitudes, so it can
     differ from a direct sum in the last bits, about 3e-16; where that
-    decides the sign, :func:`_drive` takes the exact sum.
+    decides the sign, :func:`_drive` takes the exact sum. Without
+    ``record_overlap`` the sign comes from a running overlap, as in
+    :func:`run_walk`.
     """
-    return _drive(*_graph_walk(g, marked, scheme), horizon, record_overlap, stop_at_halt)
+    return _drive(_graph_walk(g, marked, scheme), horizon, record_overlap, stop_at_halt)
 
 
 @dataclass(frozen=True)
@@ -493,7 +577,7 @@ def reproduce_tables(
                     continue
                 try:
                     series = _drive(
-                        *_torus_walk(n, centered_block(n, side, side), scheme),
+                        _torus_walk(n, centered_block(n, side, side), scheme),
                         cap,
                         record_overlap=False,
                         stop_at_halt=True,

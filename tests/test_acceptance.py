@@ -19,6 +19,7 @@ from coinwalk.graph import (
     build_two_marked,
     graph_dense_step_matrix,
     graph_step,
+    torus_graph,
 )
 from coinwalk.grid import (
     CoinScheme,
@@ -29,7 +30,14 @@ from coinwalk.grid import (
     uniform_state,
 )
 from coinwalk.grid import _Band, _Fold, _frame_coins
-from coinwalk.runner import centered_block, reproduce_tables, run_walk, runtime_metric
+from coinwalk.runner import (
+    centered_block,
+    default_horizon,
+    reproduce_tables,
+    run_graph_walk,
+    run_walk,
+    runtime_metric,
+)
 from coinwalk.stationary import (
     BlockSpec,
     OddOddBlockError,
@@ -126,6 +134,35 @@ class TestCriterion3:
         )
         for k, want in expected.items():
             assert got[k] == pytest.approx(want, rel=0.01), f"k={k}"
+
+    def test_table_n100_through_the_graph_kernel(self):
+        # the 8 cells of the n=100 table on a second kernel: the graph walk on the torus
+        # graph, which has no mirror band and no frames and sums each cell in its own order;
+        # both decide the halt from the certified running overlap. Over the 16 cells at
+        # n=100 and 200 the probabilities were measured 2.4e-15 apart at most; the margin
+        # is 4x that
+        n, margin = 100, 1e-14
+        g, horizon = torus_graph(n), default_horizon(n)
+        halts, worst = [], 0.0
+        for side in (3, 5, 7, 9):
+            marked = centered_block(n, side, side)
+            for scheme in (AKR, GROVER):
+                band = run_walk(n, marked, scheme, horizon, record_overlap=False, stop_at_halt=True)
+                graph = run_graph_walk(
+                    g, [x * n + y for x, y in marked], scheme, horizon, record_overlap=False, stop_at_halt=True
+                )
+                halts.append((band.halt_step, graph.halt_step))
+                worst = max(worst, abs(graph.halt_probability - band.halt_probability))
+        ok = all(b is not None and b == h for b, h in halts) and worst <= margin
+        record_criterion(
+            3.5,
+            "the n=100 table cells halt at the same steps on the graph kernel",
+            ok,
+            f"{len(halts)} cells, max |dp| {worst:.1e}",
+        )
+        assert all(b is not None for b, _ in halts)
+        assert [b for b, _ in halts] == [h for _, h in halts]
+        assert worst <= margin
 
 
 class TestCriterion4:

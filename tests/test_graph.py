@@ -398,15 +398,22 @@ class TestDegreeBuckets:
     def test_walk_matches_step_arcs_bit_for_bit(self, walk):
         g, marked, scheme, horizon = walk
         series = run_graph_walk(g, marked, scheme, horizon)
-        amp, advance = _graph_walk(g, marked, scheme)[:2]
-        arcs = _jagged_arcs(g)[1]
+        target = _graph_walk(g, marked, scheme)
+        order, arcs = _jagged_arcs(g)[:2]
+        vs = np.array(g.check_marked(marked), dtype=np.intp)
         state = graph_uniform_state(g)
         for t in range(horizon + 1):
             if t:
-                advance()
+                target.advance()
+                # the marked sum and the total read the vertex sums of the state before the
+                # step, in the layout's vertex order
+                sums = np.add.reduceat(state.amp, g.offsets[:-1])
+                marked_sum = float(sums[vs].sum())
+                assert target.marked_sum() == marked_sum
+                assert target.total() == float(sums[order].sum()) - 2.0 * marked_sum
                 state = graph_step(state, marked, scheme)
             # every step, odd or even, writes the whole state in the layout
-            assert_array_equal(amp.view(np.int64), state.amp[arcs].view(np.int64))
+            assert_array_equal(target.start.view(np.int64), state.amp[arcs].view(np.int64))
             assert series.probability[t] == graph_marked_probability(state, marked)
 
     @settings(deadline=None, max_examples=100)

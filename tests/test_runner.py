@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from coinwalk.grid import (
 from coinwalk import runner
 from coinwalk.runner import (
     _OVERLAP_BOUND,
+    _STEP_BOUND,
     RunSeries,
     _graph_walk,
     _horizon,
@@ -458,14 +460,19 @@ class TestBandCounts:
     @example((10, MarkedSet.from_block(10, (9, 4), 2, 2), CoinScheme.GROVER), 3)  # bond axes both ways
     @example((9, MarkedSet.from_block(9, (3, 3), 3, 3), CoinScheme.AKR), 4)  # odd n: site, bond
     def test_exact_total_is_the_whole_torus_fsum(self, case, t):
-        # after an odd step the band holds the coin's output, a permutation of the state's
+        # after an odd step the band holds the coin's output, a permutation of the state's;
+        # each step's marked sum and fast total read the coin's half sums of the state before it
         n, marked, scheme = case
-        _, advance, _, exact = runner._torus_walk(n, marked, scheme)
+        walk = runner._torus_walk(n, marked, scheme)
+        band = _Band.of(marked)
         state = uniform_state(n)
         for _ in range(t):
-            advance()
+            walk.advance()
+            h = half_sums(state.amp)
+            assert_same_bits(walk.marked_sum(), 2.0 * np.add.reduce(h[marked.xs, marked.ys]))
+            assert_same_bits(walk.total(), fast_total(h, marked, band))
             state = step(state, scheme, marked)
-        assert_same_bits(exact(), math.fsum(state.amp.ravel()))
+        assert_same_bits(walk.exact(), math.fsum(state.amp.ravel()))
 
 
 class TestStartState:
@@ -521,11 +528,11 @@ class TestGroverTie:
         arc_amp[g.arc_slice(v)] = 1.0, 1.0, 0.0, 0.0
         arc_stepped = graph_step(GraphState(g, arc_amp), [v], scheme).amp
         assert np.signbit(arc_stepped[g.partner[g.arc_slice(v)][:2]]).all()
-        layout, advance = _graph_walk(g, [v], scheme)[:2]
+        walk = _graph_walk(g, [v], scheme)
         arcs = _jagged_arcs(g)[1]
-        layout[...] = arc_amp[arcs]
-        advance()
-        assert_same_bits(layout, arc_stepped[arcs])
+        walk.start[...] = arc_amp[arcs]
+        walk.advance()
+        assert_same_bits(walk.start, arc_stepped[arcs])
 
 
 class TestDiagonalBaseline:
@@ -626,6 +633,137 @@ class TestHaltRule:
         series = run_graph_walk(g, marked, scheme, horizon, record_overlap=False, stop_at_halt=True)
         want = fsum_halt(graph_uniform_state(g), lambda s: graph_step(s, marked, scheme), horizon)
         assert series.halt_step == want
+
+
+def unrecorded_matches_recording(run):
+    """``run(record_overlap, stop_at_halt)`` without the overlap gives the recording run's halt, peak and bits."""
+    for stop in (False, True):
+        rec, unrec = run(True, stop), run(False, stop)
+        assert unrec.overlap is None
+        assert (unrec.halt_step, unrec.peak_step) == (rec.halt_step, rec.peak_step)
+        assert_same_bits(unrec.probability, rec.probability)
+        assert_same_bits(unrec.peak_probability, rec.peak_probability)
+        assert unrec.halt_probability == rec.halt_probability
+
+
+class _Halted(Exception):
+    pass
+
+
+def running_errors(walk, steps):
+    """How far :func:`runner._drive`'s running overlap lies from the exact one, and its ``err``, at ``steps``.
+
+    The walk's ``probability`` is wrapped to read the driver's locals as it
+    is called: at step t they hold ``running`` and ``err`` of step t - 1,
+    paired here with the exact overlap of that step's state, taken at the
+    call before. The run stops once the halt step's pair is read; the halt
+    step must be the last of ``steps``, and none may be 0. Returns one
+    (distance, err) pair per step of ``steps``.
+    """
+    a0, last = float(walk.start.flat[0]), max(steps)
+    pairs, exact = [], {}
+
+    def probability():
+        loop = sys._getframe(1).f_locals
+        t = loop.get("t", 0)
+        if t - 1 in exact:
+            pairs.append((abs(loop["running"] - exact[t - 1]), loop["err"]))
+        if t - 1 == last:
+            assert loop["halt_step"] == last
+            raise _Halted
+        if t in steps:
+            exact[t] = a0 * walk.exact()
+        return walk.probability()
+
+    with pytest.raises(_Halted):
+        runner._drive(walk._replace(probability=probability), last + 1, record_overlap=False, stop_at_halt=False)
+    return pairs
+
+
+class TestCertifiedSign:
+    """A run that records no overlap decides each step from a running overlap and its error bound.
+
+    It must halt where the recording run halts: at the first exact total <= 0.
+    """
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(mirror_sets(), plain_sets()), st.integers(1, 300))
+    @example((16, MarkedSet(16, [(i, i) for i in range(16)]), CoinScheme.GROVER), 40)  # AR08 diagonal
+    @example((16, MarkedSet(16, [(i, i) for i in range(16)]), CoinScheme.AKR), 40)
+    @example((2, MarkedSet(2, [(0, 0)]), CoinScheme.GROVER), 30)
+    @example((2, MarkedSet(2, [(0, 1)]), CoinScheme.AKR), 30)
+    @example((9, MarkedSet.empty(9), CoinScheme.AKR), 50)
+    @example((3, MarkedSet(3, [(x, y) for x in range(3) for y in range(3)]), CoinScheme.AKR), 20)
+    @example((3, MarkedSet(3, [(x, y) for x in range(3) for y in range(3)]), CoinScheme.GROVER), 20)
+    @example((100, centered_block(100, 2, 2), CoinScheme.GROVER), 10_000)  # never halts
+    def test_torus_matches_recording_run(self, case, horizon):
+        n, marked, scheme = case
+        unrecorded_matches_recording(
+            lambda record, stop: run_walk(n, marked, scheme, horizon, record_overlap=record, stop_at_halt=stop))
+
+    @settings(deadline=None, max_examples=100)
+    @given(small_graphs(), st.integers(1, 300))
+    def test_graph_matches_recording_run(self, case, horizon):
+        n, edges, marked, scheme = case
+        g = Graph.from_edges(n, edges)
+        unrecorded_matches_recording(
+            lambda record, stop: run_graph_walk(g, marked, scheme, horizon, record_overlap=record, stop_at_halt=stop))
+
+    def test_table_cell_takes_few_totals(self):
+        # the n=100 3x3 AKR cell: step 1 anchors the running overlap, which then certifies
+        # every sign to the halt step
+        calls = []
+        walk = runner._torus_walk(100, centered_block(100, 3, 3), CoinScheme.AKR)
+
+        def total():
+            calls.append(1)
+            return walk.total()
+
+        series = runner._drive(walk._replace(total=total), default_horizon(100), False, True)
+        assert series.halt_step == 156
+        assert 1 <= len(calls) <= 4
+
+    @pytest.mark.parametrize("n,every", [(100, 1), (200, 8)])
+    def test_running_overlap_stays_well_inside_its_bound(self, n, every):
+        # the 16 benchmark cells: the running overlap's distance from the exact one stays
+        # at a quarter of its bound or less, at every step to the halt step at n=100; at
+        # n=200, where an exact sum costs 0.4 ms, at every 8th step and the last 8
+        worst = 0.0
+        for side in (3, 5, 7, 9):
+            marked = centered_block(n, side, side)
+            for scheme in CoinScheme:
+                halt = run_walk(n, marked, scheme, default_horizon(n), record_overlap=False, stop_at_halt=True).halt_step
+                steps = set(range(1, halt + 1, every)) | set(range(max(1, halt - every), halt + 1))
+                pairs = running_errors(runner._torus_walk(n, marked, scheme), steps)
+                assert len(pairs) == len(steps)
+                worst = max(worst, max(d / e for d, e in pairs))
+        assert worst <= 0.25
+
+    @pytest.mark.parametrize("drift", [1.0, -1.0])
+    def test_sign_holds_against_a_drift_within_the_step_bound(self, drift):
+        # a target whose marked sums are off by 0.9 of the step bound, all one way: the
+        # running overlap drifts a step bound a step from an exact one that crosses zero at
+        # step 40 (up: past the crossing; down: below zero early), and only its growing
+        # bound sends the step back to the full total in time
+        a0, slope = 0.5, 1e-13
+        t = 0
+
+        def exact_overlap(step):
+            return slope * (40 - step)
+
+        def advance():
+            nonlocal t
+            t += 1
+
+        def marked_sum():
+            return (exact_overlap(t - 1) - exact_overlap(t) - drift * 0.9 * _STEP_BOUND) / (2.0 * a0)
+
+        def total():
+            return exact_overlap(t) / a0
+
+        walk = runner._Walk(np.full(4, a0), advance, lambda: 0.0, marked_sum, total, total)
+        series = runner._drive(walk, 100, record_overlap=False, stop_at_halt=True)
+        assert series.halt_step == 40
 
 
 class TestDefaultHorizon:
