@@ -31,7 +31,6 @@ from .grid import (
     MarkedSet,
     OracleTooLargeError,
     apply_coin,
-    apply_query,
     apply_shift,
     dense_step_matrix,
     marked_probability,

@@ -364,7 +364,7 @@ def _verify_grid(args: argparse.Namespace) -> _Verified:
     cap = args.oracle_cap if args.oracle_cap is not None else DEFAULT_ORACLE_CAP
     oracle = None
     if n <= cap:
-        oracle = dense_step_matrix(n, CoinScheme.GROVER, candidate.marked, cap=cap), candidate.state.flatten()
+        oracle = dense_step_matrix(n, CoinScheme.GROVER, candidate.marked, cap=cap), candidate.state.amp.reshape(-1)
     named = dict(zip(("uniform_unmarked", "zero_sum_marked", "facing_equal"), conds))
     return header, named, candidate.state.amp, after.amp, decompose_initial(n, candidate), oracle
 

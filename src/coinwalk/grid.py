@@ -30,7 +30,6 @@ __all__ = [
     "MarkedSet",
     "OracleTooLargeError",
     "apply_coin",
-    "apply_query",
     "apply_shift",
     "dense_step_matrix",
     "marked_probability",
@@ -80,27 +79,25 @@ class CoinScheme(Enum):
 class GridState:
     """Walker state on an n x n torus.
 
-    ``amp`` has shape (4, n, n) and is indexed [direction, x, y] with real
-    double-precision amplitudes (every operator here is real orthogonal).
+    ``amp`` has shape (n, n, 4) and is indexed [x, y, direction] with real
+    double-precision amplitudes (every operator here is real orthogonal),
+    so ``amp.reshape(-1)`` is the oracle basis of :func:`dense_step_matrix`.
+    Any other shape raises ``ValueError``; n = 4 is the one side where a
+    direction-major (4, n, n) array has the same shape.
     """
 
     n: int
     amp: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.shape(self.amp) != (self.n, self.n, 4):
+            raise ValueError(f"a side-{self.n} state has shape {(self.n, self.n, 4)}, got {np.shape(self.amp)}")
 
     def copy(self) -> "GridState":
         return GridState(self.n, self.amp.copy())
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.amp * self.amp)))
-
-    def flatten(self) -> np.ndarray:
-        """Amplitudes in the oracle basis order: x-major, then y, then direction."""
-        return np.moveaxis(self.amp, 0, -1).flatten()
-
-    @classmethod
-    def from_flat(cls, n: int, vec: np.ndarray) -> "GridState":
-        """Inverse of :meth:`flatten`."""
-        return cls(n, np.moveaxis(np.asarray(vec, dtype=float).reshape((n, n, 4)), -1, 0).copy())
 
 
 def _check_memory(nbytes: int, need: str) -> None:
@@ -150,7 +147,8 @@ class MarkedSet:
 
     Coordinates are reduced modulo n; duplicates collapse. ``xs``/``ys`` hold
     the cells in sorted order for deterministic kernels. ``flat`` indexes their
-    amplitudes in a flattened (4, n, n) array, cell by cell, four directions each.
+    amplitudes in a flattened (n, n, 4) state, the oracle basis: cell by cell,
+    four directions each.
     """
 
     def __init__(self, n: int, cells: Iterable[tuple[int, int]] = ()):
@@ -162,7 +160,7 @@ class MarkedSet:
         self.ys = np.array([c[1] for c in reduced], dtype=np.intp)
         self.mask = np.zeros((n, n), dtype=bool)
         self.mask[self.xs, self.ys] = True
-        self.flat = ((self.xs * n + self.ys)[:, None] + n * n * np.arange(4)).reshape(-1)
+        self.flat = ((self.xs * n + self.ys)[:, None] * 4 + np.arange(4)).reshape(-1)
 
     @classmethod
     def empty(cls, n: int) -> "MarkedSet":
@@ -199,30 +197,26 @@ def _check_grid(n: int, marked: MarkedSet) -> None:
 
 
 def uniform_state(n: int) -> GridState:
-    """Equal superposition over all 4N basis states, amplitude 1/sqrt(4N)."""
+    """Equal superposition over all 4N basis states, amplitude 1/sqrt(4N), as an (n, n, 4) state."""
     _check_side(n)
     a = 1.0 / math.sqrt(4.0 * n * n)
-    return GridState(n, np.full((4, n, n), a, dtype=float))
-
-
-def apply_query(state: GridState, marked: MarkedSet) -> GridState:
-    """Flip the sign of every amplitude at marked cells."""
-    _check_grid(state.n, marked)
-    out = state.amp.copy()
-    out.reshape(-1)[marked.flat] *= -1.0
-    return GridState(state.n, out)
+    return GridState(n, np.full((n, n, 4), a, dtype=float))
 
 
 def apply_coin(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
-    """Per-cell coin with the query folded in: :func:`step`, then the shift, its own inverse."""
+    """Per-cell coin with the query folded in: :func:`step`, then the shift, its own inverse.
+
+    Kept, as :func:`apply_shift` and :func:`step_into` are, for the benchmark's probes.
+    """
     return apply_shift(step(state, scheme, marked))
 
 
 def apply_shift(state: GridState) -> GridState:
     """Flip-flop shift: move to the adjacent cell and reverse the direction."""
-    out = np.empty(4 * state.n * state.n)
-    out[_torus_shift(state.n)] = state.flatten()
-    return GridState.from_flat(state.n, out)
+    n = state.n
+    out = np.empty((n, n, 4))
+    out.reshape(-1)[_torus_shift(n)] = state.amp.reshape(-1)
+    return GridState(n, out)
 
 
 def _mirror_axis(marked: MarkedSet, transposed: bool = False) -> int | None:
@@ -464,23 +458,23 @@ def step(state: GridState, scheme: CoinScheme, marked: MarkedSet) -> GridState:
     The operator equals S C Q where Q flips marked signs and C is the
     conditional coin (D at unmarked cells; I under AKR / D under GROVER at
     marked cells). It is the torus's reference step, :func:`_located_step`
-    in the oracle basis with each cell summed ``(u + d) + (l + r)``, the
-    order of the run's coins; no run calls it.
+    on the state's own oracle-basis buffer with each cell summed ``(u + d) +
+    (l + r)``, the order of the run's coins; no run calls it.
     """
     _check_grid(state.n, marked)
-    a = state.flatten()
+    a = state.amp.reshape(-1)
     sums = (a[0::4] + a[1::4]) + (a[2::4] + a[3::4])
-    return GridState.from_flat(state.n, _located_step(a, *_torus_arcs(marked), scheme, sums))
+    return GridState(state.n, _located_step(a, *_torus_arcs(marked), scheme, sums).reshape(state.amp.shape))
 
 
 def step_into(
     src: np.ndarray, dst: np.ndarray, scheme: CoinScheme, marked: MarkedSet, half_sum: np.ndarray
 ) -> None:
-    """Write :func:`step` of the (4, n, n) state ``src`` into ``dst``; kept for the benchmark's probes.
+    """Write :func:`step` of the (n, n, 4) state ``src`` into ``dst``; kept for the benchmark's probes.
 
     ``src`` and ``half_sum`` are left as they are.
     """
-    dst[...] = step(GridState(src.shape[1], src), scheme, marked).amp
+    dst[...] = step(GridState(src.shape[0], src), scheme, marked).amp
 
 
 def dense_step_matrix(

@@ -114,7 +114,7 @@ def _superpose_tilings(
     summed as multiples of ``a`` and scaled once, so one or two tilings give
     ``a``, ``-a`` or ``-3.0 * a`` to the bit and overflow no sooner than ``-3 a``.
     """
-    factor = np.ones((4, n, n))
+    factor = np.ones((n, n, 4))
     drop = 4.0 / len(tilings)
     for tiling in tilings:
         covered: set[tuple[int, int]] = set()
@@ -128,8 +128,8 @@ def _superpose_tilings(
                     raise InvalidTilingError(f"domino placements overlap at {c}")
                 covered.add(c)
             d1, d2 = (Direction.RIGHT, Direction.LEFT) if horizontal else (Direction.DOWN, Direction.UP)
-            factor[(d1, *c1)] -= drop
-            factor[(d2, *c2)] -= drop
+            factor[(*c1, d1)] -= drop
+            factor[(*c2, d2)] -= drop
         if covered != marked.cells:
             missing = len(marked.cells - covered)
             raise InvalidTilingError(f"tiling leaves {missing} block cells uncovered")
@@ -219,10 +219,10 @@ def check_conditions(
        (equivalently, the state is shift-invariant).
 
     A state satisfying all three is unchanged by a Grover-coin step.
-    Checked by :func:`grid._stationarity` in the oracle basis.
+    Checked by :func:`grid._stationarity` on the state's oracle-basis buffer.
     """
     _check_grid(candidate.state.n, candidate.marked)
-    return _stationarity(candidate.state.flatten(), *_torus_arcs(candidate.marked), tol)
+    return _stationarity(candidate.state.amp.reshape(-1), *_torus_arcs(candidate.marked), tol)
 
 
 def decompose_initial(n: int, candidate: StationaryCandidate) -> Decomposition:

@@ -1,4 +1,5 @@
-"""Shared test helpers: acceptance-criterion recording and summary printout, and a bitwise array check."""
+"""Shared test helpers: acceptance-criterion recording and summary printout, a bitwise array check
+and the two views between a state's (n, n, 4) layout and the run's direction-major planes."""
 
 from __future__ import annotations
 
@@ -18,6 +19,16 @@ def assert_same_bits(a, b) -> None:
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape
     assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def planes(amp):
+    """The (4, n, n) direction-major view of an (n, n, 4) state: the layout of the run's band."""
+    return np.moveaxis(amp, -1, 0)
+
+
+def from_planes(work):
+    """The (n, n, 4) view of a direction-major (4, n, n) array: the layout of a ``GridState``."""
+    return np.moveaxis(work, 0, -1)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -310,7 +310,7 @@ class TestGraphStep:
             tg = torus_graph(n)
             grid_cells = [(1, 2), (0, 0), (n - 1, 1)]
             marked_v = [x * n + y for x, y in grid_cells]
-            v = rng.normal(size=(4, n, n))
+            v = rng.normal(size=(n, n, 4))
 
             deltas = {
                 Direction.UP: (0, -1),
@@ -325,13 +325,13 @@ class TestGraphStep:
                     for d, (dx, dy) in deltas.items():
                         a = tg.arc_index(x * n + y, ((x + dx) % n) * n + (y + dy) % n)
                         arc_of[(x, y, d)] = a
-                        arc_amp[a] = v[d, x, y]
+                        arc_amp[a] = v[x, y, d]
 
             for scheme in CoinScheme:
                 out_grid = step(GridState(n, v.copy()), scheme, MarkedSet(n, grid_cells)).amp
                 out_graph = graph_step(GraphState(tg, arc_amp.copy()), marked_v, scheme).amp
                 diff = max(
-                    abs(out_grid[d, x, y] - out_graph[arc_of[(x, y, d)]])
+                    abs(out_grid[x, y, d] - out_graph[arc_of[(x, y, d)]])
                     for x in range(n)
                     for y in range(n)
                     for d in Direction

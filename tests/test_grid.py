@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import assert_same_bits
+from conftest import assert_same_bits, from_planes, planes
 from numpy.testing import assert_allclose, assert_array_equal
 
 from coinwalk.grid import (
@@ -10,7 +10,6 @@ from coinwalk.grid import (
     MarkedSet,
     OracleTooLargeError,
     apply_coin,
-    apply_query,
     apply_shift,
     dense_step_matrix,
     marked_probability,
@@ -24,7 +23,7 @@ RNG = np.random.default_rng(20240517)
 
 
 def random_state(n, rng=RNG):
-    v = rng.normal(size=(4, n, n))
+    v = rng.normal(size=(n, n, 4))
     return GridState(n, v / np.linalg.norm(v))
 
 
@@ -78,7 +77,7 @@ class TestMarkedSet:
 class TestUniformState:
     def test_n2_all_quarter(self):
         st = uniform_state(2)
-        assert_array_equal(st.amp, np.full((4, 2, 2), 0.25))
+        assert_array_equal(st.amp, np.full((2, 2, 4), 0.25))
 
     def test_n100_amplitude(self):
         st = uniform_state(100)
@@ -93,23 +92,6 @@ class TestUniformState:
             uniform_state(n)
 
 
-class TestQuery:
-    def test_empty_marked_is_identity(self):
-        st = random_state(4)
-        assert_array_equal(apply_query(st, MarkedSet.empty(4)).amp, st.amp)
-
-    def test_sign_flip(self):
-        st = uniform_state(2)
-        out = apply_query(st, MarkedSet(2, [(0, 0)]))
-        assert_array_equal(out.amp[:, 0, 0], [-0.25] * 4)
-        assert_array_equal(out.amp[:, 1, 1], [0.25] * 4)
-
-    def test_involution(self):
-        st = random_state(5)
-        m = random_marked(5)
-        assert_array_equal(apply_query(apply_query(st, m), m).amp, st.amp)
-
-
 class TestCoin:
     def test_uniform_cell_fixed(self):
         st = uniform_state(3)
@@ -117,10 +99,10 @@ class TestCoin:
         assert_allclose(out.amp, st.amp, atol=1e-15)
 
     def test_first_column_of_diffusion(self):
-        amp = np.zeros((4, 2, 2))
-        amp[Direction.UP, 0, 0] = 1.0
+        amp = np.zeros((2, 2, 4))
+        amp[0, 0, Direction.UP] = 1.0
         out = apply_coin(GridState(2, amp), CoinScheme.GROVER, MarkedSet.empty(2))
-        assert_allclose(out.amp[:, 0, 0], [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
+        assert_allclose(out.amp[0, 0], [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
     def test_marked_grover_zero_sum_fixed(self):
         # oracle: explicit -D multiply on the zero-sum vector (a, a, a, -3a)
@@ -128,15 +110,15 @@ class TestCoin:
         v = np.array([0.1, 0.1, 0.1, -0.3])
         assert_allclose(-d @ v, v, atol=1e-16)
 
-        amp = np.full((4, 3, 3), 0.1)
-        amp[:, 1, 1] = v
+        amp = np.full((3, 3, 4), 0.1)
+        amp[1, 1] = v
         out = apply_coin(GridState(3, amp), CoinScheme.GROVER, MarkedSet(3, [(1, 1)]))
-        assert_allclose(out.amp[:, 1, 1], v, atol=1e-15)
+        assert_allclose(out.amp[1, 1], v, atol=1e-15)
 
     def test_marked_akr_negates(self):
         st = random_state(4)
         out = apply_coin(st, CoinScheme.AKR, MarkedSet(4, [(2, 3)]))
-        assert_array_equal(out.amp[:, 2, 3], -st.amp[:, 2, 3])
+        assert_array_equal(out.amp[2, 3], -st.amp[2, 3])
 
     @pytest.mark.parametrize("scheme", list(CoinScheme))
     def test_coin_is_involution(self, scheme):
@@ -156,10 +138,10 @@ class TestShift:
         assert_array_equal(apply_shift(apply_shift(st)).amp, st.amp)
 
     def test_unit_mass_moves_right(self):
-        amp = np.zeros((4, 2, 2))
-        amp[Direction.RIGHT, 0, 0] = 1.0
+        amp = np.zeros((2, 2, 4))
+        amp[0, 0, Direction.RIGHT] = 1.0
         out = apply_shift(GridState(2, amp))
-        assert out.amp[Direction.LEFT, 1, 0] == 1.0
+        assert out.amp[1, 0, Direction.LEFT] == 1.0
         assert np.sum(np.abs(out.amp)) == 1.0
 
     def test_shift_table(self):
@@ -170,10 +152,10 @@ class TestShift:
             (Direction.LEFT, (-1, 0)),
             (Direction.RIGHT, (1, 0)),
         ]:
-            amp = np.zeros((4, n, n))
-            amp[d, 2, 3] = 1.0
+            amp = np.zeros((n, n, 4))
+            amp[2, 3, d] = 1.0
             out = apply_shift(GridState(n, amp))
-            assert out.amp[d.opposite, (2 + dx) % n, (3 + dy) % n] == 1.0
+            assert out.amp[(2 + dx) % n, (3 + dy) % n, d.opposite] == 1.0
 
 
 class TestStep:
@@ -199,7 +181,7 @@ class TestStep:
         for scheme in CoinScheme:
             st = random_state(4)
             m = dense_step_matrix(4, scheme, marked)
-            assert_allclose(step(st, scheme, marked).flatten(), m @ st.flatten(), atol=1e-12)
+            assert_allclose(step(st, scheme, marked).amp.reshape(-1), m @ st.amp.reshape(-1), atol=1e-12)
 
     def test_matches_dense_oracle_random(self):
         rng = np.random.default_rng(99)
@@ -209,7 +191,7 @@ class TestStep:
             scheme = CoinScheme.AKR if rng.integers(2) else CoinScheme.GROVER
             st = random_state(n, rng)
             m = dense_step_matrix(n, scheme, marked)
-            assert_allclose(step(st, scheme, marked).flatten(), m @ st.flatten(), atol=1e-12)
+            assert_allclose(step(st, scheme, marked).amp.reshape(-1), m @ st.amp.reshape(-1), atol=1e-12)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -220,9 +202,9 @@ class TestStep:
         moved_cells = [((x + dx) % n, (y + dy) % n) for x, y in cells]
         for scheme in CoinScheme:
             stepped = step(st, scheme, MarkedSet(n, cells)).amp
-            translated = GridState(n, np.roll(st.amp, (dx, dy), axis=(1, 2)))
+            translated = GridState(n, np.roll(st.amp, (dx, dy), axis=(0, 1)))
             stepped_translated = step(translated, scheme, MarkedSet(n, moved_cells)).amp
-            assert_array_equal(np.roll(stepped, (dx, dy), axis=(1, 2)), stepped_translated)
+            assert_array_equal(np.roll(stepped, (dx, dy), axis=(0, 1)), stepped_translated)
 
 
     @pytest.mark.parametrize("n", range(2, 10))
@@ -234,19 +216,19 @@ class TestStep:
         for scheme in CoinScheme:
             for marked in (MarkedSet(n, cells), MarkedSet.empty(n)):
                 st = random_state(n, rng)
-                work, half = st.amp.copy(), np.empty((n, n))
+                work, half = planes(st.amp).copy(), np.empty((n, n))
                 (coin0, _), (coin1, flat1) = torus_coins(work, scheme, marked, half)
                 coin0()
                 once = step(st, scheme, marked)
-                assert_same_bits(apply_shift(GridState(n, work)).amp, once.amp)
+                assert_same_bits(apply_shift(GridState(n, from_planes(work))).amp, once.amp)
                 sel = work.reshape(-1)[flat1]
                 assert float(np.sum(sel * sel)) == marked_probability(once, marked)
                 # the frame-1 half sums are the frame-0 ones of the shifted state
                 half_ref = np.empty((n, n))
-                next(torus_coins(once.amp.copy(), scheme, marked, half_ref))[0]()
+                next(torus_coins(planes(once.amp).copy(), scheme, marked, half_ref))[0]()
                 coin1()
                 assert_same_bits(half, half_ref)
-                assert_same_bits(work, step(once, scheme, marked).amp)
+                assert_same_bits(work, planes(step(once, scheme, marked).amp))
 
     @pytest.mark.parametrize(
         "n, cell",
@@ -258,15 +240,15 @@ class TestStep:
         marked = MarkedSet(n, [cell])
         for scheme in CoinScheme:
             st = random_state(n, rng)
-            work = st.amp.copy()
+            work = planes(st.amp).copy()
             coins = torus_coins(work, scheme, marked, np.empty((n, n)))
             for t, (coin, _) in enumerate(coins, 1):
                 coin()
                 st = step(st, scheme, marked)
                 if t == 2:
-                    assert_same_bits(work, st.amp)
+                    assert_same_bits(work, planes(st.amp))
                 else:
-                    assert_same_bits(apply_shift(GridState(n, work)).amp, st.amp)
+                    assert_same_bits(apply_shift(GridState(n, from_planes(work))).amp, st.amp)
 
 
 class TestDenseOracle:
@@ -277,7 +259,7 @@ class TestDenseOracle:
     def test_uniform_fixed(self):
         st = uniform_state(2)
         m = dense_step_matrix(2, CoinScheme.AKR, MarkedSet.empty(2))
-        assert_allclose(m @ st.flatten(), st.flatten(), atol=1e-15)
+        assert_allclose(m @ st.amp.reshape(-1), st.amp.reshape(-1), atol=1e-15)
 
     def test_cap_enforced(self):
         with pytest.raises(OracleTooLargeError):
@@ -313,24 +295,37 @@ class TestObservables:
 
 class TestRoundTripHelpers:
     def test_flatten_ordering(self):
-        # index (x * n + y) * 4 + d
+        # a state's flat buffer is the oracle basis: index (x * n + y) * 4 + d
         n = 3
-        amp = np.arange(n * n * 4, dtype=float).reshape(4, n, n)
-        st = GridState(n, amp)
-        flat = st.flatten()
-        assert flat[(2 * n + 1) * 4 + Direction.LEFT] == amp[Direction.LEFT, 2, 1]
-        assert_array_equal(GridState.from_flat(n, flat).amp, amp)
+        amp = np.arange(n * n * 4, dtype=float).reshape(n, n, 4)
+        flat = GridState(n, amp).amp.reshape(-1)
+        assert flat[(2 * n + 1) * 4 + Direction.LEFT] == amp[2, 1, Direction.LEFT]
+        assert_array_equal(GridState(n, flat.reshape(n, n, 4)).amp, amp)
 
     def test_oracle_basis_order_pinned(self):
-        # the dense oracle's basis index (x * n + y) * 4 + d is amp[d, x, y]
+        # the dense oracle's basis index (x * n + y) * 4 + d is amp[x, y, d]
         n = 3
         for x in range(n):
             for y in range(n):
                 for d in Direction:
                     v = np.zeros(4 * n * n)
                     v[(x * n + y) * 4 + d] = 1.0
-                    st = GridState.from_flat(n, v)
-                    assert st.amp.shape == (4, n, n)
-                    assert st.amp[d, x, y] == 1.0
+                    st = GridState(n, v.reshape(n, n, 4))
+                    assert st.amp[x, y, d] == 1.0
                     assert np.sum(np.abs(st.amp)) == 1.0
-                    assert_array_equal(st.flatten(), v)
+
+    def test_marked_flat_is_the_oracle_basis(self):
+        # cell by cell in sorted order, four directions each
+        m = MarkedSet(5, [(3, 1), (0, 4)])
+        assert_array_equal(m.flat, [(x * 5 + y) * 4 + d for x, y in ((0, 4), (3, 1)) for d in range(4)])
+
+
+class TestShapeCheck:
+    @pytest.mark.parametrize("shape", [(4, 5, 5), (5, 5), (5, 4, 5), (5, 5, 4, 1)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"side-5 state has shape \(5, 5, 4\)"):
+            GridState(5, np.zeros(shape))
+
+    def test_side_four_shapes_agree(self):
+        # the one side where a direction-major array passes the check: only values can tell
+        assert GridState(4, np.zeros((4, 4, 4))).amp.shape == (4, 4, 4)

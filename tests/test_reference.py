@@ -86,21 +86,21 @@ def loop_graph_oracle(g, marked, scheme):
 
 
 def loop_torus_shift(amp):
-    """The flip-flop shift of a (4, n, n) state, one cell and one direction at a time."""
-    n = amp.shape[1]
+    """The flip-flop shift of an (n, n, 4) state, one cell and one direction at a time."""
+    n = amp.shape[0]
     shifted = np.empty_like(amp)
     for x in range(n):
         for y in range(n):
             for d in Direction:
-                shifted[d.opposite, (x + _DX[d]) % n, (y + _DY[d]) % n] = amp[d, x, y]
+                shifted[(x + _DX[d]) % n, (y + _DY[d]) % n, d.opposite] = amp[x, y, d]
     return shifted
 
 
 def loop_torus_conditions(amp, marked, tol):
-    """The three conditions on a (4, n, n) state, one cell at a time for the shift."""
-    unmarked = amp[:, ~marked.mask]
+    """The three conditions on an (n, n, 4) state, one cell at a time for the shift."""
+    unmarked = amp[~marked.mask]
     cond1 = unmarked.size == 0 or bool(np.max(np.abs(unmarked - unmarked.mean())) <= tol)
-    cond2 = bool(np.all(np.abs(amp[:, marked.xs, marked.ys].sum(axis=0)) <= tol))
+    cond2 = bool(np.all(np.abs(amp[marked.xs, marked.ys].sum(axis=1)) <= tol))
     return cond1, cond2, bool(np.max(np.abs(loop_torus_shift(amp) - amp)) <= tol)
 
 
@@ -112,15 +112,15 @@ def loop_coin(alpha, mean2, marked, scheme):
 
 
 def loop_torus_step(amp, marked, scheme):
-    """S C Q on a (4, n, n) state, one cell at a time, its sum added ``(u + d) + (l + r)``."""
-    n = amp.shape[1]
+    """S C Q on an (n, n, 4) state, one cell at a time, its sum added ``(u + d) + (l + r)``."""
+    n = amp.shape[0]
     coined = np.empty_like(amp)
     for x in range(n):
         for y in range(n):
-            u, d, l, r = (float(a) for a in amp[:, x, y])
+            u, d, l, r = (float(a) for a in amp[x, y])
             mean2 = ((u + d) + (l + r)) * 2.0 / 4
             for k in Direction:
-                coined[k, x, y] = loop_coin(float(amp[k, x, y]), mean2, (x, y) in marked, scheme)
+                coined[x, y, k] = loop_coin(float(amp[x, y, k]), mean2, (x, y) in marked, scheme)
     return loop_torus_shift(coined)
 
 
@@ -304,7 +304,7 @@ class TestStep:
     @given(torus_marked_sets(), states, st.sampled_from(list(CoinScheme)))
     def test_torus_matches_loop_step(self, case, state, scheme):
         n, marked = case
-        amp = draw_amp((4, n, n), *state)
+        amp = draw_amp((n, n, 4), *state)
         got = step(GridState(n, amp.copy()), scheme, marked).amp
         assert_same_bits(got, loop_torus_step(amp, marked, scheme))
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits
+from conftest import assert_same_bits, planes
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
@@ -77,8 +77,8 @@ def edge_pair_walk(n, edges, marked, scheme, horizon):
 
 
 def half_sums(amp):
-    """Half of each cell's amplitude sum, added ``(u + d) + (l + r)`` as the coin adds it."""
-    return ((amp[0] + amp[1]) + (amp[2] + amp[3])) * 0.5
+    """Half of each cell's amplitude sum in an (n, n, 4) state, added ``(u + d) + (l + r)`` as the coin adds it."""
+    return ((amp[..., 0] + amp[..., 1]) + (amp[..., 2] + amp[..., 3])) * 0.5
 
 
 def band_lines(band):
@@ -112,13 +112,13 @@ def fast_total(h, marked, band):
 
 
 def mirrored(amp, c, axis):
-    """The state ``amp`` reflected through p -> c - p (mod n) along x (axis 1) or y (axis 2).
+    """The (n, n, 4) state ``amp`` reflected through p -> c - p (mod n) along x (axis 0) or y (axis 1).
 
     The x-mirror swaps LEFT and RIGHT, the y-mirror UP and DOWN.
     """
-    n = amp.shape[1]
-    planes = [0, 1, 3, 2] if axis == 1 else [1, 0, 2, 3]
-    return np.take(amp[planes], (c - np.arange(n)) % n, axis=axis)
+    n = amp.shape[0]
+    directions = [0, 1, 3, 2] if axis == 0 else [1, 0, 2, 3]
+    return np.take(amp[..., directions], (c - np.arange(n)) % n, axis=axis)
 
 
 def transposed(marked):
@@ -356,8 +356,8 @@ class TestMirrorBand:
         if band.x.c is None and band.y.c is None:
             return
         rng = np.random.default_rng(seed)
-        amp = rng.standard_normal((4, n, n))
-        folds = [(1, band.x), (2, band.y)]
+        amp = rng.standard_normal((n, n, 4))
+        folds = [(0, band.x), (1, band.y)]
         for axis, fold in folds:
             if fold.c is not None:
                 amp += mirrored(amp, fold.c, axis)
@@ -365,19 +365,19 @@ class TestMirrorBand:
             if fold.c is not None:
                 assert_array_equal(mirrored(amp, fold.c, axis), amp)
         cells = np.ix_(*[(fold.start + np.arange(fold.size)) % n for fold in band])
-        work, half = amp[:, cells[0], cells[1]].copy(), np.empty((band.x.size, band.y.size))
+        work, half = planes(amp)[:, cells[0], cells[1]].copy(), np.empty((band.x.size, band.y.size))
         flats = band.frames(marked)
         coin0, coin1 = _frame_coins(work, scheme, half, flats, band)
         coin0()
         coined = apply_coin(GridState(n, amp), scheme, marked).amp
         assert_same_bits(half, half_sums(amp)[cells])
-        assert_same_bits(work, coined[:, cells[0], cells[1]])
+        assert_same_bits(work, planes(coined)[:, cells[0], cells[1]])
         once = step(GridState(n, amp), scheme, marked)
         sel = work.reshape(-1)[flats[1]]
         assert float(np.sum(sel * sel)) == marked_probability(once, marked)
         coin1()
         assert_same_bits(half, half_sums(once.amp)[cells])
-        assert_same_bits(work, step(once, scheme, marked).amp[:, cells[0], cells[1]])
+        assert_same_bits(work, planes(step(once, scheme, marked).amp)[:, cells[0], cells[1]])
 
     @settings(deadline=None, max_examples=100)
     @given(mirror_sets())
@@ -391,8 +391,8 @@ class TestMirrorBand:
         state = uniform_state(n)
         for _ in range(3 * n):
             state = step(state, scheme, marked)
-            assert_same_bits(mirrored(state.amp, cx, 1), state.amp)
-            assert_same_bits(mirrored(state.amp, cy, 2), state.amp)
+            assert_same_bits(mirrored(state.amp, cx, 0), state.amp)
+            assert_same_bits(mirrored(state.amp, cy, 1), state.amp)
 
     @settings(deadline=None, max_examples=200)
     @given(st.integers(2, 9).flatmap(
@@ -500,7 +500,7 @@ class TestStartState:
         for n in range(2, 131):
             start = runner._torus_walk(n, MarkedSet.empty(n), CoinScheme.GROVER)[0]
             filled = uniform_state(n).amp
-            assert start.shape == filled.shape and start.strides == (0, 0, 0)
+            assert start.shape == (4, n, n) and start.strides == (0, 0, 0) and start.size == filled.size
             assert start.flat[0] == filled.flat[0]
             assert_same_bits(start.sum(), filled.sum())
 
@@ -511,17 +511,17 @@ class TestGroverTie:
     def test_every_path_writes_the_same_zero(self):
         n, scheme, cell = 4, CoinScheme.GROVER, (1, 1)
         marked = MarkedSet(n, [cell])
-        amp = np.zeros((4, n, n))
-        amp[:, 1, 1] = 1.0, 1.0, 0.0, 0.0
+        amp = np.zeros((n, n, 4))
+        amp[1, 1] = 1.0, 1.0, 0.0, 0.0
         stepped = step(GridState(n, amp), scheme, marked).amp
         # UP and DOWN of cell (1, 1) move to DOWN of (1, 0) and UP of (1, 2)
-        assert np.signbit(stepped[1, 1, 0]) and np.signbit(stepped[0, 1, 2])
+        assert np.signbit(stepped[1, 0, 1]) and np.signbit(stepped[1, 2, 0])
         whole = _Fold(n, 0, n, None)
         band = _Band(whole, whole)
-        work, half = amp.copy(), np.empty((n, n))
+        work, half = planes(amp).copy(), np.empty((n, n))
         coin0 = _frame_coins(work, scheme, half, band.frames(marked), band)[0]
         coin0()
-        assert_same_bits(work, apply_coin(GridState(n, amp), scheme, marked).amp)
+        assert_same_bits(work, planes(apply_coin(GridState(n, amp), scheme, marked).amp))
 
         g, v = torus_graph(n), cell[0] * n + cell[1]
         arc_amp = np.zeros(g.arc_count)

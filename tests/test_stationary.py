@@ -69,11 +69,11 @@ def assert_layered_census(c, block):
     bits = c.state.amp.view(np.int64)
     plus, minus, minus3 = np.array([a, -a, -3.0 * a]).view(np.int64)
     assert np.isin(bits, [plus, minus, minus3]).all()
-    assert (bits[:, ~c.marked.mask] == plus).all()
+    assert (bits[~c.marked.mask] == plus).all()
     (ox, oy), m, l = block.origin, block.width, block.height
     for i, j in itertools.product(range(m), range(l)):
         x, y = (ox + i) % n, (oy + j) % n
-        cell = bits[:, x, y]
+        cell = bits[x, y]
         where = (n, m, l, (i, j))
         if min(m, l) - 2 * min(i, j, m - 1 - i, l - 1 - j) >= 2:
             assert (cell == minus).sum() == 2 and (cell == plus).sum() == 2, where
@@ -81,7 +81,7 @@ def assert_layered_census(c, block):
             assert (cell == minus3).sum() == 1 and (cell == plus).sum() == 3, where
             d = next(d for d in Direction if cell[d] == minus3)
             dx, dy = _OFFSETS[d]
-            assert bits[d.opposite, (x + dx) % n, (y + dy) % n] == minus3, where
+            assert bits[(x + dx) % n, (y + dy) % n, d.opposite] == minus3, where
 
 
 class TestDominoState:
@@ -111,7 +111,7 @@ class TestDominoState:
         c = build_domino_state(4, (1, 1), horizontal=False)
         assert c.marked.cells == frozenset({(1, 1), (1, 2)})
         m = dense_step_matrix(4, CoinScheme.GROVER, c.marked)
-        flat = c.state.flatten()
+        flat = c.state.amp.reshape(-1)
         assert np.max(np.abs(m @ flat - flat)) <= 1e-12
 
     def test_invalid_inputs(self):
@@ -143,7 +143,7 @@ class TestLayeredConstruction:
         assert residual(c) <= 1e-12
         # perimeter-facing amplitudes of the outer ring sit at -a
         a = c.baseline
-        assert c.state.amp[Direction.RIGHT, 3, 3] == -a  # origin corner points right at its ring neighbor
+        assert c.state.amp[3, 3, Direction.RIGHT] == -a  # origin corner points right at its ring neighbor
 
     def test_1x4_is_two_dominoes(self):
         n = 9
@@ -178,7 +178,7 @@ class TestLayeredConstruction:
         block = BlockSpec((3, 3), 3, 6)
         assert_layered_census(build_block_layered(8, block, a), block)
         domino = build_domino_state(8, (1, 1), a=a).state.amp
-        assert domino[Direction.RIGHT, 1, 1].view(np.int64) == np.float64(-3.0 * a).view(np.int64)
+        assert domino[1, 1, Direction.RIGHT].view(np.int64) == np.float64(-3.0 * a).view(np.int64)
 
     @pytest.mark.parametrize("m, l", [(100_000, 2), (2, 1_000_000_000)])
     def test_oversized_block_rejected_before_peeling(self, m, l):
@@ -219,7 +219,7 @@ class TestTilingConstruction:
             c = build_block_tiling(n, block, None, shifted_tiling(t, origin))
             assert residual(c) <= 1e-12
             assert check_conditions(c) == (True, True, True)
-            states.append(c.state.flatten())
+            states.append(c.state.amp.reshape(-1))
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
                 assert not np.array_equal(states[i], states[j])
@@ -254,7 +254,7 @@ class TestConditions:
 
     def test_perturbation_detected(self):
         c = build_block_layered(10, BlockSpec((2, 2), 4, 5))
-        c.state.amp[Direction.UP, 2, 2] += 1e-6
+        c.state.amp[2, 2, Direction.UP] += 1e-6
         assert not all(check_conditions(c))
 
     def test_sufficiency_on_random_tilings(self):
@@ -293,7 +293,7 @@ class TestDecomposition:
         assert_allclose(
             dec.stationary.amp + dec.delta.amp, uniform_state(n).amp, atol=1e-15
         )
-        off_block = dec.delta.amp[:, ~c.marked.mask]
+        off_block = dec.delta.amp[~c.marked.mask]
         assert np.all(off_block == 0.0)
 
     def test_empty_marked_gives_zero_delta(self):
