@@ -41,6 +41,7 @@ from .grid import (
     DEFAULT_ORACLE_CAP,
     CoinScheme,
     MarkedSet,
+    _check_block,
     _check_side,
     dense_step_matrix,
     step,
@@ -223,6 +224,10 @@ def _parse_block(text: str, n: int) -> BlockSpec:
         raise ConfigError(f"--block must look like 'MxL' or 'MxL@x,y', got {text!r}")
     width, height = int(m.group(1)), int(m.group(2))
     _check_side(n)
+    try:
+        _check_block(n, width, height)
+    except ValueError as exc:
+        raise ConfigError(f"--block: {exc}")
     if m.group(3) is not None:
         origin = (int(m.group(3)) % n, int(m.group(4)) % n)
     else:
@@ -319,11 +324,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("pass exactly one marked-set descriptor: --block or --cells")
     n = args.n
     if args.block is not None:
-        spec = _parse_block(args.block, n)
-        try:
-            marked = spec.marked_set(n)
-        except ValueError as exc:
-            raise ConfigError(f"--block: {exc}")
+        marked = _parse_block(args.block, n).marked_set(n)
     else:
         marked = MarkedSet(n, _parse_cells(args.cells))
     scheme = CoinScheme(args.coin)
@@ -348,12 +349,7 @@ _Verified = tuple[dict, dict, np.ndarray, np.ndarray, Decomposition, "tuple[np.n
 def _verify_grid(args: argparse.Namespace) -> _Verified:
     n = args.n
     spec = _parse_block(args.block, n)
-    try:
-        candidate = build_block_layered(n, spec)
-    except ValueError as exc:
-        if isinstance(exc, OddOddBlockError):
-            raise
-        raise ConfigError(f"--block: {exc}")
+    candidate = build_block_layered(n, spec)
     conds = check_conditions(candidate, tol=args.tolerance)
     after = step(candidate.state, CoinScheme.GROVER, candidate.marked)
     header = {

@@ -606,13 +606,10 @@ def reproduce_tables(
                 )
 
     report.rows.sort(key=lambda r: (r.n, r.k, r.scheme.value))
-    by_cell = {(r.n, r.k, r.scheme): r for r in report.rows}
-    for n in sorted(set(r.n for r in report.rows)):
-        for k in sorted(set(r.k for r in report.rows if r.n == n)):
-            akr = by_cell.get((n, k, CoinScheme.AKR))
-            grover = by_cell.get((n, k, CoinScheme.GROVER))
-            if akr and grover:
-                report.ratios.append(
-                    RatioRow(n, k, akr.runtime, grover.runtime, akr.runtime / grover.runtime)
-                )
+    grover = {(r.n, r.k): r.runtime for r in report.rows if r.scheme is CoinScheme.GROVER}
+    report.ratios = [
+        RatioRow(r.n, r.k, r.runtime, grover[r.n, r.k], r.runtime / grover[r.n, r.k])
+        for r in report.rows
+        if r.scheme is CoinScheme.AKR and (r.n, r.k) in grover
+    ]
     return report

@@ -244,6 +244,15 @@ class TestVerify:
         assert run_cli("verify", "--n", "8", "--block", block) == 2
         assert capsys.readouterr().err == f"error: --block: {block} block wraps onto itself on a side-8 torus\n"
 
+    def test_library_fault_not_labelled_as_block(self, monkeypatch, capsys):
+        # only _parse_block's checks speak for --block; a fault past them keeps its own message
+        def fault(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("coinwalk.cli.build_block_layered", fault)
+        assert run_cli("verify", "--n", "8", "--block", "2x4") == 2
+        assert capsys.readouterr().err == "error: internal fault\n"
+
     def test_needs_exactly_one_target(self):
         assert run_cli("verify", "--n", "10") == 2
         assert run_cli("verify", "--graph-two-marked", "--graph-ring", "3,2", "--k", "1") == 2
