@@ -46,8 +46,8 @@ class RunSeries:
 
     ``probability[t]`` and ``overlap[t]`` describe the state after t steps
     (index 0 is the start state). ``halt_step`` is None when the overlap
-    never crosses zero within the horizon, which is exactly what happens for
-    the exceptional marked configurations.
+    never crosses zero within the steps run, which is exactly what happens
+    for the exceptional marked configurations.
     """
 
     probability: np.ndarray
@@ -97,11 +97,8 @@ def centered_block(n: int, width: int, height: int) -> MarkedSet:
     return MarkedSet.from_block(n, _centre_origin(n, width, height), width, height)
 
 
-class _OutOfTime(Exception):
-    """A run passed its wall-clock deadline; ``args[0]`` is the step it stopped after."""
-
-
-# steps between deadline checks; a torus step at n=200 takes about 0.2 ms
+# steps between deadline checks; a table cell's step takes about 21 us at n=100 and 41 us
+# at n=200 (3x3 block), so one check covers about 1.3 ms and 2.7 ms of stepping
 _DEADLINE_EVERY = 64
 
 
@@ -152,12 +149,14 @@ def _drive(
     amplitude ``a0`` and, in a recording run, for the step-0 overlap,
     ``a0`` times its sum. The overlap with the start state is ``a0`` times
     the state's amplitude total. ``record_overlap`` controls whether that
-    series is kept. With ``stop_at_halt`` the run ends right after the
-    crossing and the series is truncated there. With a ``deadline`` (a
-    ``time.monotonic()`` value) the clock is read every ``_DEADLINE_EVERY``
-    steps and the run raises :class:`_OutOfTime` once it has passed. A
-    horizon below 1 or a series larger than memory (:func:`_check_horizon`)
-    raises ``ValueError`` before anything is allocated.
+    series is kept. The run ends at the horizon, right after the crossing
+    with ``stop_at_halt``, or, given a ``deadline`` (a ``time.monotonic()``
+    value), at the first multiple of ``_DEADLINE_EVERY`` below the horizon
+    that finds the clock past it. The series is cut at the step the run
+    ended after, so one the deadline stopped has fewer than ``horizon + 1``
+    entries. A horizon below 1 or a series larger than memory
+    (:func:`_check_horizon`) raises ``ValueError`` before anything is
+    allocated.
 
     The halt step is the first t whose state has an exact total <= 0, so it
     does not depend on the order of the coin's sums. A recording run takes
@@ -242,7 +241,6 @@ def _drive(
     running, err = 0.0, math.inf
 
     halt_step: int | None = None
-    steps_done = horizon
     for t in range(1, horizon + 1):
         advance()
         prob[t] = marked_prob()
@@ -257,14 +255,13 @@ def _drive(
         if halt_step is None and now <= 0.0:
             halt_step = t
             if stop_at_halt:
-                steps_done = t
                 break
-        if deadline is not None and t % _DEADLINE_EVERY == 0 and time.monotonic() > deadline:
-            raise _OutOfTime(t)
+        if deadline is not None and t % _DEADLINE_EVERY == 0 and t < horizon and time.monotonic() > deadline:
+            break
 
-    prob = prob[: steps_done + 1]
+    prob = prob[: t + 1]
     if ov is not None:
-        ov = ov[: steps_done + 1]
+        ov = ov[: t + 1]
     peak_step, peak_probability = detect_peak(prob)
     halt_probability = float(prob[halt_step]) if halt_step is not None else None
     return RunSeries(prob, ov, peak_step, peak_probability, halt_step, halt_probability)
@@ -510,7 +507,10 @@ class RatioRow:
 
 @dataclass
 class TableReport:
-    """Rows plus ratios, with truncation markers for cells that did not run."""
+    """Rows plus ratios, and a marker for every cell without a row.
+
+    Such a cell was skipped, stopped by the budget, or had no crossing within the horizon.
+    """
 
     rows: list[TableRow] = field(default_factory=list)
     ratios: list[RatioRow] = field(default_factory=list)
@@ -537,11 +537,12 @@ def reproduce_tables(
     appears. Each run stops at ``horizon`` steps (default
     :func:`default_horizon` of its size). A wall clock budget, when given,
     is checked before each cell and every ``_DEADLINE_EVERY`` steps inside
-    it; cells that do not finish in it are listed as truncation markers
-    instead of raising. A size below 2, a block side that is not positive
-    or wraps onto itself at some size, a horizon below 1 or with a series
-    beyond memory, or a NaN or negative budget raises ``ValueError`` before
-    any cell runs.
+    it. A cell it skips, or stops inside the walk, is listed as a
+    truncation marker, the latter with the step it stopped after; a cell
+    that ran all its steps is not truncated by it. A size below 2, a block
+    side that is not positive or wraps onto itself at some size, a horizon
+    below 1 or with a series beyond memory, or a NaN or negative budget
+    raises ``ValueError`` before any cell runs.
     """
     if not sizes:
         raise ValueError("no grid sizes given")
@@ -575,35 +576,33 @@ def reproduce_tables(
                 if deadline is not None and time.monotonic() > deadline:
                     report.truncated.append(f"{cell}: skipped, time budget exceeded")
                     continue
-                try:
-                    series = _drive(
-                        _torus_walk(n, centered_block(n, side, side), scheme),
-                        cap,
-                        record_overlap=False,
-                        stop_at_halt=True,
-                        deadline=deadline,
+                series = _drive(
+                    _torus_walk(n, centered_block(n, side, side), scheme),
+                    cap,
+                    record_overlap=False,
+                    stop_at_halt=True,
+                    deadline=deadline,
+                )
+                if series.halt_step is not None:
+                    report.rows.append(
+                        TableRow(
+                            n=n,
+                            k=side * side,
+                            scheme=scheme,
+                            steps=series.halt_step,
+                            probability=series.halt_probability,
+                            runtime=runtime_metric(series.halt_step, series.halt_probability),
+                        )
                     )
-                except _OutOfTime as stop:
+                elif len(series) <= cap:
                     report.truncated.append(
-                        f"{cell}: stopped after {stop.args[0]} steps, time budget exceeded"
+                        f"{cell}: stopped after {len(series) - 1} steps, time budget exceeded"
                     )
-                    continue
-                if series.halt_step is None:
+                else:
                     report.truncated.append(
                         f"{cell}: overlap never crossed zero "
                         f"within {cap} steps (exceptional configuration?)"
                     )
-                    continue
-                report.rows.append(
-                    TableRow(
-                        n=n,
-                        k=side * side,
-                        scheme=scheme,
-                        steps=series.halt_step,
-                        probability=series.halt_probability,
-                        runtime=runtime_metric(series.halt_step, series.halt_probability),
-                    )
-                )
 
     report.rows.sort(key=lambda r: (r.n, r.k, r.scheme.value))
     grover = {(r.n, r.k): r.runtime for r in report.rows if r.scheme is CoinScheme.GROVER}

@@ -1,7 +1,9 @@
+import itertools
 import math
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from coinwalk.grid import (
 )
 from coinwalk import runner
 from coinwalk.runner import (
+    _DEADLINE_EVERY,
     _OVERLAP_BOUND,
     _STEP_BOUND,
     RunSeries,
@@ -766,6 +769,35 @@ class TestCertifiedSign:
         assert series.halt_step == 40
 
 
+def fake_clock(monkeypatch, calls):
+    """Make the runner's clock read 0.0 for its first ``calls`` reads and 10.0 after."""
+    reads = itertools.count()
+    monkeypatch.setattr(runner, "time", SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < calls else 10.0))
+
+
+class TestDeadline:
+    """A deadline ends :func:`runner._drive` as a halt does: the series is cut where the run stopped."""
+
+    @pytest.mark.parametrize(
+        "target,record_overlap,stop_at_halt",
+        [(lambda: runner._torus_walk(100, centered_block(100, 3, 3), CoinScheme.AKR), False, True),
+         (lambda: _graph_walk(torus_graph(20), [9 * 20 + 9, 9 * 20 + 10, 10 * 20 + 9, 10 * 20 + 10],
+                              CoinScheme.GROVER), True, False)],
+        ids=["torus", "graph"],
+    )
+    def test_passed_deadline_returns_the_steps_run(self, target, record_overlap, stop_at_halt, monkeypatch):
+        horizon = 3 * _DEADLINE_EVERY
+        whole = runner._drive(target(), horizon, True, stop_at_halt)
+        assert whole.halt_step is None or whole.halt_step > _DEADLINE_EVERY
+        fake_clock(monkeypatch, 0)
+        series = runner._drive(target(), horizon, record_overlap, stop_at_halt, deadline=1.0)
+        assert len(series) == _DEADLINE_EVERY + 1
+        assert series.halt_step is None and series.halt_probability is None
+        assert_array_equal(series.probability, whole.probability[: _DEADLINE_EVERY + 1])
+        if record_overlap:
+            assert_array_equal(series.overlap, whole.overlap[: _DEADLINE_EVERY + 1])
+
+
 class TestDefaultHorizon:
     def test_monotone_and_covers_tabulated_steps(self):
         assert default_horizon(100) >= 800
@@ -861,6 +893,24 @@ class TestReproduceTables:
         assert not report.rows
         assert len(report.truncated) == 2
         assert all(m.endswith("time budget exceeded") for m in report.truncated)
+
+    def test_budget_marks_the_step_a_cell_stopped_after(self, monkeypatch):
+        # reads: the deadline, the check before the first cell, then the first check inside it
+        fake_clock(monkeypatch, 2)
+        report = reproduce_tables([100], [3], time_budget_s=1.0)
+        assert not report.rows
+        assert report.truncated == [
+            "n=100 k=9 akr: stopped after 64 steps, time budget exceeded",
+            "n=100 k=9 grover: skipped, time budget exceeded",
+        ]
+
+    def test_deadline_on_the_last_step_leaves_the_cell_complete(self, monkeypatch):
+        # the clock would read past the deadline at step 64, but that is the horizon's last step
+        fake_clock(monkeypatch, 2)
+        report = reproduce_tables([20], [2], (CoinScheme.GROVER,), horizon=64, time_budget_s=1.0)
+        assert report.truncated == [
+            "n=20 k=4 grover: overlap never crossed zero within 64 steps (exceptional configuration?)"
+        ]
 
     def test_even_block_yields_truncation_marker(self):
         # exceptional configuration: the overlap never crosses zero
