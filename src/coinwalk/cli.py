@@ -68,10 +68,6 @@ from .stationary import (
 __all__ = [
     "ConfigError",
     "main",
-    "read_series_csv",
-    "read_series_json",
-    "read_table_csv",
-    "read_table_json",
     "write_series_csv",
     "write_series_json",
     "write_table_csv",
@@ -121,23 +117,6 @@ def write_series_csv(path: Path, series: RunSeries) -> None:
             fh.write("".join(lines))
 
 
-def read_series_csv(path: Path) -> dict:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    out: dict = {"step": [], "probability": []}
-    has_overlap = "overlap" in header
-    if has_overlap:
-        out["overlap"] = []
-    for row in rows:
-        out["step"].append(int(row[0]))
-        out["probability"].append(float(row[1]))
-        if has_overlap:
-            out["overlap"].append(float(row[2]))
-    return out
-
-
 def write_series_json(path: Path, series: RunSeries) -> None:
     doc = {
         "step": list(range(len(series.probability))),
@@ -146,10 +125,6 @@ def write_series_json(path: Path, series: RunSeries) -> None:
     if series.overlap is not None:
         doc["overlap"] = [float(_fmt(v)) for v in series.overlap]
     path.write_text(json.dumps(doc, indent=1) + "\n")
-
-
-def read_series_json(path: Path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def write_table_csv(path: Path, rows: Sequence[dict]) -> None:
@@ -166,34 +141,12 @@ def write_table_csv(path: Path, rows: Sequence[dict]) -> None:
             )
 
 
-def read_table_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            parsed = {}
-            for key, val in row.items():
-                try:
-                    parsed[key] = int(val)
-                except ValueError:
-                    try:
-                        parsed[key] = float(val)
-                    except ValueError:
-                        parsed[key] = val
-            out.append(parsed)
-    return out
-
-
 def write_table_json(path: Path, rows: Sequence[dict]) -> None:
     rounded = [
         {k: (float(_fmt(v)) if isinstance(v, float) else v) for k, v in row.items()}
         for row in rows
     ]
     Path(path).write_text(json.dumps(rounded, indent=1) + "\n")
-
-
-def read_table_json(path: Path) -> list[dict]:
-    return json.loads(Path(path).read_text())
 
 
 def _summary_dict(n: int, k: int, scheme: CoinScheme, series: RunSeries) -> dict:
@@ -472,16 +425,21 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_input(name: str, what: str) -> str:
+    """The text of an input file; a missing or unreadable file is a ConfigError."""
+    path = Path(name)
+    if not path.is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}")
+
+
 def cmd_graph_sim(args: argparse.Namespace) -> int:
-    graph_path = Path(args.graph)
-    if not graph_path.is_file():
-        raise ConfigError(f"graph file not found: {graph_path}")
-    g = parse_edge_list(graph_path.read_text())
+    g = parse_edge_list(_read_input(args.graph, "graph file"))
     if args.marked_file:
-        marked_path = Path(args.marked_file)
-        if not marked_path.is_file():
-            raise ConfigError(f"marked-vertex file not found: {marked_path}")
-        marked = parse_vertex_ids(marked_path.read_text())
+        marked = parse_vertex_ids(_read_input(args.marked_file, "marked-vertex file"))
     else:
         marked = []
     vs = g.check_marked(marked)

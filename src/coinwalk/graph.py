@@ -9,7 +9,6 @@ two, three, and ring-of-r marked vertices.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ __all__ = [
     "graph_check_conditions",
     "graph_dense_step_matrix",
     "graph_marked_probability",
-    "graph_overlap",
     "graph_step",
     "graph_uniform_state",
     "parse_edge_list",
@@ -80,11 +78,6 @@ class Graph:
         # the reverse keys head * n + tail are the arc keys permuted, so the arc
         # holding the k-th smallest reverse key is the reverse of arc k
         self.partner = np.argsort(head * n + tail)
-
-    @functools.cached_property
-    def arcs(self) -> list[tuple[int, int]]:
-        """The arcs as (tail, head) pairs, in arc order."""
-        return list(zip(self.tail.tolist(), self.head.tolist()))
 
     @property
     def arc_count(self) -> int:
@@ -186,9 +179,6 @@ class GraphState:
 
     graph: Graph
     amp: np.ndarray
-
-    def copy(self) -> "GraphState":
-        return GraphState(self.graph, self.amp.copy())
 
     def norm(self) -> float:
         return float(np.sqrt(np.dot(self.amp, self.amp)))
@@ -427,14 +417,6 @@ def _arc_probability(amp: np.ndarray, idxs: np.ndarray) -> float:
     """Squared norm of the amplitudes on arcs ``idxs``."""
     sel = amp[idxs]
     return float(np.dot(sel, sel))
-
-
-def graph_overlap(a: GraphState, b: GraphState) -> float:
-    """Real inner product of two states on the same graph."""
-    ga, gb = a.graph, b.graph
-    if ga is not gb and not (np.array_equal(ga.tail, gb.tail) and np.array_equal(ga.head, gb.head)):
-        raise ValueError("states live on different graphs")
-    return float(np.dot(a.amp, b.amp))
 
 
 def graph_check_conditions(

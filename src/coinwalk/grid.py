@@ -33,7 +33,6 @@ __all__ = [
     "apply_shift",
     "dense_step_matrix",
     "marked_probability",
-    "overlap",
     "step",
     "uniform_state",
 ]
@@ -161,10 +160,6 @@ class MarkedSet:
         self.mask = np.zeros((n, n), dtype=bool)
         self.mask[self.xs, self.ys] = True
         self.flat = ((self.xs * n + self.ys)[:, None] * 4 + np.arange(4)).reshape(-1)
-
-    @classmethod
-    def empty(cls, n: int) -> "MarkedSet":
-        return cls(n, ())
 
     @classmethod
     def from_block(
@@ -593,10 +588,3 @@ def marked_probability(state: GridState, marked: MarkedSet) -> float:
     _check_grid(state.n, marked)
     sel = state.amp.reshape(-1)[marked.flat]
     return float(np.sum(sel * sel))
-
-
-def overlap(a: GridState, b: GridState) -> float:
-    """Real inner product of two states on the same grid."""
-    if a.n != b.n:
-        raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
-    return float(np.dot(a.amp.reshape(-1), b.amp.reshape(-1)))

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .graph import Graph, _arc_probability, _jagged_arcs, graph_uniform_state
-from .grid import CoinScheme, MarkedSet, _Band, _check_block, _check_memory, _check_side, _frame_coins
+from .grid import CoinScheme, MarkedSet, _Band, _check_block, _check_grid, _check_memory, _check_side, _frame_coins
 
 __all__ = [
     "LARGE_N_THRESHOLD",
@@ -304,8 +304,7 @@ def _torus_walk(
     counts; multiplying by 1, 2 or 4 is exact, so it is the exactly rounded
     total of the whole torus.
     """
-    if marked.n != n:
-        raise ValueError(f"marked set is on a side-{marked.n} grid, expected {n}")
+    _check_grid(n, marked)
     a = 1.0 / math.sqrt(4.0 * n * n)  # the uniform amplitude, as grid.uniform_state rounds it
     band = _Band.of(marked)
     w, h = band.x.size, band.y.size
@@ -515,10 +514,6 @@ class TableReport:
     rows: list[TableRow] = field(default_factory=list)
     ratios: list[RatioRow] = field(default_factory=list)
     truncated: list[str] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return not self.truncated
 
 
 def reproduce_tables(

@@ -29,7 +29,6 @@ __all__ = [
     "StationaryCandidate",
     "build_block_layered",
     "build_block_tiling",
-    "build_domino_state",
     "check_conditions",
     "decompose_initial",
 ]
@@ -84,23 +83,6 @@ def _baseline(n: int, a: float | None) -> float:
     if a == 0.0:
         raise ValueError("baseline amplitude a must be nonzero")
     return a
-
-
-def build_domino_state(
-    n: int,
-    cell: tuple[int, int],
-    horizontal: bool = True,
-    a: float | None = None,
-) -> StationaryCandidate:
-    """Stationary state for a 1x2 marked pair.
-
-    The one-domino tiling of :func:`build_block_tiling`: every amplitude
-    equals ``a`` except the two amplitudes of the pair that point at each
-    other, which equal ``-3 a``. Defaults ``a`` to the uniform amplitude
-    1/sqrt(4N).
-    """
-    block = BlockSpec(cell, *((2, 1) if horizontal else (1, 2)))
-    return build_block_tiling(n, block, a, [(cell, horizontal)])
 
 
 def _superpose_tilings(

@@ -14,14 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinwalk
-from coinwalk.cli import (
-    main,
-    read_series_csv,
-    read_series_json,
-    read_table_csv,
-    read_table_json,
-    write_series_csv,
-)
+from coinwalk.cli import main, write_series_csv
 from coinwalk.runner import RunSeries
 
 
@@ -103,10 +96,10 @@ class TestSimulate:
             "--horizon", "120", "--output", str(out),
         )
         assert code == 0
-        data = read_series_csv(out)
-        assert data["step"] == list(range(121))
-        assert all(0.0 <= p <= 1.0 for p in data["probability"])
-        assert data["overlap"][0] == pytest.approx(1.0)
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [int(r["step"]) for r in rows] == list(range(121))
+        assert all(0.0 <= float(r["probability"]) <= 1.0 for r in rows)
+        assert float(rows[0]["overlap"]) == pytest.approx(1.0)
         summary = json.loads(out.with_suffix(".summary.json").read_text())
         assert summary["n"] == 30 and summary["k"] == 9 and summary["scheme"] == "akr"
         assert summary["halt_step"] is not None
@@ -121,8 +114,8 @@ class TestSimulate:
             "--horizon", "15", "--output", str(out),
         )
         assert code == 0
-        data = read_series_csv(out)
-        assert all(p == 0.0 for p in data["probability"])
+        rows = csv.DictReader(out.read_text().splitlines())
+        assert all(float(r["probability"]) == 0.0 for r in rows)
 
     def test_json_format_round_trip(self, tmp_path):
         out = tmp_path / "run.json"
@@ -131,7 +124,7 @@ class TestSimulate:
             "--horizon", "40", "--format", "json", "--output", str(out),
         )
         assert code == 0
-        data = read_series_json(out)
+        data = json.loads(out.read_text())
         assert len(data["probability"]) == 41
         assert data["overlap"][0] == 1.0
 
@@ -141,7 +134,7 @@ class TestSimulate:
             "simulate", "--n", "16", "--block", "3x3", "--coin", "akr",
             "--horizon", "20", "--no-overlap", "--output", str(out),
         )
-        assert "overlap" not in read_series_csv(out)
+        assert "overlap" not in next(csv.reader(out.read_text().splitlines()))
 
     def test_both_descriptors_rejected(self, tmp_path, capsys):
         code = run_cli(
@@ -268,13 +261,13 @@ class TestTable:
         monkeypatch.chdir(tmp_path)
         code = run_cli("table", "--sizes", "40", "--blocks", "3", "--coins", "akr,grover")
         assert code == 0
-        rows = read_table_csv(Path("table_rows.csv"))
-        ratios = read_table_csv(Path("table_ratios.csv"))
+        rows = list(csv.DictReader(Path("table_rows.csv").read_text().splitlines()))
+        ratios = list(csv.DictReader(Path("table_ratios.csv").read_text().splitlines()))
         assert {r["scheme"] for r in rows} == {"akr", "grover"}
-        assert len(ratios) == 1 and ratios[0]["k"] == 9
+        assert len(ratios) == 1 and int(ratios[0]["k"]) == 9
         akr = next(r for r in rows if r["scheme"] == "akr")
-        assert akr["runtime"] == pytest.approx(
-            akr["steps"] / math.sqrt(akr["probability"]), rel=1e-6
+        assert float(akr["runtime"]) == pytest.approx(
+            int(akr["steps"]) / math.sqrt(float(akr["probability"])), rel=1e-6
         )
 
     def test_json_output(self, tmp_path):
@@ -284,7 +277,7 @@ class TestTable:
             "--output", prefix,
         )
         assert code == 0
-        rows = read_table_json(Path(prefix + "_rows.json"))
+        rows = json.loads(Path(prefix + "_rows.json").read_text())
         assert rows and rows[0]["n"] == 30
 
     def test_prefix_holding_rows_names_both_files_from_it(self, tmp_path, capsys):
@@ -297,9 +290,9 @@ class TestTable:
         prefix = str(tmp_path / "t")
         argv = ["--sizes", "10,10", "--blocks", "3,3", "--coins", "akr,grover,akr", "--output", prefix]
         assert run_cli("table", *argv) == 0
-        rows = read_table_csv(Path(prefix + "_rows.csv"))
-        assert [(r["n"], r["k"], r["scheme"]) for r in rows] == [(10, 9, "akr"), (10, 9, "grover")]
-        assert len(read_table_csv(Path(prefix + "_ratios.csv"))) == 1
+        rows = csv.DictReader(Path(prefix + "_rows.csv").read_text().splitlines())
+        assert [(int(r["n"]), int(r["k"]), r["scheme"]) for r in rows] == [(10, 9, "akr"), (10, 9, "grover")]
+        assert len(list(csv.DictReader(Path(prefix + "_ratios.csv").read_text().splitlines()))) == 1
 
     def test_empty_sizes_exit_2(self):
         assert run_cli("table", "--sizes", "", "--blocks", "3") == 2
@@ -333,8 +326,7 @@ class TestGraphSim:
             "--coin", "grover", "--horizon", "25", "--output", str(out),
         )
         assert code == 0
-        data = read_series_csv(out)
-        assert len(data["step"]) == 26
+        assert len(list(csv.DictReader(out.read_text().splitlines()))) == 26
         summary = json.loads(out.with_suffix(".summary.json").read_text())
         assert summary["k"] == 1
 
@@ -347,12 +339,35 @@ class TestGraphSim:
             "--horizon", "10", "--output", str(out),
         )
         assert code == 0
-        data = read_series_csv(out)
-        assert all(p == 0.0 for p in data["probability"])
-        assert all(v == 1.0 for v in data["overlap"])
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert all(float(r["probability"]) == 0.0 for r in rows)
+        assert all(float(r["overlap"]) == 1.0 for r in rows)
 
     def test_missing_graph_file_exit_2(self, tmp_path):
         assert run_cli("graph-sim", "--graph", str(tmp_path / "nope.txt"), "--coin", "akr") == 2
+
+    @pytest.mark.parametrize("what", ["graph file", "marked-vertex file"])
+    def test_unreadable_file_exit_2(self, what, tmp_path, monkeypatch, capsys):
+        files = {"graph file": tmp_path / "g.txt", "marked-vertex file": tmp_path / "m.txt"}
+        files["graph file"].write_text("0 1\n1 2\n2 0\n")
+        files["marked-vertex file"].write_text("0\n")
+        read_text = Path.read_text
+
+        def denied(path, *args, **kwargs):
+            if path == files[what]:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        code = run_cli(
+            "graph-sim", "--graph", str(files["graph file"]),
+            "--marked-file", str(files["marked-vertex file"]), "--coin", "grover",
+            "--horizon", "5", "--output", str(tmp_path / "gs.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {what}: [Errno 13] Permission denied: '{files[what]}'\n"
+        assert "Traceback" not in err
 
     def test_out_of_range_marked_exit_2(self, tmp_path):
         graph_file = tmp_path / "g.txt"
@@ -618,19 +633,6 @@ class TestExitCodeContract:
 
 
 class TestRoundTrips:
-    def test_series_csv_stable_under_rewrite(self, tmp_path):
-        out = tmp_path / "s.csv"
-        run_cli(
-            "simulate", "--n", "14", "--block", "2x2", "--coin", "grover",
-            "--horizon", "30", "--output", str(out),
-        )
-        first = out.read_text()
-        data = read_series_csv(out)
-        # values survive a parse at 9 significant digits
-        reread = read_series_csv(out)
-        assert reread == data
-        assert "." in first.splitlines()[2]  # plain decimal point, no locale
-
     @pytest.mark.parametrize("with_overlap", [True, False])
     def test_series_csv_matches_csv_writer(self, tmp_path, with_overlap):
         # several write chunks long, with values that need every .9g form
@@ -655,7 +657,7 @@ class TestRoundTrips:
         args = ["simulate", "--n", "14", "--block", "2x2", "--coin", "akr", "--horizon", "30"]
         run_cli(*args, "--output", str(csv_out))
         run_cli(*args, "--format", "json", "--output", str(json_out))
-        c = read_series_csv(csv_out)
-        j = read_series_json(json_out)
-        assert c["probability"] == pytest.approx(j["probability"], rel=1e-8)
-        assert c["overlap"] == pytest.approx(j["overlap"], rel=1e-8)
+        c = list(csv.DictReader(csv_out.read_text().splitlines()))
+        j = json.loads(json_out.read_text())
+        assert [float(r["probability"]) for r in c] == pytest.approx(j["probability"], rel=1e-8)
+        assert [float(r["overlap"]) for r in c] == pytest.approx(j["overlap"], rel=1e-8)

@@ -47,6 +47,30 @@ def test_package_names_are_the_module_objects(module):
         assert getattr(coinwalk, name) is getattr(mod, name)
 
 
+def test_names_only_tests_called_are_gone():
+    # their replacements: csv/json on the written files, np.dot of the .amp arrays,
+    # zip(tail, head), MarkedSet(n), not report.truncated and build_block_tiling
+    import coinwalk.cli
+
+    removed = [
+        (coinwalk.cli, "read_series_csv"),
+        (coinwalk.cli, "read_series_json"),
+        (coinwalk.cli, "read_table_csv"),
+        (coinwalk.cli, "read_table_json"),
+        (coinwalk, "overlap"),
+        (coinwalk.grid, "overlap"),
+        (coinwalk, "graph_overlap"),
+        (coinwalk.graph, "graph_overlap"),
+        (coinwalk, "build_domino_state"),
+        (coinwalk.stationary, "build_domino_state"),
+        (coinwalk.Graph, "arcs"),
+        (coinwalk.GraphState, "copy"),
+        (coinwalk.MarkedSet, "empty"),
+        (coinwalk.TableReport, "complete"),
+    ]
+    assert [f"{owner.__name__}.{name}" for owner, name in removed if hasattr(owner, name)] == []
+
+
 def test_package_import_leaves_cli_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(coinwalk.__file__).parents[1])}
     script = "import sys, coinwalk; print(sorted({'coinwalk.cli', 'argparse', 'csv'} & sys.modules.keys()))"

@@ -19,7 +19,6 @@ from coinwalk.graph import (
     graph_check_conditions,
     graph_dense_step_matrix,
     graph_marked_probability,
-    graph_overlap,
     graph_step,
     graph_uniform_state,
     parse_edge_list,
@@ -249,7 +248,7 @@ class TestGraphStructure:
         n, edges = case
         g = Graph.from_edges(n, edges)
         arcs, offsets, degrees, partner = brute_force_arcs(n, edges)
-        assert g.arcs == arcs
+        assert list(zip(g.tail.tolist(), g.head.tolist())) == arcs
         assert g.offsets.tolist() == offsets
         assert g.degrees.tolist() == degrees
         assert g.partner.tolist() == partner
@@ -270,8 +269,9 @@ class TestGraphStructure:
     def test_partner_is_involution(self):
         g = random_simple_graph(np.random.default_rng(0))
         assert_array_equal(g.partner[g.partner], np.arange(g.arc_count))
-        for k, (i, j) in enumerate(g.arcs):
-            assert g.arcs[g.partner[k]] == (j, i)
+        arcs = list(zip(g.tail.tolist(), g.head.tolist()))
+        for k, (i, j) in enumerate(arcs):
+            assert arcs[g.partner[k]] == (j, i)
 
     @settings(deadline=None)
     @given(
@@ -537,13 +537,15 @@ class TestSymmetricRing:
     def test_r2_is_two_marked(self):
         g1, m1, s1 = build_symmetric_ring(2, 3)
         g2, m2, s2 = build_two_marked(3)
-        assert g1.arcs == g2.arcs and m1 == m2
+        assert list(zip(g1.tail.tolist(), g1.head.tolist())) == list(zip(g2.tail.tolist(), g2.head.tolist()))
+        assert m1 == m2
         assert_array_equal(s1.amp, s2.amp)
 
     def test_r3_k2_equals_generic_111(self):
         g1, m1, s1 = build_symmetric_ring(3, 2)
         g2, m2, s2 = build_generic_three(GenericThreeSpec(1, 1, 1))
-        assert g1.arcs == g2.arcs and m1 == m2
+        assert list(zip(g1.tail.tolist(), g1.head.tolist())) == list(zip(g2.tail.tolist(), g2.head.tolist()))
+        assert m1 == m2
         assert_array_equal(s1.amp, s2.amp)
 
     @pytest.mark.parametrize("r,k", [(2, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 4)])
@@ -624,12 +626,7 @@ class TestObservables:
     def test_overlap(self):
         g = triangle()
         st = graph_uniform_state(g)
-        assert graph_overlap(st, st) == pytest.approx(1.0, abs=1e-15)
-
-    def test_overlap_across_graphs_rejected(self):
-        path = Graph.from_edges(3, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError, match="different graphs"):
-            graph_overlap(graph_uniform_state(triangle()), graph_uniform_state(path))
+        assert np.dot(st.amp, st.amp) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestParsing:

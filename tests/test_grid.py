@@ -13,7 +13,6 @@ from coinwalk.grid import (
     apply_shift,
     dense_step_matrix,
     marked_probability,
-    overlap,
     step,
     uniform_state,
 )
@@ -70,7 +69,7 @@ class TestMarkedSet:
             MarkedSet.from_block(4, (0, 0), 5, 1)
 
     def test_empty(self):
-        m = MarkedSet.empty(4)
+        m = MarkedSet(4)
         assert len(m) == 0 and not m
 
 
@@ -95,13 +94,13 @@ class TestUniformState:
 class TestCoin:
     def test_uniform_cell_fixed(self):
         st = uniform_state(3)
-        out = apply_coin(st, CoinScheme.GROVER, MarkedSet.empty(3))
+        out = apply_coin(st, CoinScheme.GROVER, MarkedSet(3))
         assert_allclose(out.amp, st.amp, atol=1e-15)
 
     def test_first_column_of_diffusion(self):
         amp = np.zeros((2, 2, 4))
         amp[0, 0, Direction.UP] = 1.0
-        out = apply_coin(GridState(2, amp), CoinScheme.GROVER, MarkedSet.empty(2))
+        out = apply_coin(GridState(2, amp), CoinScheme.GROVER, MarkedSet(2))
         assert_allclose(out.amp[0, 0], [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
     def test_marked_grover_zero_sum_fixed(self):
@@ -162,7 +161,7 @@ class TestStep:
     @pytest.mark.parametrize("scheme", list(CoinScheme))
     def test_no_marked_fixed_point(self, scheme):
         st = uniform_state(7)
-        out = step(st, scheme, MarkedSet.empty(7))
+        out = step(st, scheme, MarkedSet(7))
         assert_array_equal(out.amp, st.amp)
 
     def test_marked_set_on_another_side_rejected(self):
@@ -214,7 +213,7 @@ class TestStep:
         rng = np.random.default_rng(n)
         cells = [(0, 0), (n - 1, 1), (1, n - 1), (n // 2, n // 2), (0, n - 1), (n - 1, 0)]
         for scheme in CoinScheme:
-            for marked in (MarkedSet(n, cells), MarkedSet.empty(n)):
+            for marked in (MarkedSet(n, cells), MarkedSet(n)):
                 st = random_state(n, rng)
                 work, half = planes(st.amp).copy(), np.empty((n, n))
                 (coin0, _), (coin1, flat1) = torus_coins(work, scheme, marked, half)
@@ -253,19 +252,19 @@ class TestStep:
 
 class TestDenseOracle:
     def test_orthogonal(self):
-        m = dense_step_matrix(2, CoinScheme.GROVER, MarkedSet.empty(2))
+        m = dense_step_matrix(2, CoinScheme.GROVER, MarkedSet(2))
         assert_allclose(m.T @ m, np.eye(16), atol=1e-12)
 
     def test_uniform_fixed(self):
         st = uniform_state(2)
-        m = dense_step_matrix(2, CoinScheme.AKR, MarkedSet.empty(2))
+        m = dense_step_matrix(2, CoinScheme.AKR, MarkedSet(2))
         assert_allclose(m @ st.amp.reshape(-1), st.amp.reshape(-1), atol=1e-15)
 
     def test_cap_enforced(self):
         with pytest.raises(OracleTooLargeError):
-            dense_step_matrix(9, CoinScheme.GROVER, MarkedSet.empty(9))
+            dense_step_matrix(9, CoinScheme.GROVER, MarkedSet(9))
         # explicit override widens the cap
-        dense_step_matrix(9, CoinScheme.GROVER, MarkedSet.empty(9), cap=9)
+        dense_step_matrix(9, CoinScheme.GROVER, MarkedSet(9), cap=9)
 
 
 class TestObservables:
@@ -275,22 +274,18 @@ class TestObservables:
         assert marked_probability(st, m) == pytest.approx(0.0009, abs=1e-15)
 
     def test_empty_marked_probability(self):
-        assert marked_probability(uniform_state(5), MarkedSet.empty(5)) == 0.0
+        assert marked_probability(uniform_state(5), MarkedSet(5)) == 0.0
 
     def test_overlap_self(self):
         st = uniform_state(10)
-        assert overlap(st, st) == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(st.amp.reshape(-1), st.amp.reshape(-1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_evolved_norm(self):
         st = uniform_state(8)
         m = MarkedSet.from_block(8, (2, 2), 2, 1)
         for _ in range(50):
             st = step(st, CoinScheme.GROVER, m)
-        assert overlap(st, st) == pytest.approx(1.0, abs=1e-9)
-
-    def test_overlap_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            overlap(uniform_state(4), uniform_state(5))
+        assert np.dot(st.amp.reshape(-1), st.amp.reshape(-1)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestRoundTripHelpers:

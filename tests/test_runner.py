@@ -208,7 +208,7 @@ class TestRuntimeMetric:
 
 class TestRunWalk:
     def test_empty_marked_set(self):
-        series = run_walk(20, MarkedSet.empty(20), CoinScheme.GROVER, 50)
+        series = run_walk(20, MarkedSet(20), CoinScheme.GROVER, 50)
         assert_array_equal(series.probability, np.zeros(51))
         assert_array_equal(series.overlap, np.ones(51))
         assert series.halt_step is None
@@ -278,10 +278,10 @@ class TestRunWalk:
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
-            run_walk(10, MarkedSet.empty(10), CoinScheme.AKR, 0)
+            run_walk(10, MarkedSet(10), CoinScheme.AKR, 0)
 
     def test_marked_set_on_another_side_rejected(self):
-        with pytest.raises(ValueError, match="side-4 grid, expected 5"):
+        with pytest.raises(ValueError, match="^marked set is on a side-4 grid, state on 5$"):
             run_walk(5, MarkedSet(4, [(0, 0)]), CoinScheme.AKR, 10)
 
     @pytest.mark.parametrize("scheme", list(CoinScheme))
@@ -324,7 +324,7 @@ class TestMirrorBand:
     @example((8, MarkedSet.from_block(8, (2, 6), 3, 3), CoinScheme.AKR), 1)  # site axes both ways
     @example((10, MarkedSet.from_block(10, (9, 4), 2, 2), CoinScheme.GROVER), 1)  # bond axes, wraps
     @example((9, MarkedSet.from_block(9, (3, 3), 3, 3), CoinScheme.GROVER), 1)  # odd n: site, bond
-    @example((9, MarkedSet.empty(9), CoinScheme.GROVER), 1)
+    @example((9, MarkedSet(9), CoinScheme.GROVER), 1)
     @example((7, MarkedSet(7, [(1, 0), (5, 0), (2, 3), (4, 3)]), CoinScheme.AKR), 1)  # x-mirror only
     @example((6, MarkedSet(6, [(5, 1), (1, 1), (0, 2)]), CoinScheme.GROVER), 1)  # x-mirror only, wraps
     @example((10, MarkedSet(10, [(1, 2), (9, 2), (1, 6), (9, 6), (0, 4)]), CoinScheme.AKR), 1)  # no block
@@ -501,7 +501,7 @@ class TestStartState:
         # _drive takes the step-0 overlap from the start state's sum; if a numpy release sums
         # the stride-0 view in another order than the filled array, this fails
         for n in range(2, 131):
-            start = runner._torus_walk(n, MarkedSet.empty(n), CoinScheme.GROVER)[0]
+            start = runner._torus_walk(n, MarkedSet(n), CoinScheme.GROVER)[0]
             filled = uniform_state(n).amp
             assert start.shape == (4, n, n) and start.strides == (0, 0, 0) and start.size == filled.size
             assert start.flat[0] == filled.flat[0]
@@ -695,7 +695,7 @@ class TestCertifiedSign:
     @example((16, MarkedSet(16, [(i, i) for i in range(16)]), CoinScheme.AKR), 40)
     @example((2, MarkedSet(2, [(0, 0)]), CoinScheme.GROVER), 30)
     @example((2, MarkedSet(2, [(0, 1)]), CoinScheme.AKR), 30)
-    @example((9, MarkedSet.empty(9), CoinScheme.AKR), 50)
+    @example((9, MarkedSet(9), CoinScheme.AKR), 50)
     @example((3, MarkedSet(3, [(x, y) for x in range(3) for y in range(3)]), CoinScheme.AKR), 20)
     @example((3, MarkedSet(3, [(x, y) for x in range(3) for y in range(3)]), CoinScheme.GROVER), 20)
     @example((100, centered_block(100, 2, 2), CoinScheme.GROVER), 10_000)  # never halts
@@ -807,7 +807,7 @@ class TestDefaultHorizon:
 class TestReproduceTables:
     def test_small_grid_rows_and_ratio(self):
         report = reproduce_tables([50], [3])
-        assert report.complete
+        assert not report.truncated
         assert [r.scheme for r in report.rows] == [CoinScheme.AKR, CoinScheme.GROVER]
         akr, grover = report.rows
         assert akr.k == grover.k == 9
@@ -881,7 +881,7 @@ class TestReproduceTables:
 
     def test_zero_budget_truncates_everything(self):
         report = reproduce_tables([50], [3], time_budget_s=0.0)
-        assert not report.complete
+        assert report.truncated
         assert not report.rows
         assert len(report.truncated) == 2
 
@@ -920,7 +920,7 @@ class TestReproduceTables:
 
     def test_table_rows_equal_single_runs(self):
         report = reproduce_tables([40], [3, 5])
-        assert report.complete and len(report.rows) == 4
+        assert not report.truncated and len(report.rows) == 4
         for row in report.rows:
             side = math.isqrt(row.k)
             series = run_walk(

@@ -14,7 +14,6 @@ from coinwalk.stationary import (
     StationaryCandidate,
     build_block_layered,
     build_block_tiling,
-    build_domino_state,
     check_conditions,
     decompose_initial,
 )
@@ -86,29 +85,30 @@ def assert_layered_census(c, block):
 
 class TestDominoState:
     def test_amplitude_census(self):
-        c = build_domino_state(100, (30, 40), horizontal=True)
+        c = build_block_tiling(100, BlockSpec((30, 40), 2, 1), None, [((30, 40), True)])
         a = 1.0 / 200.0
         flat = c.state.amp.reshape(-1)
         assert np.sum(np.isclose(flat, -3 * a)) == 2
         assert np.sum(np.isclose(flat, a)) == 4 * 100 * 100 - 2
 
     def test_conditions_hold(self):
-        c = build_domino_state(50, (0, 0), horizontal=False)
+        c = build_block_tiling(50, BlockSpec((0, 0), 1, 2), None, [((0, 0), False)])
         assert check_conditions(c) == (True, True, True)
 
     @pytest.mark.parametrize("horizontal", [True, False])
     def test_step_invariant(self, horizontal):
-        c = build_domino_state(20, (19, 7), horizontal=horizontal)
+        block = BlockSpec((19, 7), *((2, 1) if horizontal else (1, 2)))
+        c = build_block_tiling(20, block, None, [((19, 7), horizontal)])
         assert residual(c) <= 1e-12
 
     def test_akr_does_not_fix_it(self):
-        c = build_domino_state(10, (2, 2))
+        c = build_block_tiling(10, BlockSpec((2, 2), 2, 1), None, [((2, 2), True)])
         assert residual(c, CoinScheme.AKR) > 1e-3
 
     def test_fixed_point_of_dense_oracle(self):
         from coinwalk.grid import dense_step_matrix
 
-        c = build_domino_state(4, (1, 1), horizontal=False)
+        c = build_block_tiling(4, BlockSpec((1, 1), 1, 2), None, [((1, 1), False)])
         assert c.marked.cells == frozenset({(1, 1), (1, 2)})
         m = dense_step_matrix(4, CoinScheme.GROVER, c.marked)
         flat = c.state.amp.reshape(-1)
@@ -116,9 +116,9 @@ class TestDominoState:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            build_domino_state(1, (0, 0))
+            build_block_tiling(1, BlockSpec((0, 0), 2, 1), None, [((0, 0), True)])
         with pytest.raises(ValueError):
-            build_domino_state(10, (0, 0), a=0.0)
+            build_block_tiling(10, BlockSpec((0, 0), 2, 1), 0.0, [((0, 0), True)])
 
 
 class TestLayeredConstruction:
@@ -155,7 +155,7 @@ class TestLayeredConstruction:
 
     def test_1x2_equals_domino(self):
         layered = build_block_layered(9, BlockSpec((4, 4), 1, 2))
-        domino = build_domino_state(9, (4, 4), horizontal=False)
+        domino = build_block_tiling(9, BlockSpec((4, 4), 1, 2), None, [((4, 4), False)])
         assert_array_equal(layered.state.amp, domino.state.amp)
 
     def test_wrapped_block(self):
@@ -177,7 +177,7 @@ class TestLayeredConstruction:
         # 4a overflows here while -3a does not: no step may pass through 4a
         block = BlockSpec((3, 3), 3, 6)
         assert_layered_census(build_block_layered(8, block, a), block)
-        domino = build_domino_state(8, (1, 1), a=a).state.amp
+        domino = build_block_tiling(8, BlockSpec((1, 1), 2, 1), a, [((1, 1), True)]).state.amp
         assert domino[1, 1, Direction.RIGHT].view(np.int64) == np.float64(-3.0 * a).view(np.int64)
 
     @pytest.mark.parametrize("m, l", [(100_000, 2), (2, 1_000_000_000)])
@@ -195,11 +195,6 @@ class TestTilingConstruction:
         assert residual(horiz) <= 1e-12
         assert residual(vert) <= 1e-12
         assert not np.array_equal(horiz.state.amp, vert.state.amp)
-
-    def test_1x2_degenerate_tiling_equals_domino(self):
-        c1 = build_block_tiling(8, BlockSpec((1, 1), 2, 1), None, [((1, 1), True)])
-        c2 = build_domino_state(8, (1, 1), horizontal=True)
-        assert_array_equal(c1.state.amp, c2.state.amp)
 
     # Tilings of a 2 x l block are sequences of horizontal rows (H) and 2x2
     # vertical blocks (B). From 2x4 on that span is degenerate: the states of
@@ -286,7 +281,7 @@ class TestConditions:
 class TestDecomposition:
     def test_single_domino_norms(self):
         n = 100
-        c = build_domino_state(n, (10, 10))
+        c = build_block_tiling(n, BlockSpec((10, 10), 2, 1), None, [((10, 10), True)])
         dec = decompose_initial(n, c)
         assert dec.delta_norm_sq == pytest.approx(8.0 / n**2, rel=1e-12)
         # exact reconstruction, remainder confined to the marked cells
@@ -299,19 +294,19 @@ class TestDecomposition:
     def test_empty_marked_gives_zero_delta(self):
         n = 12
         a0 = 1.0 / math.sqrt(4.0 * n * n)
-        cand = StationaryCandidate(uniform_state(n), MarkedSet.empty(n), a0)
+        cand = StationaryCandidate(uniform_state(n), MarkedSet(n), a0)
         dec = decompose_initial(n, cand)
         assert dec.delta_norm_sq == 0.0
 
     def test_baseline_mismatch_rejected(self):
-        c = build_domino_state(10, (1, 1), a=0.3)
+        c = build_block_tiling(10, BlockSpec((1, 1), 2, 1), 0.3, [((1, 1), True)])
         with pytest.raises(ValueError):
             decompose_initial(10, c)
 
     def test_overlap_never_leaves_delta_ball(self):
         # psi0 = phi + delta with phi frozen, so <psi(t)|psi0> >= 1 - 2 |delta|^2
         n = 50
-        c = build_domino_state(n, (20, 20))
+        c = build_block_tiling(n, BlockSpec((20, 20), 2, 1), None, [((20, 20), True)])
         dec = decompose_initial(n, c)
         series = run_walk(n, c.marked, CoinScheme.GROVER, 2000)
         bound = 1.0 - 2.0 * dec.delta_norm_sq
