@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -97,24 +98,21 @@ def _fmt(x: float) -> str:
 # file formats
 
 
-# rows formatted per write: one join per chunk without holding the whole file
+# rows formatted per write: one % call per chunk without holding the whole file
 _CSV_CHUNK = 1024
 
 
 def write_series_csv(path: Path, series: RunSeries) -> None:
-    # the bytes csv.writer gives: no field needs quoting, lines end in \r\n
-    with_overlap = series.overlap is not None
+    # the bytes csv.writer gives: no field needs quoting, lines end in \r\n;
+    # "%.9g" % x is the string _fmt(x) gives, so one % call formats a chunk
+    columns = [series.probability] if series.overlap is None else [series.probability, series.overlap]
+    row = "%d" + ",%.9g" * len(columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write("step,probability,overlap\r\n" if with_overlap else "step,probability\r\n")
+        fh.write("step,probability,overlap\r\n" if len(columns) == 2 else "step,probability\r\n")
         for start in range(0, len(series.probability), _CSV_CHUNK):
-            stop = start + _CSV_CHUNK
-            prob = series.probability[start:stop].tolist()
-            if with_overlap:
-                rows = zip(range(start, stop), prob, series.overlap[start:stop].tolist())
-                lines = [f"{t},{_fmt(p)},{_fmt(o)}\r\n" for t, p, o in rows]
-            else:
-                lines = [f"{t},{_fmt(p)}\r\n" for t, p in enumerate(prob, start)]
-            fh.write("".join(lines))
+            chunk = [col[start : start + _CSV_CHUNK].tolist() for col in columns]
+            steps = range(start, start + len(chunk[0]))
+            fh.write(row * len(steps) % tuple(itertools.chain.from_iterable(zip(steps, *chunk))))
 
 
 def write_series_json(path: Path, series: RunSeries) -> None:
@@ -426,13 +424,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _read_input(name: str, what: str) -> str:
-    """The text of an input file; a missing or unreadable file is a ConfigError."""
+    """The text of an input file; a missing, unreadable or non-text file is a ConfigError."""
     path = Path(name)
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
     try:
         return path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what}: {exc}")
 
 

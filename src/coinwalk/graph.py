@@ -123,8 +123,12 @@ class Graph:
             ids, ranks = np.unique(np.concatenate([lo, hi]), return_inverse=True)
             lo, hi, span = ranks[: len(e)], ranks[len(e) :], ids.size
         keys = lo * span + hi
-        repeated = np.ones(keys.size, dtype=bool)
-        repeated[np.unique(keys, return_index=True)[1]] = False
+        repeated = np.zeros(keys.size, dtype=bool)
+        ordered = np.sort(keys)
+        if np.any(ordered[1:] == ordered[:-1]):
+            # the stable unique keeps each key's first edge, so the rest are the repeats
+            repeated[:] = True
+            repeated[np.unique(keys, return_index=True)[1]] = False
         bad = np.flatnonzero(out_of_range | (u == v) | repeated)
         if bad.size:
             k = bad[0]
@@ -384,8 +388,9 @@ def _jagged_arcs(g: Graph) -> tuple[
         def spread() -> None:
             for mean2_row, row, c_row in filled:
                 np.subtract(mean2_row, row, out=c_row)
-            # mode="clip" never clips here; with out=, the default mode buffers the output
-            np.take(mean2, tail_vertex, out=c_tail, mode="clip")
+            # every index is in range, so mode="wrap" never wraps; it costs less than
+            # "clip"'s per-index clamp, and with out= the default "raise" buffers the output
+            np.take(mean2, tail_vertex, out=c_tail, mode="wrap")
             np.subtract(c_tail, amp_tail, out=c_tail)
 
         return sums, spread

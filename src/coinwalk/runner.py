@@ -328,7 +328,7 @@ def _torus_walk(
         frame ^= 1
 
     def marked_sum() -> float:
-        half.take(marked_cells, out=marked_half, mode="clip")
+        half.take(marked_cells, out=marked_half, mode="wrap")
         return 2.0 * float(np.add.reduce(marked_half))
 
     def total() -> float:
@@ -338,7 +338,7 @@ def _torus_walk(
         return 2.0 * float(np.add.reduce(row_sums))
 
     def probability() -> float:
-        flat.take(index[frame], out=sel, mode="clip")
+        flat.take(index[frame], out=sel, mode="wrap")
         np.multiply(sel, sel, out=sel)
         return float(np.add.reduce(sel))
 
@@ -427,17 +427,18 @@ def _graph_walk(
         kept = amp[idxs]
         np.divide(s, half_degrees, out=mean2)
         fixed = -kept if akr else -(mean2[fix_vertices] - kept)
+        # every index is in range, so mode="wrap" never wraps; it costs less than
+        # "clip"'s per-index clamp, and with out= the default "raise" buffers the output
         if odd:
             spread()
             c[idxs] = fixed
-            np.take(c, partner, out=amp, mode="clip")
+            np.take(c, partner, out=amp, mode="wrap")
         else:
-            # mode="clip" never clips here; with out=, the default mode buffers the output
-            np.take(mean2, head, out=amp, mode="clip")
+            np.take(mean2, head, out=amp, mode="wrap")
             np.subtract(amp, c, out=amp)
             amp[fix_arcs] = fixed
         odd = not odd
-        s.take(marked_vertices, out=marked_s, mode="clip")
+        s.take(marked_vertices, out=marked_s, mode="wrap")
 
     return _Walk(
         amp,

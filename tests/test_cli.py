@@ -351,6 +351,18 @@ class TestGraphSim:
         files = {"graph file": tmp_path / "g.txt", "marked-vertex file": tmp_path / "m.txt"}
         files["graph file"].write_text("0 1\n1 2\n2 0\n")
         files["marked-vertex file"].write_text("0\n")
+
+        def graph_sim_error() -> str:
+            code = run_cli(
+                "graph-sim", "--graph", str(files["graph file"]),
+                "--marked-file", str(files["marked-vertex file"]), "--coin", "grover",
+                "--horizon", "5", "--output", str(tmp_path / "gs.csv"),
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            return err
+
         read_text = Path.read_text
 
         def denied(path, *args, **kwargs):
@@ -358,16 +370,14 @@ class TestGraphSim:
                 raise PermissionError(13, "Permission denied", str(path))
             return read_text(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", denied)
-        code = run_cli(
-            "graph-sim", "--graph", str(files["graph file"]),
-            "--marked-file", str(files["marked-vertex file"]), "--coin", "grover",
-            "--horizon", "5", "--output", str(tmp_path / "gs.csv"),
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == f"error: cannot read {what}: [Errno 13] Permission denied: '{files[what]}'\n"
-        assert "Traceback" not in err
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "read_text", denied)
+            assert graph_sim_error() == f"error: cannot read {what}: [Errno 13] Permission denied: '{files[what]}'\n"
+        # a file that is not text is named the same way
+        files[what].write_bytes(b"\xff0 1\n")
+        with pytest.raises(UnicodeDecodeError) as decode_error:
+            files[what].read_text()
+        assert graph_sim_error() == f"error: cannot read {what}: {decode_error.value}\n"
 
     def test_out_of_range_marked_exit_2(self, tmp_path):
         graph_file = tmp_path / "g.txt"
@@ -635,21 +645,29 @@ class TestExitCodeContract:
 class TestRoundTrips:
     @pytest.mark.parametrize("with_overlap", [True, False])
     def test_series_csv_matches_csv_writer(self, tmp_path, with_overlap):
-        # several write chunks long, with values that need every .9g form
+        # several write chunks long, with values that need every .9g form and the
+        # edge values in both columns; 1025 rows leave one row in the last chunk
         rng = np.random.default_rng(3)
-        prob = rng.random(2500) ** 9
-        prob[:4] = [0.0, 1.0, 1e-300, 0.25]
-        overlap = rng.normal(size=2500) if with_overlap else None
-        write_series_csv(tmp_path / "s.csv", RunSeries(prob, overlap, 0, 0.0, None, None))
-        with open(tmp_path / "ref.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "probability", "overlap"][: 3 if with_overlap else 2])
-            for t in range(prob.size):
-                row = [t, format(prob[t], ".9g")]
-                if with_overlap:
-                    row.append(format(overlap[t], ".9g"))
-                writer.writerow(row)
-        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        edges = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308]
+        for size in (2500, 1025):
+            prob = rng.random(size) ** 9
+            prob[:4] = [0.0, 1.0, 1e-300, 0.25]
+            prob[-len(edges):] = edges
+            overlap = None
+            if with_overlap:
+                overlap = rng.normal(size=size)
+                overlap[4 : 4 + len(edges)] = edges
+                overlap[-len(edges):] = edges[::-1]
+            write_series_csv(tmp_path / "s.csv", RunSeries(prob, overlap, 0, 0.0, None, None))
+            with open(tmp_path / "ref.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["step", "probability", "overlap"][: 3 if with_overlap else 2])
+                for t in range(prob.size):
+                    row = [t, format(prob[t], ".9g")]
+                    if with_overlap:
+                        row.append(format(overlap[t], ".9g"))
+                    writer.writerow(row)
+            assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_series_json_matches_csv(self, tmp_path):
         csv_out = tmp_path / "s.csv"

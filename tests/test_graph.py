@@ -149,6 +149,56 @@ def brute_force_arcs(n, edges):
     return arcs, offsets, degrees, [position[(j, i)] for i, j in arcs]
 
 
+@st.composite
+def faulty_edge_lists(draw):
+    """A vertex count and a small edge list that may break each rule of ``Graph.from_edges``.
+
+    The edges join vertices 0..n-1. Up to three faults land anywhere in the
+    list: an edge with an id of -1, n or the vertex count, a drawn edge
+    repeated in either orientation, or a self-loop. Half the lists hold a
+    path over vertices 0..n-1, so many are valid. A far vertex count
+    (10^12, more vertices than endpoints) takes the ranking path; its edges
+    may also use its last vertex.
+    """
+    n = draw(st.integers(2, 6))
+    size = draw(st.sampled_from([n, n, 10**12]))
+    pairs = st.sampled_from(list(itertools.combinations(sorted({*range(n), size - 1}), 2)))
+    edges = draw(st.lists(pairs, max_size=6, unique=True))
+    if draw(st.booleans()):
+        edges += [(v, v + 1) for v in range(n - 1)]
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = draw(st.permutations([(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(edges)))
+        kind = draw(st.sampled_from(["repeat", "self-loop", "out of range"]))
+        if kind == "repeat" and edges:
+            u, v = draw(st.sampled_from(edges))
+            edges.insert(at, (v, u) if draw(st.booleans()) else (u, v))
+        elif kind == "out of range":
+            edge = (draw(st.sampled_from([-1, n, size])), draw(st.integers(-1, n)))
+            edges.insert(at, edge[::-1] if draw(st.booleans()) else edge)
+        else:
+            v = draw(st.integers(-1, n))
+            edges.insert(at, (v, v))
+    return size, edges
+
+
+def loop_check_edges(n, edges):
+    """``Graph.from_edges``'s error as a plain loop over the edges in input order; None if valid."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if frozenset((u, v)) in seen:
+            return f"parallel edge ({u}, {v})"
+        seen.add(frozenset((u, v)))
+    covered = {v for edge in edges for v in edge}
+    isolated = next(v for v in itertools.count() if v not in covered)
+    return f"vertex {isolated} is isolated; the coin is undefined there" if isolated < n else None
+
+
 def residual(g, marked, state, scheme=CoinScheme.GROVER):
     return float(np.max(np.abs(graph_step(state, marked, scheme).amp - state.amp)))
 
@@ -253,6 +303,21 @@ class TestGraphStructure:
         assert g.degrees.tolist() == degrees
         assert g.partner.tolist() == partner
         assert [g.arc_index(i, j) for i, j in arcs] == list(range(len(arcs)))
+
+    @settings(deadline=None, max_examples=300)
+    @given(faulty_edge_lists())
+    def test_first_bad_edge_matches_a_plain_loop(self, case):
+        n, edges = case
+        message = loop_check_edges(n, edges)
+        if message is not None:
+            with pytest.raises(InvalidGraphError) as err:
+                Graph.from_edges(n, edges)
+            assert str(err.value) == message
+            return
+        g = Graph.from_edges(n, edges)
+        arcs, _, _, partner = brute_force_arcs(n, edges)
+        assert list(zip(g.tail.tolist(), g.head.tolist())) == arcs
+        assert g.partner.tolist() == partner
 
     def test_arc_index_rejects_non_arcs(self):
         g = triangle()
