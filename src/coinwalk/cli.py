@@ -50,6 +50,7 @@ from .grid import (
 from .runner import (
     RunSeries,
     _centre_origin,
+    _deadline,
     _horizon,
     default_horizon,
     reproduce_tables,
@@ -256,8 +257,14 @@ def _emit_series(
     k: int,
     scheme: CoinScheme,
     series: RunSeries,
+    horizon: int,
+    stop_at_halt: bool,
 ) -> int:
-    """Write the series file and its summary, and print the summary line."""
+    """Write the series file and its summary, and print the summary line.
+
+    A run the budget stopped before its horizon, and not at its halt, gets a
+    ``truncated:`` line on stderr and exit 3.
+    """
     summary = _summary_dict(n, k, scheme, series)
     with _output_errors():
         out = _output_path(args.output, f"{default_stem}.{args.format}")
@@ -267,10 +274,15 @@ def _emit_series(
             write_series_json(out, series)
         out.with_suffix(".summary.json").write_text(json.dumps(summary, indent=1) + "\n")
     print(json.dumps(summary))
+    steps = len(series) - 1
+    if steps < horizon and not (stop_at_halt and series.halt_step is not None):
+        print(f"truncated: stopped after {steps} of {horizon} steps, time budget exceeded", file=sys.stderr)
+        return EXIT_BUDGET
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    deadline = _deadline(args.budget)
     if (args.block is None) == (args.cells is None):
         raise ConfigError("pass exactly one marked-set descriptor: --block or --cells")
     n = args.n
@@ -288,8 +300,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         horizon,
         record_overlap=not args.no_overlap,
         stop_at_halt=args.stop_at_halt,
+        deadline=deadline,
     )
-    return _emit_series(args, "series", n, len(marked), scheme, series)
+    return _emit_series(args, "series", n, len(marked), scheme, series, horizon, args.stop_at_halt)
 
 
 # what a verify target adds to the report: header fields, named conditions, the state
@@ -435,6 +448,7 @@ def _read_input(name: str, what: str) -> str:
 
 
 def cmd_graph_sim(args: argparse.Namespace) -> int:
+    deadline = _deadline(args.budget)
     g = parse_edge_list(_read_input(args.graph, "graph file"))
     if args.marked_file:
         marked = parse_vertex_ids(_read_input(args.marked_file, "marked-vertex file"))
@@ -443,10 +457,8 @@ def cmd_graph_sim(args: argparse.Namespace) -> int:
     vs = g.check_marked(marked)
     scheme = CoinScheme(args.coin)
     horizon = args.horizon if args.horizon is not None else _horizon(g.n)
-    series = run_graph_walk(
-        g, vs, scheme, horizon, record_overlap=not args.no_overlap
-    )
-    return _emit_series(args, "graph_series", g.n, len(vs), scheme, series)
+    series = run_graph_walk(g, vs, scheme, horizon, record_overlap=not args.no_overlap, deadline=deadline)
+    return _emit_series(args, "graph_series", g.n, len(vs), scheme, series, horizon, stop_at_halt=False)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
     sim.add_argument("--no-overlap", action="store_true", help="do not store the overlap column")
     sim.add_argument("--stop-at-halt", action="store_true", help="stop once the overlap crosses zero")
+    sim.add_argument("--budget", type=float, help="wall-clock budget in seconds")
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="build a stationary construction and verify it")
@@ -503,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsim.add_argument("--output", help="series file path")
     gsim.add_argument("--format", choices=["csv", "json"], default="csv")
     gsim.add_argument("--no-overlap", action="store_true", help="do not store the overlap column")
+    gsim.add_argument("--budget", type=float, help="wall-clock budget in seconds")
     gsim.set_defaults(func=cmd_graph_sim)
 
     return parser

@@ -97,28 +97,56 @@ def centered_block(n: int, width: int, height: int) -> MarkedSet:
     return MarkedSet.from_block(n, _centre_origin(n, width, height), width, height)
 
 
-# steps between deadline checks; a table cell's step takes about 21 us at n=100 and 41 us
-# at n=200 (3x3 block), so one check covers about 1.3 ms and 2.7 ms of stepping
+# steps between deadline checks, and the most steps in one block of _drive; a table cell's step
+# takes about 21 us at n=100 and 41 us at n=200 (3x3 block), so one check covers about 1.3 ms
+# and 2.7 ms of stepping
 _DEADLINE_EVERY = 64
 
 
-class _Walk(NamedTuple):
-    """What a target hands :func:`_drive`: its start state and five callables bound to its state.
+# most values the rows of one block may hold together, 64 KiB of floats, so that a block adds
+# little to the band a walk holds: 64 rows of a 2x2 block at n=100 take 4224 values, and a 3x3
+# block at n=200, whose band holds 40804, gets 32 rows of 137
+_BLOCK_VALUES = 8192
 
-    After each ``advance()`` (one step, nothing returned), ``probability()``
-    returns the marked probability, ``marked_sum()`` the total of the marked
-    cells' (or vertices') amplitude sums before the step, ``total()`` the
-    state's amplitude total from the coin's sums and ``exact()`` its exactly
-    rounded total. ``total()`` may overwrite what ``marked_sum()`` reads, so
-    a step calls ``marked_sum()`` first, if at all.
+
+def _block_rows(values: int, state: int) -> int:
+    """Steps in a block whose rows take ``values`` each, a power of two up to ``_DEADLINE_EVERY``.
+
+    The most whose rows together hold no more than ``_BLOCK_VALUES`` and no
+    more values than the ``state``, and at least one.
+    """
+    rows = _DEADLINE_EVERY
+    while rows > 1 and rows * values > min(state, _BLOCK_VALUES):
+        rows //= 2
+    return rows
+
+
+class _Walk(NamedTuple):
+    """What a target hands :func:`_drive`: its start state, its block length and callables bound to its state.
+
+    ``advance()`` takes one step. After it, ``gather(r)`` fills row r of the
+    block's probability rows, ``tally(r)`` row r of its total rows, and
+    ``marked_sum()`` returns the total of the marked cells' (or vertices')
+    amplitude sums before the step. ``probabilities(m)`` and ``totals(m)``
+    reduce the first m rows of a block, ``rows`` at most, to the marked
+    probability and the amplitude total from the coin's sums of each of
+    those steps; ``probabilities`` may overwrite its rows. ``exact()``
+    returns the state's exactly rounded total, and ``save()`` copies the
+    state and returns a callable that puts the copy back. ``tally`` may
+    overwrite what ``marked_sum`` reads, so a step calls ``marked_sum()``
+    first, if at all.
     """
 
     start: np.ndarray
+    rows: int
     advance: Callable[[], None]
-    probability: Callable[[], float]
+    gather: Callable[[int], None]
+    tally: Callable[[int], None]
+    probabilities: Callable[[int], np.ndarray]
+    totals: Callable[[int], np.ndarray]
     marked_sum: Callable[[], float]
-    total: Callable[[], float]
     exact: Callable[[], float]
+    save: Callable[[], Callable[[], None]]
 
 
 # bound on the error of the fast overlap of a unit state, derived in _drive
@@ -126,6 +154,18 @@ _OVERLAP_BOUND = 128 * np.finfo(float).eps
 
 # bound on what one step adds to the error of the running overlap, derived in _drive
 _STEP_BOUND = 160 * np.finfo(float).eps
+
+
+def _deadline(time_budget_s: float | None) -> float | None:
+    """The ``time.monotonic()`` value a budget of that many seconds from now ends at, or None without one.
+
+    A NaN or negative budget raises ``ValueError``.
+    """
+    if time_budget_s is None:
+        return None
+    if not time_budget_s >= 0.0:
+        raise ValueError(f"time budget must be a number of seconds >= 0, got {time_budget_s}")
+    return time.monotonic() + time_budget_s
 
 
 def _check_horizon(horizon: int, record_overlap: bool) -> None:
@@ -158,29 +198,42 @@ def _drive(
     (:func:`_check_horizon`) raises ``ValueError`` before anything is
     allocated.
 
+    The run goes in blocks of ``walk.rows`` steps, a power of two that
+    divides ``_DEADLINE_EVERY``, the last one cut at the horizon. A step
+    only fills its row of the block: the marked amplitudes (``gather``)
+    and, in a recording run, the coin's signed sums (``tally``). Once per
+    block ``probabilities`` and ``totals`` reduce the rows, each row in
+    numpy's pairwise order, the order of a one-step reduction, so every
+    value has the bits a step-by-step run gives.
+
     The halt step is the first t whose state has an exact total <= 0, so it
     does not depend on the order of the coin's sums. A recording run takes
-    every step's overlap from ``walk.total()``, the fast total from the
+    every step's overlap from ``walk.totals``, the fast totals from the
     coin's own sums (see :func:`_torus_walk` and :func:`_graph_walk`). It
     decides the sign wherever it lies outside ``±c eps`` (``_OVERLAP_BOUND``,
     c = 128); inside, the step falls back to ``a0`` times ``walk.exact()``,
     an ``math.fsum`` of every amplitude of the state (the torus walk's band
     weighs each amplitude it holds by the torus cells its cell stands for),
     so that is the exactly rounded overlap, and it is what the series
-    records at such a step.
+    records at such a step. The block's totals come after its last step,
+    so a block with such a step is run again from a copy of the state it
+    started from (``walk.save``), taken at the start of every block of a
+    recording run: at most one block more. The run reads its halt from the
+    block's overlaps, so with ``stop_at_halt`` it may step on to the end of
+    the block; its series is cut at the halt step all the same.
 
     A run that records no overlap needs only its sign, and certifies it
-    from a running overlap instead. The coin keeps every unmarked sum and
-    negates every marked one, so a step takes ``2 a0 M`` off the overlap,
-    ``M`` the marked sums before it (``walk.marked_sum()``, O(k) reads).
-    The run keeps ``running -= 2 a0 M`` and a bound ``err`` on its distance
-    from the exact overlap, which grows by ``c' eps`` a step
-    (``_STEP_BOUND``, c' = 160). Where ``|running| > err`` its sign is the
-    exact overlap's. Elsewhere, and on step 1, which has no anchor yet, the
-    step is decided by the fast total and the fallback above, and
-    ``running`` and ``err`` restart from that overlap and ``c eps``. No
-    running value is ever recorded, so a series or a summary has the same
-    bits either way.
+    from a running overlap instead, every step, so it stops at its halt
+    step. The coin keeps every unmarked sum and negates every marked one,
+    so a step takes ``2 a0 M`` off the overlap, ``M`` the marked sums
+    before it (``walk.marked_sum()``, O(k) reads). The run keeps
+    ``running -= 2 a0 M`` and a bound ``err`` on its distance from the
+    exact overlap, which grows by ``c' eps`` a step (``_STEP_BOUND``, c' =
+    160). Where ``|running| > err`` its sign is the exact overlap's.
+    Elsewhere, and on step 1, which has no anchor yet, the step is decided
+    by the fast total and the fallback above, and ``running`` and ``err``
+    restart from that overlap and ``c eps``. No running value is ever
+    recorded, so a series or a summary has the same bits either way.
 
     The bound: numpy's pairwise sum of m terms takes each term through at
     most L(m) <= 26 + max(0, ceil(log2(m / 128))) roundings (8 accumulators
@@ -225,40 +278,65 @@ def _drive(
     may grow by 4% before this slack is spent.
     """
     _check_horizon(horizon, record_overlap)
-    amp, advance, marked_prob, marked_sum, total, exact = walk
+    amp, rows, advance, gather, tally, probabilities, totals, marked_sum, exact, save = walk
     a0 = float(amp.flat[0])
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
 
-    def overlap() -> float:
-        fast = a0 * total()
-        return a0 * exact() if abs(fast) <= _OVERLAP_BOUND else fast
-
-    prob[0] = marked_prob()
+    gather(0)
+    prob[0] = probabilities(1)[0]
     if ov is not None:
         ov[0] = a0 * float(amp.sum())
     # an unrecorded run's running overlap and its error bound, unanchored before step 1
     running, err = 0.0, math.inf
 
     halt_step: int | None = None
-    for t in range(1, horizon + 1):
-        advance()
-        prob[t] = marked_prob()
+    t = 0
+    while t < horizon:
+        m = min(rows, horizon - t)
+        restore = save() if ov is not None else None
+        for r in range(m):
+            advance()
+            gather(r)
+            if ov is not None:
+                tally(r)
+            elif halt_step is None:
+                running -= 2.0 * a0 * marked_sum()
+                err += _STEP_BOUND
+                if abs(running) <= err:
+                    # an unrecorded run keeps no total rows, so row 0 serves
+                    tally(0)
+                    running, err = a0 * float(totals(1)[0]), _OVERLAP_BOUND
+                    if abs(running) <= _OVERLAP_BOUND:
+                        running = a0 * exact()
+                if running <= 0.0:
+                    halt_step = t + r + 1
+                    if stop_at_halt:
+                        m = r + 1
+                        break
+        prob[t + 1 : t + m + 1] = probabilities(m)
         if ov is not None:
-            now = ov[t] = overlap()
-        elif halt_step is None:
-            running -= 2.0 * a0 * marked_sum()
-            err += _STEP_BOUND
-            if abs(running) <= err:
-                running, err = overlap(), _OVERLAP_BOUND
-            now = running
-        if halt_step is None and now <= 0.0:
-            halt_step = t
-            if stop_at_halt:
-                break
+            now = ov[t + 1 : t + m + 1]
+            np.multiply(a0, totals(m), out=now)
+            doubtful = np.abs(now) <= _OVERLAP_BOUND
+            if doubtful.any():
+                restore()
+                for r in range(m):
+                    advance()
+                    if doubtful[r]:
+                        now[r] = a0 * exact()
+            if halt_step is None:
+                crossed = np.flatnonzero(now <= 0.0)
+                if crossed.size:
+                    halt_step = t + 1 + int(crossed[0])
+        t += m
+        if halt_step is not None and stop_at_halt:
+            break
         if deadline is not None and t % _DEADLINE_EVERY == 0 and t < horizon and time.monotonic() > deadline:
             break
 
+    if halt_step is not None and stop_at_halt:
+        t = halt_step
     prob = prob[: t + 1]
     if ov is not None:
         ov = ov[: t + 1]
@@ -281,9 +359,12 @@ def _torus_walk(
     :func:`grid._frame_coins`, handed the band to read its edges from its
     folds' :meth:`grid._Fold.seams`, take it from frame 0 to frame 1 and
     back, and the gather reads the marked amplitudes through the current
-    frame's positions, in ``marked.flat`` order. Everything is bound to the
-    band once, the only state allocated; the start state is a stride-0 view
-    whose step-0 sum has the bits of the filled ``(4, n, n)`` array's.
+    frame's positions, in ``marked.flat`` order, into a row of the block.
+    Everything is bound to the band once, the only state allocated besides
+    the block's rows, which hold no more values than the band unless one
+    row alone does (:func:`_block_rows`), and the copy a recording run's
+    ``save`` takes. The start state is a stride-0 view whose step-0 sum has
+    the bits of the filled ``(4, n, n)`` array's.
 
     Both coins leave ``half`` holding half of every cell's amplitude sum.
     Grover diffusion keeps a cell's sum, both marked coins negate it and the
@@ -292,14 +373,15 @@ def _torus_walk(
     itself and its mirror images, the product of its row's and its column's
     :attr:`grid._Fold.weights`: 1, 2 or 4, all marked or all unmarked. So
     the total is twice one sum over the band of ``half`` times these counts,
-    negated at the marked cells (``signed``), row by row and then over the
-    rows. On a quarter that is ``2 (4 H - 2 A_col - 2 A_row + A_both - 2
+    negated at the marked cells (``signed``), row by row, the row sums
+    kept as one row of the block, and then over the rows, once per block.
+    On a quarter that is ``2 (4 H - 2 A_col - 2 A_row + A_both - 2
     M)`` (H the band's half sums, A those of its axis columns, rows and
     their crossings, M the marked cells'), but summed in that grouping the
     marked sum cancels against the whole: on 400 dense doubly symmetric sets
     it was off an exact sum by up to 1.2e-15, the signed sum by at most
     3.3e-16. The marked sum is twice the ``half`` of each marked torus
-    cell's band cell, taken before ``total`` scales ``half`` in place. The
+    cell's band cell, taken before ``tally`` scales ``half`` in place. The
     exact total is an ``math.fsum`` of the band's amplitudes times the same
     counts; multiplying by 1, 2 or 4 is exact, so it is the exactly rounded
     total of the whole torus.
@@ -319,7 +401,9 @@ def _torus_walk(
     signed[i, j] = -signed[i, j]
     # the band cell of each marked torus cell, in half's flat order
     marked_cells, marked_half = i * h + j, np.empty(len(marked))
-    row_sums, sel = np.empty(w), np.empty(4 * len(marked))
+    # a block's marked amplitudes and row sums of the signed half sums, a row a step
+    rows = _block_rows(4 * len(marked) + w, work.size)
+    picked, sums = np.empty((rows, 4 * len(marked))), np.empty((rows, w))
     frame = 0
 
     def advance() -> None:
@@ -327,26 +411,42 @@ def _torus_walk(
         coins[frame]()
         frame ^= 1
 
+    def gather(r: int) -> None:
+        flat.take(index[frame], out=picked[r], mode="wrap")
+
+    def tally(r: int) -> None:
+        # half is scratch once the coin has run: the next coin writes all of it
+        np.multiply(half, signed, out=half)
+        np.add.reduce(half, axis=1, out=sums[r])
+
+    def probabilities(m: int) -> np.ndarray:
+        block = picked[:m]
+        np.multiply(block, block, out=block)
+        return np.add.reduce(block, axis=1)
+
+    def totals(m: int) -> np.ndarray:
+        return 2.0 * np.add.reduce(sums[:m], axis=1)
+
     def marked_sum() -> float:
         half.take(marked_cells, out=marked_half, mode="wrap")
         return 2.0 * float(np.add.reduce(marked_half))
-
-    def total() -> float:
-        # half is scratch once the coin has run: the next coin writes all of it
-        np.multiply(half, signed, out=half)
-        np.add.reduce(half, axis=1, out=row_sums)
-        return 2.0 * float(np.add.reduce(row_sums))
-
-    def probability() -> float:
-        flat.take(index[frame], out=sel, mode="wrap")
-        np.multiply(sel, sel, out=sel)
-        return float(np.add.reduce(sel))
 
     def exact() -> float:
         # the memoryview of the flat product hands fsum Python floats without a list
         return math.fsum((work * np.abs(signed)).reshape(-1).data)
 
-    return _Walk(np.broadcast_to(a, (4, n, n)), advance, probability, marked_sum, total, exact)
+    def save() -> Callable[[], None]:
+        copy, at = work.copy(), frame
+
+        def restore() -> None:
+            nonlocal frame
+            np.copyto(work, copy)
+            frame = at
+        return restore
+
+    return _Walk(
+        np.broadcast_to(a, (4, n, n)), rows, advance, gather, tally, probabilities, totals, marked_sum, exact, save
+    )
 
 
 def run_walk(
@@ -356,21 +456,29 @@ def run_walk(
     horizon: int,
     record_overlap: bool = True,
     stop_at_halt: bool = False,
+    deadline: float | None = None,
 ) -> RunSeries:
     """Run the torus walk from the uniform state for up to ``horizon`` steps.
 
-    See :func:`_drive` for the halt rule and the two flags. Amplitudes and
+    See :func:`_drive` for the halt rule, the two flags and the
+    ``deadline``, a ``time.monotonic()`` value (see :func:`_deadline`) that
+    the run checks every ``_DEADLINE_EVERY`` steps. Amplitudes and
     probabilities are bit-identical to a composition of :func:`grid.step`
     calls; the run allocates only the band it steps (see :func:`_torus_walk`).
     The overlap of step t >= 1 is summed from the coin's half sums, one
     signed value per band cell, not from the 4n^2 amplitudes; it agrees with
     an exact sum of the state to about 3e-16. Where it is zero up to
     rounding, :func:`_drive` takes the exact sum, so the halt step is the exact totals'.
+    The run gathers the marked amplitudes and row-sums the signed half sums
+    a step at a time and squares and adds them once per block of up to
+    ``_DEADLINE_EVERY`` steps, in the order a step-by-step run adds them. A
+    block that holds an overlap zero up to rounding is run again from a copy
+    of its start state to take that step's exact sum.
     Without ``record_overlap`` the sign comes from a running overlap that
     subtracts the k marked cells' sums each step, and the band sum is taken
     only where that sign is not certain; the halt step is the same.
     """
-    return _drive(_torus_walk(n, marked, scheme), horizon, record_overlap, stop_at_halt)
+    return _drive(_torus_walk(n, marked, scheme), horizon, record_overlap, stop_at_halt, deadline)
 
 
 def _graph_walk(
@@ -400,7 +508,10 @@ def _graph_walk(
     bit-identical too. The total after a step is
     ``s.sum() - 2 * s[marked].sum()`` over the vertex sums ``s`` before it,
     in the layout's vertex order, by the identity of :func:`_torus_walk`;
-    ``s[marked].sum()`` is the marked sum.
+    ``s[marked].sum()`` is the marked sum. Each step's probability and
+    total are taken whole and only stored in the block's rows, so the
+    block's reductions just hand them back. ``save`` copies the state and
+    ``c``, which the even step reads.
     """
     vs = np.array(g.check_marked(marked), dtype=np.intp)
     order, arcs, bind = _jagged_arcs(g)
@@ -440,14 +551,39 @@ def _graph_walk(
         odd = not odd
         s.take(marked_vertices, out=marked_s, mode="wrap")
 
+    # the probability and the total of each step of a block, taken as the step ends
+    rows = _block_rows(2, amp.size)
+    probs, tallies = np.empty(rows), np.empty(rows)
+
+    def gather(r: int) -> None:
+        probs[r] = _arc_probability(amp, idxs)
+
+    def tally(r: int) -> None:
+        tallies[r] = float(s.sum()) - 2.0 * float(marked_s.sum())
+
+    def save() -> Callable[[], None]:
+        # an even step reads the odd step's coin output c
+        copies, at = (amp.copy(), c.copy()), odd
+
+        def restore() -> None:
+            nonlocal odd
+            np.copyto(amp, copies[0])
+            np.copyto(c, copies[1])
+            odd = at
+        return restore
+
     return _Walk(
         amp,
+        rows,
         advance,
-        lambda: _arc_probability(amp, idxs),
+        gather,
+        tally,
+        lambda m: probs[:m],
+        lambda m: tallies[:m],
         lambda: float(marked_s.sum()),
-        lambda: float(s.sum()) - 2.0 * float(marked_s.sum()),
         # the memoryview of the flat buffer hands fsum Python floats without a list
         lambda: math.fsum(amp.data),
+        save,
     )
 
 
@@ -458,6 +594,7 @@ def run_graph_walk(
     horizon: int,
     record_overlap: bool = True,
     stop_at_halt: bool = False,
+    deadline: float | None = None,
 ) -> RunSeries:
     """Graph-target variant of :func:`run_walk`, starting from the arc-uniform state.
 
@@ -475,11 +612,13 @@ def run_graph_walk(
     is summed from those vertex sums, one value per vertex with the marked
     vertices subtracted twice, not from the arc amplitudes, so it can
     differ from a direct sum in the last bits, about 3e-16; where that
-    decides the sign, :func:`_drive` takes the exact sum. Without
-    ``record_overlap`` the sign comes from a running overlap, as in
-    :func:`run_walk`.
+    decides the sign, :func:`_drive` takes the exact sum, running the
+    block again from a copy of its start state as :func:`run_walk` does.
+    Each step's probability and total are reduced as the step ends; the
+    block only holds them. Without ``record_overlap`` the sign comes from a
+    running overlap, and ``deadline`` stops the run, as in :func:`run_walk`.
     """
-    return _drive(_graph_walk(g, marked, scheme), horizon, record_overlap, stop_at_halt)
+    return _drive(_graph_walk(g, marked, scheme), horizon, record_overlap, stop_at_halt, deadline)
 
 
 @dataclass(frozen=True)
@@ -546,8 +685,7 @@ def reproduce_tables(
         raise ValueError("no block sides given")
     if not schemes:
         raise ValueError("no coin schemes given")
-    if time_budget_s is not None and not time_budget_s >= 0.0:
-        raise ValueError(f"time budget must be a number of seconds >= 0, got {time_budget_s}")
+    deadline = _deadline(time_budget_s)
     if horizon is not None:
         _check_horizon(horizon, record_overlap=False)
     # a repeated entry would run its cells twice: keep each once, where it first appears
@@ -562,7 +700,6 @@ def reproduce_tables(
         for side in block_sides:
             _check_block(n, side, side)
 
-    deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
     report = TableReport()
     for n in sizes:
         cap = horizon if horizon is not None else default_horizon(n)

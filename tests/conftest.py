@@ -1,7 +1,11 @@
-"""Shared test helpers: acceptance-criterion recording and summary printout, a bitwise array check
-and the two views between a state's (n, n, 4) layout and the run's direction-major planes."""
+"""Shared test helpers: acceptance-criterion recording and summary printout, a bitwise array check,
+the two views between a state's (n, n, 4) layout and the run's direction-major planes, and a fake
+clock for the runner."""
 
 from __future__ import annotations
+
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.testing import assert_array_equal
@@ -29,6 +33,14 @@ def planes(amp):
 def from_planes(work):
     """The (n, n, 4) view of a direction-major (4, n, n) array: the layout of a ``GridState``."""
     return np.moveaxis(work, 0, -1)
+
+
+def fake_clock(monkeypatch, calls):
+    """Make the runner's clock read 0.0 for its first ``calls`` reads and 10.0 after."""
+    from coinwalk import runner
+
+    reads = itertools.count()
+    monkeypatch.setattr(runner, "time", SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < calls else 10.0))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

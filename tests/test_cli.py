@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fake_clock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +170,27 @@ class TestSimulate:
         code = run_cli("simulate", "--n", "12", "--cells", "1,1", "--coin", "akr", "--horizon", "5")
         assert code == 0
         assert (tmp_path / "outs" / "series.csv").is_file()
+
+
+    @pytest.mark.parametrize(
+        "argv,steps,code",
+        [(["--block", "3x3", "--coin", "grover", "--horizon", "200"], 64, 3),
+         # no time left, but the run ends at its halt step before the first check
+         (["--block", "3x3", "--coin", "akr", "--horizon", "200", "--stop-at-halt"], 23, 0),
+         (["--block", "3x3", "--coin", "grover", "--horizon", "64"], 64, 0)],
+        ids=["stopped", "halted", "horizon"],
+    )
+    def test_zero_budget_writes_the_steps_run(self, argv, steps, code, tmp_path, monkeypatch, capsys):
+        # one clock read for the deadline; the run's first check, at step 64, finds it spent
+        fake_clock(monkeypatch, 1)
+        out = tmp_path / "s.csv"
+        assert run_cli("simulate", "--n", "20", *argv, "--budget", "0", "--output", str(out)) == code
+        assert len(out.read_text().splitlines()) == steps + 2
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"truncated: stopped after {steps} of 200 steps, time budget exceeded\n"
+        else:
+            assert err == ""
 
 
 class TestVerify:
@@ -343,6 +365,19 @@ class TestGraphSim:
         assert all(float(r["probability"]) == 0.0 for r in rows)
         assert all(float(r["overlap"]) == 1.0 for r in rows)
 
+    def test_zero_budget_exit_3(self, tmp_path, monkeypatch, capsys):
+        # one clock read for the deadline; the run's first check, at step 64, finds it spent
+        fake_clock(monkeypatch, 1)
+        out = tmp_path / "gs.csv"
+        code = run_cli(
+            "graph-sim", "--graph", str(DATA / "graph.txt"), "--marked-file", str(DATA / "graph_marked.txt"),
+            "--coin", "grover", "--horizon", "300", "--budget", "0", "--output", str(out),
+        )
+        assert code == 3
+        assert len(list(csv.DictReader(out.read_text().splitlines()))) == 65
+        assert json.loads(out.with_suffix(".summary.json").read_text())["halt_step"] == 5
+        assert capsys.readouterr().err == "truncated: stopped after 64 of 300 steps, time budget exceeded\n"
+
     def test_missing_graph_file_exit_2(self, tmp_path):
         assert run_cli("graph-sim", "--graph", str(tmp_path / "nope.txt"), "--coin", "akr") == 2
 
@@ -449,6 +484,9 @@ class TestInvalidInputs:
             ["table", "--sizes", "10", "--blocks", "1", "--horizon", "0", "--budget", "0"],
             ["table", "--sizes", "10", "--blocks", "1", "--horizon", "-1", "--budget", "0"],
             ["table", "--sizes", "10", "--blocks", "1", "--horizon", str(10**15), "--budget", "0"],
+            # a NaN or negative budget, found before the walk or the graph file is read
+            ["simulate", "--n", "10", "--block", "2x2", "--coin", "akr", "--budget", "nan"],
+            ["graph-sim", "--graph", "{missing}", "--coin", "grover", "--budget=-1"],
         ],
     )
     def test_exit_2_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
@@ -601,6 +639,7 @@ def cli_argvs(draw, out):
         argv = ["--n", draw(value), "--coin", draw(coin), "--horizon", draw(value)]
         argv += option("--block", st.sampled_from(BLOCKS) | value)
         argv += option("--cells", st.sampled_from(["", "0,0", "1,2;11,11", "-1,99999999999999999999", "1,2,3"]))
+        argv += option("--budget", value) + (["--stop-at-halt"] if draw(st.booleans()) else [])
         argv += ["--output", str(out / "series.csv")]
     elif command == "verify":
         target = draw(st.sampled_from(["block", "two", "three", "ring"]))
@@ -618,7 +657,8 @@ def cli_argvs(draw, out):
         argv += ["--output", str(out / "table")]
     else:
         argv = ["--graph", draw(files), "--coin", draw(coin), "--horizon", draw(value)]
-        argv += option("--marked-file", files) + ["--output", str(out / "graph.csv")]
+        argv += option("--marked-file", files) + option("--budget", value)
+        argv += ["--output", str(out / "graph.csv")]
     return [command, *argv]
 
 

@@ -3,11 +3,10 @@ import math
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, planes
+from conftest import assert_same_bits, fake_clock, planes
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
@@ -473,7 +472,8 @@ class TestBandCounts:
             walk.advance()
             h = half_sums(state.amp)
             assert_same_bits(walk.marked_sum(), 2.0 * np.add.reduce(h[marked.xs, marked.ys]))
-            assert_same_bits(walk.total(), fast_total(h, marked, band))
+            walk.tally(0)
+            assert_same_bits(walk.totals(1)[0], fast_total(h, marked, band))
             state = step(state, scheme, marked)
         assert_same_bits(walk.exact(), math.fsum(state.amp.ravel()))
 
@@ -494,7 +494,8 @@ class TestStartState:
         finally:
             tracemalloc.stop()
         assert walk[0].shape == (4, n, n) and not walk[0].flags.writeable
-        # the band, its half sums, their signed counts and the coin's scratch: 7 w h floats
+        # the band, its half sums, their signed counts and the coin's scratch: 7 w h floats;
+        # the block's 32 rows of 36 marked amplitudes and of 101 row sums: 0.43 w h more
         assert held < 2 * band_bytes
 
     def test_start_state_sums_as_the_filled_one(self):
@@ -649,37 +650,37 @@ def unrecorded_matches_recording(run):
         assert unrec.halt_probability == rec.halt_probability
 
 
-class _Halted(Exception):
-    pass
-
-
 def running_errors(walk, steps):
     """How far :func:`runner._drive`'s running overlap lies from the exact one, and its ``err``, at ``steps``.
 
-    The walk's ``probability`` is wrapped to read the driver's locals as it
-    is called: at step t they hold ``running`` and ``err`` of step t - 1,
+    The walk's ``marked_sum``, which a run that records no overlap calls
+    once a step until it halts, is wrapped to read the driver's locals as
+    it is called: at step t they hold ``running`` and ``err`` of step t - 1,
     paired here with the exact overlap of that step's state, taken at the
-    call before. The run stops once the halt step's pair is read; the halt
-    step must be the last of ``steps``, and none may be 0. Returns one
-    (distance, err) pair per step of ``steps``.
+    call before. The run stops at its halt step, which must be the last of
+    ``steps``, and that step's pair is read from the driver's frame once it
+    has returned; no step may be 0. Returns one (distance, err) pair per
+    step of ``steps``.
     """
     a0, last = float(walk.start.flat[0]), max(steps)
-    pairs, exact = [], {}
+    pairs, exact, driver = [], {}, []
+    calls = itertools.count(1)
 
-    def probability():
-        loop = sys._getframe(1).f_locals
-        t = loop.get("t", 0)
-        if t - 1 in exact:
-            pairs.append((abs(loop["running"] - exact[t - 1]), loop["err"]))
-        if t - 1 == last:
-            assert loop["halt_step"] == last
-            raise _Halted
+    def pair(loop, t):
+        if t in exact:
+            pairs.append((abs(loop["running"] - exact[t]), loop["err"]))
+
+    def marked_sum():
+        t = next(calls)
+        driver[:] = [sys._getframe(1)]
+        pair(driver[0].f_locals, t - 1)
         if t in steps:
             exact[t] = a0 * walk.exact()
-        return walk.probability()
+        return walk.marked_sum()
 
-    with pytest.raises(_Halted):
-        runner._drive(walk._replace(probability=probability), last + 1, record_overlap=False, stop_at_halt=False)
+    series = runner._drive(walk._replace(marked_sum=marked_sum), last, record_overlap=False, stop_at_halt=True)
+    assert series.halt_step == last and next(calls) == last + 1
+    pair(driver[0].f_locals, last)
     return pairs
 
 
@@ -718,13 +719,13 @@ class TestCertifiedSign:
         calls = []
         walk = runner._torus_walk(100, centered_block(100, 3, 3), CoinScheme.AKR)
 
-        def total():
-            calls.append(1)
-            return walk.total()
+        def totals(m):
+            calls.append(m)
+            return walk.totals(m)
 
-        series = runner._drive(walk._replace(total=total), default_horizon(100), False, True)
+        series = runner._drive(walk._replace(totals=totals), default_horizon(100), False, True)
         assert series.halt_step == 156
-        assert 1 <= len(calls) <= 4
+        assert 1 <= len(calls) <= 4 and set(calls) == {1}
 
     @pytest.mark.parametrize("n,every", [(100, 1), (200, 8)])
     def test_running_overlap_stays_well_inside_its_bound(self, n, every):
@@ -764,15 +765,12 @@ class TestCertifiedSign:
         def total():
             return exact_overlap(t) / a0
 
-        walk = runner._Walk(np.full(4, a0), advance, lambda: 0.0, marked_sum, total, total)
+        walk = runner._Walk(
+            np.full(4, a0), _DEADLINE_EVERY, advance, lambda r: None, lambda r: None, np.zeros,
+            lambda m: np.full(m, total()), marked_sum, total, None,
+        )
         series = runner._drive(walk, 100, record_overlap=False, stop_at_halt=True)
         assert series.halt_step == 40
-
-
-def fake_clock(monkeypatch, calls):
-    """Make the runner's clock read 0.0 for its first ``calls`` reads and 10.0 after."""
-    reads = itertools.count()
-    monkeypatch.setattr(runner, "time", SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < calls else 10.0))
 
 
 class TestDeadline:
@@ -796,6 +794,79 @@ class TestDeadline:
         assert_array_equal(series.probability, whole.probability[: _DEADLINE_EVERY + 1])
         if record_overlap:
             assert_array_equal(series.overlap, whole.overlap[: _DEADLINE_EVERY + 1])
+
+
+class TestBlocks:
+    """:func:`runner._drive` runs in blocks: a step fills its rows, the block reduces them once."""
+
+    @pytest.mark.parametrize("stop_at_halt", [False, True])
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    @pytest.mark.parametrize("n,last", [(16, True), (20, False), (128, True)])
+    def test_doubtful_step_runs_its_block_again(self, n, last, scheme, stop_at_halt):
+        # the AR08 diagonal's fast overlap is zero up to rounding at t = n/2, the last step of
+        # a block at n = 16 and 128 and inside one at n = 20; the run takes that step's
+        # overlap from the exact sum of its state, run again from the block's start, and
+        # steps on from the block's end as if it had not
+        marked = MarkedSet(n, [(i, i) for i in range(n)])
+        walk = runner._torus_walk(n, marked, scheme)
+        at, horizon = n // 2, n // 2 + 2 * walk.rows
+        assert (at % walk.rows == 0) == last
+        calls = []
+
+        def exact():
+            calls.append(1)
+            return walk.exact()
+
+        series = runner._drive(walk._replace(exact=exact), horizon, True, stop_at_halt)
+        state = uniform_state(n)
+        a0 = state.amp.flat[0]
+        states = [state]
+        for _ in range(horizon):
+            states.append(step(states[-1], scheme, marked))
+        assert calls
+        assert series.overlap[at] == a0 * math.fsum(states[at].amp.ravel())
+        assert series.halt_step == fsum_halt(state, lambda s: step(s, scheme, marked), horizon) == at
+        assert len(series) == (at if stop_at_halt else horizon) + 1
+        assert_array_equal(series.probability, [marked_probability(s, marked) for s in states[: len(series)]])
+
+    @pytest.mark.parametrize("record_overlap", [True, False])
+    @pytest.mark.parametrize(
+        "run",
+        [lambda h, record: run_walk(100, centered_block(100, 3, 3), CoinScheme.AKR, h, record),
+         lambda h, record: run_walk(20, centered_block(20, 3, 3), CoinScheme.AKR, h, record),
+         lambda h, record: run_graph_walk(
+             parse_edge_list((DATA / "graph.txt").read_text()),
+             parse_vertex_ids((DATA / "graph_marked.txt").read_text()), CoinScheme.GROVER, h, record)],
+        ids=["torus-64-rows", "torus-8-rows", "graph"],
+    )
+    def test_series_is_a_prefix_of_a_longer_run(self, run, record_overlap):
+        # a horizon that ends a block early, on its edge or just past it
+        whole = run(200, record_overlap)
+        for horizon in (1, 63, 64, 65, 129):
+            series = run(horizon, record_overlap)
+            assert len(series) == horizon + 1
+            assert_same_bits(series.probability, whole.probability[: horizon + 1])
+            if record_overlap:
+                assert_same_bits(series.overlap, whole.overlap[: horizon + 1])
+            halted = whole.halt_step is not None and whole.halt_step <= horizon
+            assert series.halt_step == (whole.halt_step if halted else None)
+
+    def test_block_rows_stay_within_the_band(self):
+        # one row of a fully marked n = 64 torus, 4 n^2 marked amplitudes, already holds more
+        # than its quarter band: such a set gets one row, what a step-by-step gather holds
+        cases = [
+            (MarkedSet(64, [(x, y) for x in range(64) for y in range(64)]), 1),
+            (centered_block(100, 2, 2), 64),
+            (centered_block(200, 9, 9), 16),
+            (MarkedSet(4, [(0, 0)]), 4),
+        ]
+        for marked, rows in cases:
+            walk = runner._torus_walk(marked.n, marked, CoinScheme.GROVER)
+            band = _Band.of(marked)
+            # a step's row of marked amplitudes and of row sums, against the band's values
+            per_step, held = 4 * len(marked) + band.x.size, 4 * band.x.size * band.y.size
+            assert walk.rows == rows
+            assert rows == 1 or rows * per_step <= min(held, runner._BLOCK_VALUES)
 
 
 class TestDefaultHorizon:
