@@ -51,6 +51,7 @@ from .runner import (
     RunSeries,
     _centre_origin,
     _deadline,
+    _expired,
     _horizon,
     default_horizon,
     reproduce_tables,
@@ -88,6 +89,16 @@ EXIT_IMPOSSIBLE = 4
 
 class ConfigError(ValueError):
     """Invalid command-line configuration; maps to exit code 2."""
+
+
+class _BudgetSpent(Exception):
+    """A ``verify`` stage ended past the budget; the message names it. Maps to exit code 3."""
+
+
+def _between_stages(deadline: float | None, done: str) -> None:
+    """Raise :class:`_BudgetSpent` after the stage ``done`` if the clock is past ``deadline``."""
+    if _expired(deadline):
+        raise _BudgetSpent(done)
 
 
 def _fmt(x: float) -> str:
@@ -306,16 +317,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 # what a verify target adds to the report: header fields, named conditions, the state
-# before and after one Grover step, the decomposition, the oracle matrix and vector or None
+# before and after one Grover step, the decomposition, the oracle matrix and vector or None;
+# its stages are the witness, the step, the dense oracle and the decomposition, and the
+# deadline is checked between them
 _Verified = tuple[dict, dict, np.ndarray, np.ndarray, Decomposition, "tuple[np.ndarray, np.ndarray] | None"]
 
 
-def _verify_grid(args: argparse.Namespace) -> _Verified:
+def _verify_grid(args: argparse.Namespace, deadline: float | None) -> _Verified:
     n = args.n
     spec = _parse_block(args.block, n)
     candidate = build_block_layered(n, spec)
+    _between_stages(deadline, "the witness")
     conds = check_conditions(candidate, tol=args.tolerance)
     after = step(candidate.state, CoinScheme.GROVER, candidate.marked)
+    _between_stages(deadline, "the step")
     header = {
         "target": "grid-block",
         "n": n,
@@ -325,11 +340,12 @@ def _verify_grid(args: argparse.Namespace) -> _Verified:
     oracle = None
     if n <= cap:
         oracle = dense_step_matrix(n, CoinScheme.GROVER, candidate.marked, cap=cap), candidate.state.amp.reshape(-1)
+        _between_stages(deadline, "the dense oracle")
     named = dict(zip(("uniform_unmarked", "zero_sum_marked", "facing_equal"), conds))
     return header, named, candidate.state.amp, after.amp, decompose_initial(n, candidate), oracle
 
 
-def _verify_graph(args: argparse.Namespace) -> _Verified:
+def _verify_graph(args: argparse.Namespace, deadline: float | None) -> _Verified:
     if args.graph_two_marked:
         if args.k is None:
             raise ConfigError("--graph-two-marked needs --k")
@@ -349,18 +365,27 @@ def _verify_graph(args: argparse.Namespace) -> _Verified:
         g, marked, state = build_symmetric_ring(vals[0], vals[1])
         target = f"graph-ring r={vals[0]} k={vals[1]}"
 
+    _between_stages(deadline, "the witness")
     conds = graph_check_conditions(state, marked, tol=args.tolerance)
     after = graph_step(state, marked, CoinScheme.GROVER)
+    _between_stages(deadline, "the step")
     header = {"target": target, "vertices": g.n, "arcs": g.arc_count, "marked": list(marked)}
     cap = args.oracle_cap if args.oracle_cap is not None else DEFAULT_GRAPH_ORACLE_CAP
     oracle = None
     if g.arc_count <= cap:
         oracle = graph_dense_step_matrix(g, marked, CoinScheme.GROVER, cap=cap), state.amp
+        _between_stages(deadline, "the dense oracle")
     named = dict(zip(("uniform_unmarked", "zero_sum_marked", "arc_symmetric"), conds))
     return header, named, state.amp, after.amp, decompose_graph_initial(state, marked), oracle
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Build the witness, step it, cross-check it and write the report.
+
+    A budget spent at the end of a stage stops the command before the next
+    one, with a ``truncated:`` line on stderr, no report and exit 3.
+    """
+    deadline = _deadline(args.budget)
     graph_targets = [
         bool(args.graph_two_marked),
         args.graph_three is not None,
@@ -376,7 +401,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     if grid_target and args.n is None:
         raise ConfigError("--block needs --n")
-    header, conditions, before, after, dec, oracle = (_verify_grid if grid_target else _verify_graph)(args)
+    try:
+        header, conditions, before, after, dec, oracle = (_verify_grid if grid_target else _verify_graph)(
+            args, deadline
+        )
+    except _BudgetSpent as exc:
+        print(f"truncated: stopped after {exc}, time budget exceeded", file=sys.stderr)
+        return EXIT_BUDGET
 
     tol = args.tolerance
     report = {
@@ -495,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tolerance", type=float, default=RESIDUAL_TOL)
     ver.add_argument("--oracle-cap", type=int, help="also cross-check via the dense oracle up to this size")
     ver.add_argument("--output", help="also write the JSON report here")
+    ver.add_argument("--budget", type=float, help="wall-clock budget in seconds, checked between stages")
     ver.set_defaults(func=cmd_verify)
 
     tab = sub.add_parser("table", help="reproduce the step/probability/runtime tables")

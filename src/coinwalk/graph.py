@@ -302,12 +302,12 @@ def graph_step(
 # is a fixed sequence of adds with no loop to replay; each add is one row op
 _JAGGED_DEGREE = 16
 
-# the vertex sums and coin spread of a bound layout: sums() writes s, spread() writes c
+# the vertex sums and coin spread of a bound layout: sums() writes s, spread() rewrites amp
 _JaggedKernels = tuple[Callable[[], None], Callable[[], None]]
 
 
 def _jagged_arcs(g: Graph) -> tuple[
-    np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], _JaggedKernels]
+    np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray], _JaggedKernels]
 ]:
     """The arc layout :func:`runner.run_graph_walk` runs in, with its vertex sums and coin.
 
@@ -319,17 +319,21 @@ def _jagged_arcs(g: Graph) -> tuple[
     follow row-major, each vertex's arcs together and in order. Returns
     ``order`` (vertex ``i`` of the layout is vertex ``order[i]`` of ``g``),
     ``arcs`` (arc ``p`` of the layout is arc ``arcs[p]`` of ``g``) and
-    ``bind(amp, s, c, mean2)``. That binds every view of a layout state
-    ``amp``, its vertex sums ``s``, a coin output ``c`` and a per-vertex
-    ``mean2`` once, and returns ``sums()``, which writes the vertex sums of
-    ``amp`` into ``s``, and ``spread()``, which writes each arc's tail value
-    of ``mean2`` minus ``amp`` into ``c``, the unmarked coin of
-    :func:`graph_step`. Both read the bound arrays as they are when called,
-    so the caller refills them in place. The rows are summed with one add
-    per row prefix in numpy's pairwise order (see ``_JAGGED_DEGREE``) and
-    the row-major tail with ``reduceat``, so every sum has the bits of
-    ``np.add.reduceat(amp, g.offsets[:-1])``. That relies on numpy's internal
-    add order; ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit`` in
+    ``bind(amp, s, mean2)``. That binds every view of a layout state
+    ``amp``, its vertex sums ``s`` and a per-vertex ``mean2`` once, and
+    returns ``sums()``, which writes the vertex sums of ``amp`` into ``s``,
+    and ``spread()``, which overwrites each arc of ``amp`` with its tail's
+    value of ``mean2`` minus the arc's amplitude, the unmarked coin of
+    :func:`graph_step`, in place. The jagged rows subtract element by
+    element; the row-major tail goes through a scratch array of its arc
+    count, shared by every binding, because a ``take`` into the tail would
+    overwrite the amplitudes it subtracts. Both read the bound arrays as
+    they are when called, so the caller refills them in place. The rows
+    are summed with one add per row prefix in numpy's pairwise order (see
+    ``_JAGGED_DEGREE``) and the row-major tail with ``reduceat``, so every
+    sum has the bits of ``np.add.reduceat(amp, g.offsets[:-1])``. That
+    relies on numpy's internal add order;
+    ``TestDegreeBuckets.test_sums_match_reduceat_bit_for_bit`` in
     ``tests/test_graph.py`` fails if a numpy release changes it.
     """
     jagged = g.degrees <= _JAGGED_DEGREE
@@ -346,13 +350,12 @@ def _jagged_arcs(g: Graph) -> tuple[
     bounds = np.cumsum([0] + counts)
     # per tail arc, its vertex in the layout
     tail_vertex = np.repeat(np.arange(m, g.n), degrees[m:])
+    tail_mean2 = np.empty(tail_vertex.size)
     blocked, plain = counts[8], counts[1]  # vertices of degree > 8 and of degree > 1
 
-    def bind(amp: np.ndarray, s: np.ndarray, c: np.ndarray, mean2: np.ndarray) -> _JaggedKernels:
+    def bind(amp: np.ndarray, s: np.ndarray, mean2: np.ndarray) -> _JaggedKernels:
         rows = [amp[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        filled = [
-            (mean2[:k], row, c[lo:hi]) for k, row, lo, hi in zip(counts, rows, bounds, bounds[1:]) if k
-        ]
+        filled = [(mean2[:k], row) for k, row in zip(counts, rows) if k]
         x, y = np.empty(blocked), np.empty(blocked)
         b = s[:blocked]
         calls: list[tuple[Callable[..., object], tuple[np.ndarray, ...]]] = []
@@ -379,19 +382,19 @@ def _jagged_arcs(g: Graph) -> tuple[
         calls.append((np.copyto, (s[plain:m], rows[0][plain:])))
         if m < g.n:
             calls.append((np.add.reduceat, (amp[bounds[-1]:], tail_offsets, 0, None, s[m:])))
-        amp_tail, c_tail = amp[bounds[-1]:], c[bounds[-1]:]
+        amp_tail = amp[bounds[-1]:]
 
         def sums() -> None:
             for f, args in calls:
                 f(*args)
 
         def spread() -> None:
-            for mean2_row, row, c_row in filled:
-                np.subtract(mean2_row, row, out=c_row)
+            for mean2_row, row in filled:
+                np.subtract(mean2_row, row, out=row)
             # every index is in range, so mode="wrap" never wraps; it costs less than
             # "clip"'s per-index clamp, and with out= the default "raise" buffers the output
-            np.take(mean2, tail_vertex, out=c_tail, mode="wrap")
-            np.subtract(c_tail, amp_tail, out=c_tail)
+            np.take(mean2, tail_vertex, out=tail_mean2, mode="wrap")
+            np.subtract(tail_mean2, amp_tail, out=amp_tail)
 
         return sums, spread
 

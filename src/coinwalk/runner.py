@@ -132,7 +132,8 @@ class _Walk(NamedTuple):
     probability and the amplitude total from the coin's sums of each of
     those steps; ``probabilities`` may overwrite its rows. ``exact()``
     returns the state's exactly rounded total, and ``save()`` copies the
-    state and returns a callable that puts the copy back. ``tally`` may
+    state, or as much of the target's buffers as the steps from there on
+    read, and returns a callable that puts the copy back. ``tally`` may
     overwrite what ``marked_sum`` reads, so a step calls ``marked_sum()``
     first, if at all.
     """
@@ -166,6 +167,11 @@ def _deadline(time_budget_s: float | None) -> float | None:
     if not time_budget_s >= 0.0:
         raise ValueError(f"time budget must be a number of seconds >= 0, got {time_budget_s}")
     return time.monotonic() + time_budget_s
+
+
+def _expired(deadline: float | None) -> bool:
+    """Whether the clock is past ``deadline``, a :func:`_deadline` value; never without one."""
+    return deadline is not None and time.monotonic() > deadline
 
 
 def _check_horizon(horizon: int, record_overlap: bool) -> None:
@@ -332,7 +338,7 @@ def _drive(
         t += m
         if halt_step is not None and stop_at_halt:
             break
-        if deadline is not None and t % _DEADLINE_EVERY == 0 and t < horizon and time.monotonic() > deadline:
+        if t % _DEADLINE_EVERY == 0 and t < horizon and _expired(deadline):
             break
 
     if halt_step is not None and stop_at_halt:
@@ -404,6 +410,10 @@ def _torus_walk(
     # a block's marked amplitudes and row sums of the signed half sums, a row a step
     rows = _block_rows(4 * len(marked) + w, work.size)
     picked, sums = np.empty((rows, 4 * len(marked))), np.empty((rows, w))
+    # the rows as views bound once; every per-step call passes its output
+    # positionally, as in grid._frame_coins
+    picked_rows, sum_rows = list(picked), list(sums)
+    take, take_half, multiply, reduce = flat.take, half.take, np.multiply, np.add.reduce
     frame = 0
 
     def advance() -> None:
@@ -412,12 +422,12 @@ def _torus_walk(
         frame ^= 1
 
     def gather(r: int) -> None:
-        flat.take(index[frame], out=picked[r], mode="wrap")
+        take(index[frame], None, picked_rows[r], "wrap")
 
     def tally(r: int) -> None:
         # half is scratch once the coin has run: the next coin writes all of it
-        np.multiply(half, signed, out=half)
-        np.add.reduce(half, axis=1, out=sums[r])
+        multiply(half, signed, half)
+        reduce(half, 1, None, sum_rows[r])
 
     def probabilities(m: int) -> np.ndarray:
         block = picked[:m]
@@ -428,8 +438,8 @@ def _torus_walk(
         return 2.0 * np.add.reduce(sums[:m], axis=1)
 
     def marked_sum() -> float:
-        half.take(marked_cells, out=marked_half, mode="wrap")
-        return 2.0 * float(np.add.reduce(marked_half))
+        take_half(marked_cells, None, marked_half, "wrap")
+        return 2.0 * float(reduce(marked_half))
 
     def exact() -> float:
         # the memoryview of the flat product hands fsum Python floats without a list
@@ -489,29 +499,35 @@ def _graph_walk(
     The state is held in the jagged arc layout of :func:`graph._jagged_arcs`,
     whose vertex sums have the bits of ``reduceat`` with one add per row for
     every vertex of degree up to 16. ``head``, ``partner``, the degrees and
-    the marked arcs are remapped into it once, and every view of the state,
-    the vertex sums, ``mean2 = 2 s / d`` and the coin output ``c`` is bound
+    the marked arcs are remapped into it once. The state and the coin output
+    share two buffers, the rows of one (2, arcs) array (``start.base``), and
+    every view of both, the vertex sums and ``mean2 = 2 s / d`` is bound
     once, so a step allocates no array longer than the marked arcs. The
     marked arcs' coin output is ``-amp`` under AKR and ``-(mean2 - amp)`` at
     their tail under GROVER, as in :func:`graph.graph_step`.
 
-    The steps alternate. An odd step writes ``c`` with one broadcast per row
-    and a ``take`` for the row-major tail, fixes the marked arcs and gathers
-    the new state ``c[partner]``, the only arc gather of the pair. It keeps
-    ``c``, and ``partner`` is an involution, so ``c`` is the new state's
-    ``amp[partner]`` bit for bit. The even step then writes ``mean2`` at each
-    arc's head minus ``c``, with the fix-ups at ``partner[idxs]``, which
-    needs only the per-vertex gather. Both write the state into the start
-    state's buffer, so every amplitude is bit-identical to
-    :func:`graph.graph_step` after every step. The gather reads the marked
-    arcs in :meth:`Graph.marked_arc_indices` order, so the probabilities are
-    bit-identical too. The total after a step is
+    The steps alternate. An odd step writes its coin into the state's own
+    buffer, in place: one subtract per row, and for the row-major tail a
+    ``take`` into a scratch array of its arc count and a subtract (see
+    :func:`graph._jagged_arcs`). It fixes the marked arcs and gathers the
+    new state ``c[partner]`` into the other buffer, the only arc gather of
+    the pair. ``partner`` is an involution, so the coin output ``c`` left
+    behind is the new state's ``amp[partner]`` bit for bit. The even step
+    then writes ``mean2`` at each arc's head minus ``c`` over the state,
+    with the fix-ups at ``partner[idxs]``, which needs only the per-vertex
+    gather. So the buffers swap roles every pair of steps: after step t the
+    state is in row ``(t + 1) // 2 % 2``. Every amplitude is bit-identical
+    to :func:`graph.graph_step` after every step. The gather reads the
+    marked arcs in :meth:`Graph.marked_arc_indices` order, so the
+    probabilities are bit-identical too. The total after a step is
     ``s.sum() - 2 * s[marked].sum()`` over the vertex sums ``s`` before it,
     in the layout's vertex order, by the identity of :func:`_torus_walk`;
     ``s[marked].sum()`` is the marked sum. Each step's probability and
     total are taken whole and only stored in the block's rows, so the
-    block's reductions just hand them back. ``save`` copies the state and
-    ``c``, which the even step reads.
+    block's reductions just hand them back. ``save`` copies what the next
+    step reads: the state before an odd step, whose gather overwrites the
+    other buffer, which is every block of a run whose ``rows`` is even, and
+    both buffers before an even step.
     """
     vs = np.array(g.check_marked(marked), dtype=np.intp)
     order, arcs, bind = _jagged_arcs(g)
@@ -526,14 +542,18 @@ def _graph_walk(
     half_degrees, marked_vertices = g.degrees[order] / 2.0, rank[vs]
     akr = scheme is CoinScheme.AKR
 
-    amp = graph_uniform_state(g).amp
-    c, mean2 = np.empty_like(amp), np.empty(g.n)
-    s, marked_s = np.empty(g.n), np.empty(vs.size)
-    vertex_sums, spread = bind(amp, s, c, mean2)
-    odd = True
+    # the state and the coin output, which swap rows every pair of steps; row at holds the state
+    buffers = np.empty((2, g.arc_count))
+    buffers[0] = graph_uniform_state(g).amp
+    states = tuple(buffers)
+    mean2, s, marked_s = np.empty(g.n), np.empty(g.n), np.empty(vs.size)
+    kernels = [bind(amp, s, mean2) for amp in states]
+    odd, at = True, 0
 
     def advance() -> None:
-        nonlocal odd
+        nonlocal odd, at
+        amp, other = states[at], states[at ^ 1]
+        vertex_sums, spread = kernels[at]
         vertex_sums()
         kept = amp[idxs]
         np.divide(s, half_degrees, out=mean2)
@@ -542,38 +562,40 @@ def _graph_walk(
         # "clip"'s per-index clamp, and with out= the default "raise" buffers the output
         if odd:
             spread()
-            c[idxs] = fixed
-            np.take(c, partner, out=amp, mode="wrap")
+            amp[idxs] = fixed
+            np.take(amp, partner, out=other, mode="wrap")
+            at ^= 1
         else:
             np.take(mean2, head, out=amp, mode="wrap")
-            np.subtract(amp, c, out=amp)
+            np.subtract(amp, other, out=amp)
             amp[fix_arcs] = fixed
         odd = not odd
         s.take(marked_vertices, out=marked_s, mode="wrap")
 
     # the probability and the total of each step of a block, taken as the step ends
-    rows = _block_rows(2, amp.size)
+    rows = _block_rows(2, g.arc_count)
     probs, tallies = np.empty(rows), np.empty(rows)
 
     def gather(r: int) -> None:
-        probs[r] = _arc_probability(amp, idxs)
+        probs[r] = _arc_probability(states[at], idxs)
 
     def tally(r: int) -> None:
         tallies[r] = float(s.sum()) - 2.0 * float(marked_s.sum())
 
     def save() -> Callable[[], None]:
-        # an even step reads the odd step's coin output c
-        copies, at = (amp.copy(), c.copy()), odd
+        # an odd step reads only the state, as its gather overwrites the other row; an even
+        # step reads the odd step's coin output in the other row as well
+        saved = states[at] if odd else buffers
+        copy, was = saved.copy(), (odd, at)
 
         def restore() -> None:
-            nonlocal odd
-            np.copyto(amp, copies[0])
-            np.copyto(c, copies[1])
-            odd = at
+            nonlocal odd, at
+            np.copyto(saved, copy)
+            odd, at = was
         return restore
 
     return _Walk(
-        amp,
+        states[0],
         rows,
         advance,
         gather,
@@ -582,7 +604,7 @@ def _graph_walk(
         lambda m: tallies[:m],
         lambda: float(marked_s.sum()),
         # the memoryview of the flat buffer hands fsum Python floats without a list
-        lambda: math.fsum(amp.data),
+        lambda: math.fsum(states[at].data),
         save,
     )
 
@@ -706,7 +728,7 @@ def reproduce_tables(
         for side in block_sides:
             for scheme in schemes:
                 cell = f"n={n} k={side * side} {scheme.value}"
-                if deadline is not None and time.monotonic() > deadline:
+                if _expired(deadline):
                     report.truncated.append(f"{cell}: skipped, time budget exceeded")
                     continue
                 series = _drive(

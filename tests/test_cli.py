@@ -226,6 +226,28 @@ class TestVerify:
     def test_graph_ring(self):
         assert run_cli("verify", "--graph-ring", "4,2") == 0
 
+    @pytest.mark.parametrize(
+        "target", [["--n", "8", "--block", "2x4"], ["--graph-ring", "3,3"]], ids=["grid", "graph"]
+    )
+    @pytest.mark.parametrize(
+        "reads,stage", [(1, "the witness"), (2, "the step"), (3, "the dense oracle"), (4, None)]
+    )
+    def test_zero_budget_stops_between_stages(self, target, reads, stage, tmp_path, monkeypatch, capsys):
+        # the deadline takes the first clock read and the end of every stage but the
+        # decomposition one more, so the clock that turns after `reads` reads stops the
+        # command after the stage that read it; both targets build the dense oracle
+        fake_clock(monkeypatch, reads)
+        out = tmp_path / "report.json"
+        code = run_cli("verify", *target, "--budget", "0", "--output", str(out))
+        captured = capsys.readouterr()
+        if stage is None:
+            assert code == 0
+            assert json.loads(out.read_text())["oracle_residual"] <= 1e-12
+        else:
+            assert code == 3
+            assert captured.err == f"truncated: stopped after {stage}, time budget exceeded\n"
+            assert captured.out == "" and not out.exists()
+
     def test_impossible_tolerance_exit_1(self):
         # the residual here is 6.9e-18, above a zero tolerance, so the verification must
         # report failure (a negative tolerance is a configuration error, exit 2)
@@ -649,7 +671,7 @@ def cli_argvs(draw, out):
             argv = ["--graph-two-marked"] + option("--k", value)
         else:
             argv = [f"--graph-{target}", draw(values)]
-        argv += option("--tolerance", value) + option("--oracle-cap", value)
+        argv += option("--tolerance", value) + option("--oracle-cap", value) + option("--budget", value)
     elif command == "table":
         argv = ["--sizes", draw(values), "--blocks", draw(values), "--horizon", draw(value)]
         argv += option("--coins", st.sampled_from(["akr", "grover,akr", ",", "x"]))

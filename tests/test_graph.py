@@ -445,18 +445,20 @@ class TestDegreeBuckets:
         want_arcs = [g.offsets[v] + j for j in range(_JAGGED_DEGREE) for v in jagged if degrees[v] > j]
         want_arcs += [k for v in rest for k in range(g.offsets[v], g.offsets[v + 1])]
         assert arcs.tolist() == want_arcs
-        layout, s, c, mean2 = amp[arcs], np.empty(g.n), np.empty(g.arc_count), np.empty(g.n)
-        sums, spread = bind(layout, s, c, mean2)
+        layout, s, mean2 = amp[arcs], np.empty(g.n), np.empty(g.n)
+        sums, spread = bind(layout, s, mean2)
         sums()
         want = np.add.reduceat(amp, g.offsets[:-1])[order]
         assert_array_equal(s.view(np.int64), want.view(np.int64))
-        # spread() reads the bound mean2 as it is at each call, so refill it in place
+        # spread() reads the bound layout and mean2 as they are at each call, so refill
+        # them in place; it overwrites the layout with the coin
         for _ in range(2):
             values = rng.standard_normal(g.n)
             mean2[...] = values[order]
+            layout[...] = amp[arcs]
             spread()
             want = (np.repeat(values, g.degrees) - amp)[arcs]
-            assert_array_equal(c.view(np.int64), want.view(np.int64))
+            assert_array_equal(layout.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("rows", [1, 3, 64])
     def test_row_sums_match_one_row_reductions_bit_for_bit(self, rows):
@@ -479,6 +481,7 @@ class TestDegreeBuckets:
         order, arcs = _jagged_arcs(g)[:2]
         vs = np.array(g.check_marked(marked), dtype=np.intp)
         state = graph_uniform_state(g)
+        buffers = target.start.base
         for t in range(horizon + 1):
             if t:
                 target.advance()
@@ -490,8 +493,9 @@ class TestDegreeBuckets:
                 target.tally(0)
                 assert target.totals(1)[0] == float(sums[order].sum()) - 2.0 * marked_sum
                 state = graph_step(state, marked, scheme)
-            # every step, odd or even, writes the whole state in the layout
-            assert_array_equal(target.start.view(np.int64), state.amp[arcs].view(np.int64))
+            # every step, odd or even, writes the whole state in the layout, into the
+            # buffer the odd steps move it to
+            assert_array_equal(buffers[(t + 1) // 2 % 2].view(np.int64), state.amp[arcs].view(np.int64))
             assert series.probability[t] == graph_marked_probability(state, marked)
 
     @settings(deadline=None, max_examples=100)

@@ -14,6 +14,7 @@ from numpy.testing import assert_array_equal
 from coinwalk.graph import (
     Graph,
     GraphState,
+    graph_marked_probability,
     graph_step,
     graph_uniform_state,
     parse_edge_list,
@@ -536,7 +537,8 @@ class TestGroverTie:
         arcs = _jagged_arcs(g)[1]
         walk.start[...] = arc_amp[arcs]
         walk.advance()
-        assert_same_bits(walk.start, arc_stepped[arcs])
+        # an odd step gathers the new state into the second buffer
+        assert_same_bits(walk.start.base[1], arc_stepped[arcs])
 
 
 class TestDiagonalBaseline:
@@ -828,6 +830,43 @@ class TestBlocks:
         assert series.halt_step == fsum_halt(state, lambda s: step(s, scheme, marked), horizon) == at
         assert len(series) == (at if stop_at_halt else horizon) + 1
         assert_array_equal(series.probability, [marked_probability(s, marked) for s in states[: len(series)]])
+
+    @pytest.mark.parametrize("stop_at_halt", [False, True])
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    @pytest.mark.parametrize("n", [16, 20, 128])
+    def test_doubtful_graph_step_runs_its_block_again(self, n, scheme, stop_at_halt):
+        # the graph twin of the test above: the AR08 diagonal on torus_graph(n) has the same
+        # doubtful step t = n/2, the last step of a block at n = 128 and inside one at n = 16
+        # and 20
+        g, marked = torus_graph(n), [x * n + x for x in range(n)]
+        walk = _graph_walk(g, marked, scheme)
+        at, horizon = n // 2, n // 2 + 2 * walk.rows
+        assert (at % walk.rows == 0) == (n == 128)
+        calls = []
+
+        def exact():
+            calls.append(1)
+            return walk.exact()
+
+        series = runner._drive(walk._replace(exact=exact), horizon, True, stop_at_halt)
+        state = graph_uniform_state(g)
+        a0 = state.amp[0]
+        states = [state]
+        for _ in range(horizon):
+            states.append(graph_step(states[-1], marked, scheme))
+        assert calls
+        assert series.overlap[at] == a0 * math.fsum(states[at].amp)
+        assert series.halt_step == fsum_halt(state, lambda s: graph_step(s, marked, scheme), horizon) == at
+        assert len(series) == (at if stop_at_halt else horizon) + 1
+        assert_array_equal(series.probability, [graph_marked_probability(s, marked) for s in states[: len(series)]])
+        # blocks of one step start on odd and on even steps; a block of three (not a length a
+        # run picks) also starts on an even step and holds the odd step after it, whose gather
+        # overwrites the coin output that the even step reads, so its save must keep both buffers
+        for rows in (1, 3):
+            again = runner._drive(_graph_walk(g, marked, scheme)._replace(rows=rows), horizon, True, stop_at_halt)
+            assert_same_bits(again.probability, series.probability)
+            assert_same_bits(again.overlap, series.overlap)
+            assert again.halt_step == series.halt_step
 
     @pytest.mark.parametrize("record_overlap", [True, False])
     @pytest.mark.parametrize(
