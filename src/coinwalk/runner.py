@@ -104,8 +104,8 @@ _DEADLINE_EVERY = 64
 
 
 # most values the rows of one block may hold together, 64 KiB of floats, so that a block adds
-# little to the band a walk holds: 64 rows of a 2x2 block at n=100 take 4224 values, and a 3x3
-# block at n=200, whose band holds 40804, gets 32 rows of 137
+# little to the band a walk holds: 64 rows of a 3x3 block's 36 marked amplitudes take 2304
+# values, and a 9x9 block gets 16 rows of 324
 _BLOCK_VALUES = 8192
 
 
@@ -125,29 +125,24 @@ class _Walk(NamedTuple):
     """What a target hands :func:`_drive`: its start state, its block length and callables bound to its state.
 
     ``advance()`` takes one step. After it, ``gather(r)`` fills row r of the
-    block's probability rows, ``tally(r)`` row r of its total rows, and
-    ``marked_sum()`` returns the total of the marked cells' (or vertices')
-    amplitude sums before the step. ``probabilities(m)`` and ``totals(m)``
-    reduce the first m rows of a block, ``rows`` at most, to the marked
-    probability and the amplitude total from the coin's sums of each of
-    those steps; ``probabilities`` may overwrite its rows. ``exact()``
-    returns the state's exactly rounded total, and ``save()`` copies the
-    state, or as much of the target's buffers as the steps from there on
-    read, and returns a callable that puts the copy back. ``tally`` may
-    overwrite what ``marked_sum`` reads, so a step calls ``marked_sum()``
-    first, if at all.
+    block's probability rows, ``tally()`` returns the amplitude total from
+    the coin's sums of that step, and ``marked_sum()`` the total of the
+    marked cells' (or vertices') amplitude sums before the step.
+    ``probabilities(m)`` reduces the first m rows of a block, ``rows`` at
+    most, to the marked probability of each of those steps, and may
+    overwrite its rows. ``exact()`` returns the state's exactly rounded
+    total. ``tally`` may overwrite what ``marked_sum`` reads, so a step
+    calls ``marked_sum()`` first, if at all.
     """
 
     start: np.ndarray
     rows: int
     advance: Callable[[], None]
     gather: Callable[[int], None]
-    tally: Callable[[int], None]
+    tally: Callable[[], float]
     probabilities: Callable[[int], np.ndarray]
-    totals: Callable[[int], np.ndarray]
     marked_sum: Callable[[], float]
     exact: Callable[[], float]
-    save: Callable[[], Callable[[], None]]
 
 
 # bound on the error of the fast overlap of a unit state, derived in _drive
@@ -206,27 +201,22 @@ def _drive(
 
     The run goes in blocks of ``walk.rows`` steps, a power of two that
     divides ``_DEADLINE_EVERY``, the last one cut at the horizon. A step
-    only fills its row of the block: the marked amplitudes (``gather``)
-    and, in a recording run, the coin's signed sums (``tally``). Once per
-    block ``probabilities`` and ``totals`` reduce the rows, each row in
-    numpy's pairwise order, the order of a one-step reduction, so every
-    value has the bits a step-by-step run gives.
+    only fills its row of the block's marked amplitudes (``gather``). Once
+    per block ``probabilities`` reduces the rows, each row in numpy's
+    pairwise order, the order of a one-step reduction, so every probability
+    has the bits a step-by-step run gives.
 
     The halt step is the first t whose state has an exact total <= 0, so it
-    does not depend on the order of the coin's sums. A recording run takes
-    every step's overlap from ``walk.totals``, the fast totals from the
-    coin's own sums (see :func:`_torus_walk` and :func:`_graph_walk`). It
-    decides the sign wherever it lies outside ``±c eps`` (``_OVERLAP_BOUND``,
-    c = 128); inside, the step falls back to ``a0`` times ``walk.exact()``,
-    an ``math.fsum`` of every amplitude of the state (the torus walk's band
-    weighs each amplitude it holds by the torus cells its cell stands for),
-    so that is the exactly rounded overlap, and it is what the series
-    records at such a step. The block's totals come after its last step,
-    so a block with such a step is run again from a copy of the state it
-    started from (``walk.save``), taken at the start of every block of a
-    recording run: at most one block more. The run reads its halt from the
-    block's overlaps, so with ``stop_at_halt`` it may step on to the end of
-    the block; its series is cut at the halt step all the same.
+    does not depend on the order of the coin's sums. Each step's overlap is
+    decided as the step ends, by one rule. It is ``a0`` times
+    ``walk.tally()``, the fast total from the coin's own sums (see
+    :func:`_torus_walk` and :func:`_graph_walk`), wherever that lies outside
+    ``±c eps`` (``_OVERLAP_BOUND``, c = 128); inside, the step falls back to
+    ``a0`` times ``walk.exact()``, an ``math.fsum`` of every amplitude of the
+    state (the torus walk's band weighs each amplitude it holds by the torus
+    cells its cell stands for), so that is the exactly rounded overlap. A
+    recording run takes it every step, records it and reads the halt from
+    it at once, so with ``stop_at_halt`` it ends at the halt step.
 
     A run that records no overlap needs only its sign, and certifies it
     from a running overlap instead, every step, so it stops at its halt
@@ -236,10 +226,10 @@ def _drive(
     ``running -= 2 a0 M`` and a bound ``err`` on its distance from the
     exact overlap, which grows by ``c' eps`` a step (``_STEP_BOUND``, c' =
     160). Where ``|running| > err`` its sign is the exact overlap's.
-    Elsewhere, and on step 1, which has no anchor yet, the step is decided
-    by the fast total and the fallback above, and ``running`` and ``err``
-    restart from that overlap and ``c eps``. No running value is ever
-    recorded, so a series or a summary has the same bits either way.
+    Elsewhere, and on step 1, which has no anchor yet, the step takes the
+    overlap by the rule above, and ``running`` and ``err`` restart from it
+    and ``c eps``. No running value is ever recorded, so a series or a
+    summary has the same bits either way.
 
     The bound: numpy's pairwise sum of m terms takes each term through at
     most L(m) <= 26 + max(0, ceil(log2(m / 128))) roundings (8 accumulators
@@ -247,17 +237,17 @@ def _drive(
     per halving), so it is off by at most L(m) u sum(|x|), u = eps / 2. The
     torus total is one sum over the band's w x h cells of each cell's half
     sum times the number of torus cells it stands for, negated at the marked
-    ones: +-1, +-2 or +-4, so the products are exact. Numpy sums each row of
-    the band pairwise and then the w row sums, so a term goes through at
-    most L(h) + L(w) roundings. The terms are the torus's cell sums grouped
-    by mirror image, so their absolute sum is the torus's, and the coin adds
-    3 roundings per amplitude (two adds and the subtraction): (L(w) + L(h) +
-    3) u sum(|x|) for the whole torus, a half or a quarter alike. The graph
-    total sums n vertex sums of degree at most d and subtracts k twice, and
-    the coin adds 4: (L(n) + 2 L(k) + L(d) + 4) u sum(|x|). A unit state of
-    M amplitudes has sum(|x|) <= sqrt(M) = 1 / amp[0], so with every count
+    ones: +-1, +-2 or +-4, so the products are exact. Numpy sums the w h
+    products in one pairwise sum, so a term goes through at most L(w h)
+    roundings. The terms are the torus's cell sums grouped by mirror image,
+    so their absolute sum is the torus's, and the coin adds 3 roundings per
+    amplitude (two adds and the subtraction): (L(w h) + 3) u sum(|x|) for
+    the whole torus, a half or a quarter alike. The graph total sums n
+    vertex sums of degree at most d and subtracts k twice, and the coin
+    adds 4: (L(n) + 2 L(k) + L(d) + 4) u sum(|x|). A unit state of M
+    amplitudes has sum(|x|) <= sqrt(M) = 1 / amp[0], so with every count
     below 2^31 (L <= 50) the overlap is off by at most 204 u < 128 eps, and
-    the torus's by at most 103 u.
+    the torus's by at most 53 u.
 
     The step bound, in units of u, with ``a0 sum(|x|) <= 1`` over any part
     of a unit state, the marked amplitudes' ``A`` included:
@@ -284,65 +274,49 @@ def _drive(
     may grow by 4% before this slack is spent.
     """
     _check_horizon(horizon, record_overlap)
-    amp, rows, advance, gather, tally, probabilities, totals, marked_sum, exact, save = walk
+    amp, rows, advance, gather, tally, probabilities, marked_sum, exact = walk
     a0 = float(amp.flat[0])
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
+
+    def overlap() -> float:
+        now = a0 * tally()
+        return a0 * exact() if abs(now) <= _OVERLAP_BOUND else now
 
     gather(0)
     prob[0] = probabilities(1)[0]
     if ov is not None:
         ov[0] = a0 * float(amp.sum())
-    # an unrecorded run's running overlap and its error bound, unanchored before step 1
+    # the overlap the halt is read from; an unrecorded run's running overlap and its error
+    # bound, unanchored before step 1
     running, err = 0.0, math.inf
 
     halt_step: int | None = None
     t = 0
     while t < horizon:
         m = min(rows, horizon - t)
-        restore = save() if ov is not None else None
         for r in range(m):
             advance()
             gather(r)
             if ov is not None:
-                tally(r)
+                running = ov[t + r + 1] = overlap()
             elif halt_step is None:
                 running -= 2.0 * a0 * marked_sum()
                 err += _STEP_BOUND
                 if abs(running) <= err:
-                    # an unrecorded run keeps no total rows, so row 0 serves
-                    tally(0)
-                    running, err = a0 * float(totals(1)[0]), _OVERLAP_BOUND
-                    if abs(running) <= _OVERLAP_BOUND:
-                        running = a0 * exact()
-                if running <= 0.0:
-                    halt_step = t + r + 1
-                    if stop_at_halt:
-                        m = r + 1
-                        break
+                    running, err = overlap(), _OVERLAP_BOUND
+            if halt_step is None and running <= 0.0:
+                halt_step = t + r + 1
+                if stop_at_halt:
+                    m = r + 1
+                    break
         prob[t + 1 : t + m + 1] = probabilities(m)
-        if ov is not None:
-            now = ov[t + 1 : t + m + 1]
-            np.multiply(a0, totals(m), out=now)
-            doubtful = np.abs(now) <= _OVERLAP_BOUND
-            if doubtful.any():
-                restore()
-                for r in range(m):
-                    advance()
-                    if doubtful[r]:
-                        now[r] = a0 * exact()
-            if halt_step is None:
-                crossed = np.flatnonzero(now <= 0.0)
-                if crossed.size:
-                    halt_step = t + 1 + int(crossed[0])
         t += m
         if halt_step is not None and stop_at_halt:
             break
         if t % _DEADLINE_EVERY == 0 and t < horizon and _expired(deadline):
             break
 
-    if halt_step is not None and stop_at_halt:
-        t = halt_step
     prob = prob[: t + 1]
     if ov is not None:
         ov = ov[: t + 1]
@@ -368,9 +342,8 @@ def _torus_walk(
     frame's positions, in ``marked.flat`` order, into a row of the block.
     Everything is bound to the band once, the only state allocated besides
     the block's rows, which hold no more values than the band unless one
-    row alone does (:func:`_block_rows`), and the copy a recording run's
-    ``save`` takes. The start state is a stride-0 view whose step-0 sum has
-    the bits of the filled ``(4, n, n)`` array's.
+    row alone does (:func:`_block_rows`). The start state is a stride-0
+    view whose step-0 sum has the bits of the filled ``(4, n, n)`` array's.
 
     Both coins leave ``half`` holding half of every cell's amplitude sum.
     Grover diffusion keeps a cell's sum, both marked coins negate it and the
@@ -378,10 +351,9 @@ def _torus_walk(
     torus's half sums with the marked ones negated. A band cell stands for
     itself and its mirror images, the product of its row's and its column's
     :attr:`grid._Fold.weights`: 1, 2 or 4, all marked or all unmarked. So
-    the total is twice one sum over the band of ``half`` times these counts,
-    negated at the marked cells (``signed``), row by row, the row sums
-    kept as one row of the block, and then over the rows, once per block.
-    On a quarter that is ``2 (4 H - 2 A_col - 2 A_row + A_both - 2
+    the total is twice one pairwise sum over the flat band of ``half`` times
+    these counts, negated at the marked cells (``signed``), taken as the
+    step ends. On a quarter that is ``2 (4 H - 2 A_col - 2 A_row + A_both - 2
     M)`` (H the band's half sums, A those of its axis columns, rows and
     their crossings, M the marked cells'), but summed in that grouping the
     marked sum cancels against the whole: on 400 dense doubly symmetric sets
@@ -407,12 +379,12 @@ def _torus_walk(
     signed[i, j] = -signed[i, j]
     # the band cell of each marked torus cell, in half's flat order
     marked_cells, marked_half = i * h + j, np.empty(len(marked))
-    # a block's marked amplitudes and row sums of the signed half sums, a row a step
-    rows = _block_rows(4 * len(marked) + w, work.size)
-    picked, sums = np.empty((rows, 4 * len(marked))), np.empty((rows, w))
+    # a block's marked amplitudes, a row a step
+    rows = _block_rows(4 * len(marked), work.size)
+    picked = np.empty((rows, 4 * len(marked)))
     # the rows as views bound once; every per-step call passes its output
     # positionally, as in grid._frame_coins
-    picked_rows, sum_rows = list(picked), list(sums)
+    picked_rows, flat_half = list(picked), half.reshape(-1)
     take, take_half, multiply, reduce = flat.take, half.take, np.multiply, np.add.reduce
     frame = 0
 
@@ -424,18 +396,15 @@ def _torus_walk(
     def gather(r: int) -> None:
         take(index[frame], None, picked_rows[r], "wrap")
 
-    def tally(r: int) -> None:
+    def tally() -> float:
         # half is scratch once the coin has run: the next coin writes all of it
         multiply(half, signed, half)
-        reduce(half, 1, None, sum_rows[r])
+        return 2.0 * float(reduce(flat_half))
 
     def probabilities(m: int) -> np.ndarray:
         block = picked[:m]
         np.multiply(block, block, out=block)
         return np.add.reduce(block, axis=1)
-
-    def totals(m: int) -> np.ndarray:
-        return 2.0 * np.add.reduce(sums[:m], axis=1)
 
     def marked_sum() -> float:
         take_half(marked_cells, None, marked_half, "wrap")
@@ -445,18 +414,7 @@ def _torus_walk(
         # the memoryview of the flat product hands fsum Python floats without a list
         return math.fsum((work * np.abs(signed)).reshape(-1).data)
 
-    def save() -> Callable[[], None]:
-        copy, at = work.copy(), frame
-
-        def restore() -> None:
-            nonlocal frame
-            np.copyto(work, copy)
-            frame = at
-        return restore
-
-    return _Walk(
-        np.broadcast_to(a, (4, n, n)), rows, advance, gather, tally, probabilities, totals, marked_sum, exact, save
-    )
+    return _Walk(np.broadcast_to(a, (4, n, n)), rows, advance, gather, tally, probabilities, marked_sum, exact)
 
 
 def run_walk(
@@ -478,12 +436,10 @@ def run_walk(
     The overlap of step t >= 1 is summed from the coin's half sums, one
     signed value per band cell, not from the 4n^2 amplitudes; it agrees with
     an exact sum of the state to about 3e-16. Where it is zero up to
-    rounding, :func:`_drive` takes the exact sum, so the halt step is the exact totals'.
-    The run gathers the marked amplitudes and row-sums the signed half sums
-    a step at a time and squares and adds them once per block of up to
-    ``_DEADLINE_EVERY`` steps, in the order a step-by-step run adds them. A
-    block that holds an overlap zero up to rounding is run again from a copy
-    of its start state to take that step's exact sum.
+    rounding, :func:`_drive` takes the exact sum as the step ends, so the
+    halt step is the exact totals'. The run gathers the marked amplitudes a
+    step at a time and squares and adds them once per block of up to
+    ``_DEADLINE_EVERY`` steps, in the order a step-by-step run adds them.
     Without ``record_overlap`` the sign comes from a running overlap that
     subtracts the k marked cells' sums each step, and the band sum is taken
     only where that sign is not certain; the halt step is the same.
@@ -522,12 +478,9 @@ def _graph_walk(
     probabilities are bit-identical too. The total after a step is
     ``s.sum() - 2 * s[marked].sum()`` over the vertex sums ``s`` before it,
     in the layout's vertex order, by the identity of :func:`_torus_walk`;
-    ``s[marked].sum()`` is the marked sum. Each step's probability and
-    total are taken whole and only stored in the block's rows, so the
-    block's reductions just hand them back. ``save`` copies what the next
-    step reads: the state before an odd step, whose gather overwrites the
-    other buffer, which is every block of a run whose ``rows`` is even, and
-    both buffers before an even step.
+    ``s[marked].sum()`` is the marked sum. Each step's probability is taken
+    whole and only stored in the block's rows, so the block's reduction
+    just hands them back; ``tally`` returns the step's total.
     """
     vs = np.array(g.check_marked(marked), dtype=np.intp)
     order, arcs, bind = _jagged_arcs(g)
@@ -572,40 +525,23 @@ def _graph_walk(
         odd = not odd
         s.take(marked_vertices, out=marked_s, mode="wrap")
 
-    # the probability and the total of each step of a block, taken as the step ends
-    rows = _block_rows(2, g.arc_count)
-    probs, tallies = np.empty(rows), np.empty(rows)
+    # the probability of each step of a block, taken as the step ends
+    rows = _block_rows(1, g.arc_count)
+    probs = np.empty(rows)
 
     def gather(r: int) -> None:
         probs[r] = _arc_probability(states[at], idxs)
-
-    def tally(r: int) -> None:
-        tallies[r] = float(s.sum()) - 2.0 * float(marked_s.sum())
-
-    def save() -> Callable[[], None]:
-        # an odd step reads only the state, as its gather overwrites the other row; an even
-        # step reads the odd step's coin output in the other row as well
-        saved = states[at] if odd else buffers
-        copy, was = saved.copy(), (odd, at)
-
-        def restore() -> None:
-            nonlocal odd, at
-            np.copyto(saved, copy)
-            odd, at = was
-        return restore
 
     return _Walk(
         states[0],
         rows,
         advance,
         gather,
-        tally,
+        lambda: float(s.sum()) - 2.0 * float(marked_s.sum()),
         lambda m: probs[:m],
-        lambda m: tallies[:m],
         lambda: float(marked_s.sum()),
         # the memoryview of the flat buffer hands fsum Python floats without a list
         lambda: math.fsum(states[at].data),
-        save,
     )
 
 
@@ -634,10 +570,9 @@ def run_graph_walk(
     is summed from those vertex sums, one value per vertex with the marked
     vertices subtracted twice, not from the arc amplitudes, so it can
     differ from a direct sum in the last bits, about 3e-16; where that
-    decides the sign, :func:`_drive` takes the exact sum, running the
-    block again from a copy of its start state as :func:`run_walk` does.
-    Each step's probability and total are reduced as the step ends; the
-    block only holds them. Without ``record_overlap`` the sign comes from a
+    decides the sign, :func:`_drive` takes the exact sum as the step ends,
+    as :func:`run_walk` does. Each step's probability is reduced as the
+    step ends; the block only holds it. Without ``record_overlap`` the sign comes from a
     running overlap, and ``deadline`` stops the run, as in :func:`run_walk`.
     """
     return _drive(_graph_walk(g, marked, scheme), horizon, record_overlap, stop_at_halt, deadline)

@@ -462,9 +462,9 @@ class TestDegreeBuckets:
 
     @pytest.mark.parametrize("rows", [1, 3, 64])
     def test_row_sums_match_one_row_reductions_bit_for_bit(self, rows):
-        # runner._drive squares and adds a block's probability and total rows in one
-        # axis=1 reduction each and relies on every row getting the pairwise order of a
-        # 1-D reduction; if a numpy release breaks this, reduce row by row, do not loosen
+        # runner._drive squares and adds a block's probability rows in one axis=1
+        # reduction and relies on every row getting the pairwise order of a 1-D
+        # reduction; if a numpy release breaks this, reduce row by row, do not loosen
         rng = np.random.default_rng(rows)
         for width in [*range(1, 41), 127, 128, 129, 130, 255, 256, 257, 1000]:
             block = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-8, 9, (rows, width))
@@ -490,8 +490,7 @@ class TestDegreeBuckets:
                 sums = np.add.reduceat(state.amp, g.offsets[:-1])
                 marked_sum = float(sums[vs].sum())
                 assert target.marked_sum() == marked_sum
-                target.tally(0)
-                assert target.totals(1)[0] == float(sums[order].sum()) - 2.0 * marked_sum
+                assert target.tally() == float(sums[order].sum()) - 2.0 * marked_sum
                 state = graph_step(state, marked, scheme)
             # every step, odd or even, writes the whole state in the layout, into the
             # buffer the odd steps move it to

@@ -110,8 +110,8 @@ def fast_total(h, marked, band):
     lines, images = band_lines(band), band_images(band)
     held = h[np.ix_(*lines)] * images[0][:, None] * images[1]
     held[marked.mask[np.ix_(*lines)]] *= -1.0
-    # the walk sums each row of its (w, h) band, then the row sums
-    return 2.0 * np.add.reduce(np.add.reduce(held, axis=1))
+    # the walk sums its (w, h) band in one pairwise sum, in the band's flat order
+    return 2.0 * np.add.reduce(held.reshape(-1))
 
 
 def mirrored(amp, c, axis):
@@ -208,11 +208,39 @@ class TestRuntimeMetric:
 
 class TestRunWalk:
     def test_empty_marked_set(self):
-        series = run_walk(20, MarkedSet(20), CoinScheme.GROVER, 50)
-        assert_array_equal(series.probability, np.zeros(51))
-        assert_array_equal(series.overlap, np.ones(51))
-        assert series.halt_step is None
-        assert series.peak_step == 0
+        # the state stays uniform, so every step's overlap is the flat total of the uniform
+        # band's half sums, bit for bit, which misses 1.0 by an ulp at some sides
+        for n in range(4, 41):
+            marked = MarkedSet(n)
+            series = run_walk(n, marked, CoinScheme.GROVER, 50)
+            state = uniform_state(n)
+            fast = state.amp[0, 0, 0] * fast_total(half_sums(state.amp), marked, _Band.of(marked))
+            assert_same_bits(series.overlap[1:], np.full(50, fast))
+            assert np.all(np.abs(series.overlap - 1.0) <= _OVERLAP_BOUND)
+            assert_array_equal(series.probability, np.zeros(51))
+            assert series.halt_step is None
+            assert series.peak_step == 0
+
+    def test_table_cell_overlaps_are_the_flat_total(self):
+        # n = 100 9x9 Grover to its halt step: every overlap the run records is the flat sum
+        # of the band's signed half sums, bit for bit, and within 3.3e-16 of the exact one:
+        # three ulps of an overlap in [0.5, 1)
+        n, marked, scheme = 100, centered_block(100, 9, 9), CoinScheme.GROVER
+        series = run_walk(n, marked, scheme, default_horizon(n), stop_at_halt=True)
+        assert series.halt_step == 767
+        band = _Band.of(marked)
+        lines = band_lines(band)
+        counts = np.multiply.outer(*band_images(band))
+        signed = np.where(marked.mask[np.ix_(*lines)], -counts, counts)
+        state = uniform_state(n)
+        a0 = state.amp[0, 0, 0]
+        work, half = planes(state.amp)[:, lines[0][:, None], lines[1]].copy(), np.empty(counts.shape)
+        coins = _frame_coins(work, scheme, half, band.frames(marked), band)
+        for t in range(1, series.halt_step + 1):
+            coins[(t - 1) % 2]()
+            exact = a0 * math.fsum((work * counts).ravel().tolist())
+            assert abs(series.overlap[t] - exact) <= 1.5 * np.finfo(float).eps
+            assert_same_bits(series.overlap[t], a0 * (2.0 * np.add.reduce((half * signed).ravel())))
 
     def test_overlap_starts_at_one(self):
         series = run_walk(10, centered_block(10, 2, 1), CoinScheme.GROVER, 5)
@@ -473,8 +501,7 @@ class TestBandCounts:
             walk.advance()
             h = half_sums(state.amp)
             assert_same_bits(walk.marked_sum(), 2.0 * np.add.reduce(h[marked.xs, marked.ys]))
-            walk.tally(0)
-            assert_same_bits(walk.totals(1)[0], fast_total(h, marked, band))
+            assert_same_bits(walk.tally(), fast_total(h, marked, band))
             state = step(state, scheme, marked)
         assert_same_bits(walk.exact(), math.fsum(state.amp.ravel()))
 
@@ -496,7 +523,7 @@ class TestStartState:
             tracemalloc.stop()
         assert walk[0].shape == (4, n, n) and not walk[0].flags.writeable
         # the band, its half sums, their signed counts and the coin's scratch: 7 w h floats;
-        # the block's 32 rows of 36 marked amplitudes and of 101 row sums: 0.43 w h more
+        # the block's 64 rows of 36 marked amplitudes: 0.23 w h more
         assert held < 2 * band_bytes
 
     def test_start_state_sums_as_the_filled_one(self):
@@ -721,13 +748,13 @@ class TestCertifiedSign:
         calls = []
         walk = runner._torus_walk(100, centered_block(100, 3, 3), CoinScheme.AKR)
 
-        def totals(m):
-            calls.append(m)
-            return walk.totals(m)
+        def tally():
+            calls.append(1)
+            return walk.tally()
 
-        series = runner._drive(walk._replace(totals=totals), default_horizon(100), False, True)
+        series = runner._drive(walk._replace(tally=tally), default_horizon(100), False, True)
         assert series.halt_step == 156
-        assert 1 <= len(calls) <= 4 and set(calls) == {1}
+        assert 1 <= len(calls) <= 4
 
     @pytest.mark.parametrize("n,every", [(100, 1), (200, 8)])
     def test_running_overlap_stays_well_inside_its_bound(self, n, every):
@@ -767,10 +794,7 @@ class TestCertifiedSign:
         def total():
             return exact_overlap(t) / a0
 
-        walk = runner._Walk(
-            np.full(4, a0), _DEADLINE_EVERY, advance, lambda r: None, lambda r: None, np.zeros,
-            lambda m: np.full(m, total()), marked_sum, total, None,
-        )
+        walk = runner._Walk(np.full(4, a0), _DEADLINE_EVERY, advance, lambda r: None, total, np.zeros, marked_sum, total)
         series = runner._drive(walk, 100, record_overlap=False, stop_at_halt=True)
         assert series.halt_step == 40
 
@@ -805,13 +829,16 @@ class TestBlocks:
     @pytest.mark.parametrize("scheme", list(CoinScheme))
     @pytest.mark.parametrize("n,last", [(16, True), (20, False), (128, True)])
     def test_doubtful_step_runs_its_block_again(self, n, last, scheme, stop_at_halt):
-        # the AR08 diagonal's fast overlap is zero up to rounding at t = n/2, the last step of
-        # a block at n = 16 and 128 and inside one at n = 20; the run takes that step's
-        # overlap from the exact sum of its state, run again from the block's start, and
-        # steps on from the block's end as if it had not
+        # the AR08 diagonal's fast overlap is zero up to rounding at t = n/2, here the last
+        # step of a block at n = 16 and 128 and inside one at n = 20; the run takes that
+        # step's overlap from the exact sum of its state as the step ends, and steps on as if
+        # it had not
         marked = MarkedSet(n, [(i, i) for i in range(n)])
         walk = runner._torus_walk(n, marked, scheme)
-        at, horizon = n // 2, n // 2 + 2 * walk.rows
+        at = n // 2
+        if last:
+            walk = walk._replace(rows=math.gcd(at, walk.rows))
+        horizon = at + 2 * walk.rows
         assert (at % walk.rows == 0) == last
         calls = []
 
@@ -837,7 +864,7 @@ class TestBlocks:
     def test_doubtful_graph_step_runs_its_block_again(self, n, scheme, stop_at_halt):
         # the graph twin of the test above: the AR08 diagonal on torus_graph(n) has the same
         # doubtful step t = n/2, the last step of a block at n = 128 and inside one at n = 16
-        # and 20
+        # and 20 in the blocks the run picks
         g, marked = torus_graph(n), [x * n + x for x in range(n)]
         walk = _graph_walk(g, marked, scheme)
         at, horizon = n // 2, n // 2 + 2 * walk.rows
@@ -859,14 +886,36 @@ class TestBlocks:
         assert series.halt_step == fsum_halt(state, lambda s: graph_step(s, marked, scheme), horizon) == at
         assert len(series) == (at if stop_at_halt else horizon) + 1
         assert_array_equal(series.probability, [graph_marked_probability(s, marked) for s in states[: len(series)]])
-        # blocks of one step start on odd and on even steps; a block of three (not a length a
-        # run picks) also starts on an even step and holds the odd step after it, whose gather
-        # overwrites the coin output that the even step reads, so its save must keep both buffers
+        # blocks of one step start on odd and on even steps, and so do blocks of three (not a
+        # length a run picks): where a block ends moves no bit
         for rows in (1, 3):
             again = runner._drive(_graph_walk(g, marked, scheme)._replace(rows=rows), horizon, True, stop_at_halt)
             assert_same_bits(again.probability, series.probability)
             assert_same_bits(again.overlap, series.overlap)
             assert again.halt_step == series.halt_step
+
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    @pytest.mark.parametrize(
+        "n,graph", [(16, False), (20, False), (128, False), (128, True)],
+        ids=["torus-16", "torus-20", "torus-128", "graph-128"],
+    )
+    def test_recording_run_steps_to_its_halt(self, n, graph, scheme):
+        # the AR08 diagonals halt at their doubtful step t = n/2, inside a block at n = 20:
+        # a recording run decides each overlap as its step ends, so it takes no step past the
+        # halt and none twice
+        diagonal = [(i, i) for i in range(n)]
+        if graph:
+            walk = _graph_walk(torus_graph(n), [x * n + y for x, y in diagonal], scheme)
+        else:
+            walk = runner._torus_walk(n, MarkedSet(n, diagonal), scheme)
+        calls = []
+
+        def advance():
+            calls.append(1)
+            walk.advance()
+
+        series = runner._drive(walk._replace(advance=advance), n, True, True)
+        assert series.halt_step == n // 2 == len(calls) == len(series) - 1
 
     @pytest.mark.parametrize("record_overlap", [True, False])
     @pytest.mark.parametrize(
@@ -897,13 +946,13 @@ class TestBlocks:
             (MarkedSet(64, [(x, y) for x in range(64) for y in range(64)]), 1),
             (centered_block(100, 2, 2), 64),
             (centered_block(200, 9, 9), 16),
-            (MarkedSet(4, [(0, 0)]), 4),
+            (MarkedSet(4, [(0, 0)]), 8),
         ]
         for marked, rows in cases:
             walk = runner._torus_walk(marked.n, marked, CoinScheme.GROVER)
             band = _Band.of(marked)
-            # a step's row of marked amplitudes and of row sums, against the band's values
-            per_step, held = 4 * len(marked) + band.x.size, 4 * band.x.size * band.y.size
+            # a step's row of marked amplitudes, against the band's values
+            per_step, held = 4 * len(marked), 4 * band.x.size * band.y.size
             assert walk.rows == rows
             assert rows == 1 or rows * per_step <= min(held, runner._BLOCK_VALUES)
 
