@@ -16,7 +16,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .grid import CoinScheme, OracleTooLargeError, _check_memory, _dense_scq, _located_step, _stationarity
+from .grid import (
+    CoinScheme, OracleTooLargeError, _check_memory, _dense_scq, _located_probability, _located_step, _stationarity,
+)
 from .stationary import Decomposition
 
 __all__ = [
@@ -417,14 +419,8 @@ def graph_dense_step_matrix(
 
 
 def graph_marked_probability(state: GraphState, marked: Iterable[int]) -> float:
-    """Probability of measuring the location register on a marked vertex."""
-    return _arc_probability(state.amp, state.graph.marked_arc_indices(marked))
-
-
-def _arc_probability(amp: np.ndarray, idxs: np.ndarray) -> float:
-    """Squared norm of the amplitudes on arcs ``idxs``."""
-    sel = amp[idxs]
-    return float(np.dot(sel, sel))
+    """Probability of measuring the location register on a marked vertex, by :func:`grid._located_probability`."""
+    return _located_probability(state.amp, state.graph.marked_arc_indices(marked))
 
 
 def graph_check_conditions(

@@ -599,8 +599,13 @@ def _stationarity(
     return cond1, cond2, cond3
 
 
+def _located_probability(amp: np.ndarray, idxs: np.ndarray) -> float:
+    """The squared norm of ``amp[idxs]``, added pairwise as a run adds a block row: both targets' reference."""
+    sel = amp[idxs]
+    return float(np.add.reduce(sel * sel))
+
+
 def marked_probability(state: GridState, marked: MarkedSet) -> float:
-    """Probability of measuring the location register inside the marked set."""
+    """Probability of measuring the location register inside the marked set, by :func:`_located_probability`."""
     _check_grid(state.n, marked)
-    sel = state.amp.reshape(-1)[marked.flat]
-    return float(np.sum(sel * sel))
+    return _located_probability(state.amp.reshape(-1), marked.flat)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, _arc_probability, _jagged_arcs, graph_uniform_state
+from .graph import Graph, _jagged_arcs, graph_uniform_state
 from .grid import CoinScheme, MarkedSet, _Band, _check_block, _check_grid, _check_memory, _check_side, _frame_coins
 
 __all__ = [
@@ -122,25 +122,23 @@ def _block_rows(values: int, state: int) -> int:
 
 
 class _Walk(NamedTuple):
-    """What a target hands :func:`_drive`: its start state, its block length and callables bound to its state.
+    """What a target hands :func:`_drive`: its start state, its block rows and callables bound to its state.
 
-    ``advance()`` takes one step. After it, ``gather(r)`` fills row r of the
-    block's probability rows, ``tally()`` returns the amplitude total from
-    the coin's sums of that step, and ``marked_sum()`` the total of the
-    marked cells' (or vertices') amplitude sums before the step.
-    ``probabilities(m)`` reduces the first m rows of a block, ``rows`` at
-    most, to the marked probability of each of those steps, and may
-    overwrite its rows. ``exact()`` returns the state's exactly rounded
-    total. ``tally`` may overwrite what ``marked_sum`` reads, so a step
-    calls ``marked_sum()`` first, if at all.
+    ``block`` is a ``(rows, width)`` array, a row for each step of a block
+    and a column for each marked amplitude. ``advance()`` takes one step.
+    After it, ``gather(r)`` copies the state's marked amplitudes into row r
+    of ``block``, ``tally()`` returns the amplitude total from the coin's
+    sums of that step, and ``marked_sum()`` the total of the marked cells'
+    (or vertices') amplitude sums before the step. ``exact()`` returns the
+    state's exactly rounded total. ``tally`` may overwrite what
+    ``marked_sum`` reads, so a step calls ``marked_sum()`` first, if at all.
     """
 
     start: np.ndarray
-    rows: int
+    block: np.ndarray
     advance: Callable[[], None]
     gather: Callable[[int], None]
     tally: Callable[[], float]
-    probabilities: Callable[[int], np.ndarray]
     marked_sum: Callable[[], float]
     exact: Callable[[], float]
 
@@ -199,12 +197,13 @@ def _drive(
     (:func:`_check_horizon`) raises ``ValueError`` before anything is
     allocated.
 
-    The run goes in blocks of ``walk.rows`` steps, a power of two that
-    divides ``_DEADLINE_EVERY``, the last one cut at the horizon. A step
-    only fills its row of the block's marked amplitudes (``gather``). Once
-    per block ``probabilities`` reduces the rows, each row in numpy's
-    pairwise order, the order of a one-step reduction, so every probability
-    has the bits a step-by-step run gives.
+    The run goes in blocks of ``len(walk.block)`` steps, a power of two
+    that divides ``_DEADLINE_EVERY``, the last one cut at the horizon. A
+    step only fills its row of ``walk.block`` with the marked amplitudes
+    (``gather``). Once per block the loop squares the rows in place and
+    adds each in numpy's pairwise order, the order of a one-row reduction
+    (:func:`grid._located_probability`), so every probability of either
+    target has the bits a step-by-step run gives.
 
     The halt step is the first t whose state has an exact total <= 0, so it
     does not depend on the order of the coin's sums. Each step's overlap is
@@ -274,7 +273,7 @@ def _drive(
     may grow by 4% before this slack is spent.
     """
     _check_horizon(horizon, record_overlap)
-    amp, rows, advance, gather, tally, probabilities, marked_sum, exact = walk
+    amp, block, advance, gather, tally, marked_sum, exact = walk
     a0 = float(amp.flat[0])
     prob = np.empty(horizon + 1)
     ov = np.empty(horizon + 1) if record_overlap else None
@@ -282,6 +281,11 @@ def _drive(
     def overlap() -> float:
         now = a0 * tally()
         return a0 * exact() if abs(now) <= _OVERLAP_BOUND else now
+
+    def probabilities(m: int) -> np.ndarray:
+        rows = block[:m]
+        np.multiply(rows, rows, out=rows)
+        return np.add.reduce(rows, axis=1)
 
     gather(0)
     prob[0] = probabilities(1)[0]
@@ -294,7 +298,7 @@ def _drive(
     halt_step: int | None = None
     t = 0
     while t < horizon:
-        m = min(rows, horizon - t)
+        m = min(len(block), horizon - t)
         for r in range(m):
             advance()
             gather(r)
@@ -380,8 +384,7 @@ def _torus_walk(
     # the band cell of each marked torus cell, in half's flat order
     marked_cells, marked_half = i * h + j, np.empty(len(marked))
     # a block's marked amplitudes, a row a step
-    rows = _block_rows(4 * len(marked), work.size)
-    picked = np.empty((rows, 4 * len(marked)))
+    picked = np.empty((_block_rows(4 * len(marked), work.size), 4 * len(marked)))
     # the rows as views bound once; every per-step call passes its output
     # positionally, as in grid._frame_coins
     picked_rows, flat_half = list(picked), half.reshape(-1)
@@ -401,11 +404,6 @@ def _torus_walk(
         multiply(half, signed, half)
         return 2.0 * float(reduce(flat_half))
 
-    def probabilities(m: int) -> np.ndarray:
-        block = picked[:m]
-        np.multiply(block, block, out=block)
-        return np.add.reduce(block, axis=1)
-
     def marked_sum() -> float:
         take_half(marked_cells, None, marked_half, "wrap")
         return 2.0 * float(reduce(marked_half))
@@ -414,7 +412,7 @@ def _torus_walk(
         # the memoryview of the flat product hands fsum Python floats without a list
         return math.fsum((work * np.abs(signed)).reshape(-1).data)
 
-    return _Walk(np.broadcast_to(a, (4, n, n)), rows, advance, gather, tally, probabilities, marked_sum, exact)
+    return _Walk(np.broadcast_to(a, (4, n, n)), picked, advance, gather, tally, marked_sum, exact)
 
 
 def run_walk(
@@ -478,9 +476,9 @@ def _graph_walk(
     probabilities are bit-identical too. The total after a step is
     ``s.sum() - 2 * s[marked].sum()`` over the vertex sums ``s`` before it,
     in the layout's vertex order, by the identity of :func:`_torus_walk`;
-    ``s[marked].sum()`` is the marked sum. Each step's probability is taken
-    whole and only stored in the block's rows, so the block's reduction
-    just hands them back; ``tally`` returns the step's total.
+    ``s[marked].sum()`` is the marked sum. As on the torus, a step only
+    gathers its marked arcs into its row of the block, and ``tally``
+    returns the step's total.
     """
     vs = np.array(g.check_marked(marked), dtype=np.intp)
     order, arcs, bind = _jagged_arcs(g)
@@ -525,20 +523,19 @@ def _graph_walk(
         odd = not odd
         s.take(marked_vertices, out=marked_s, mode="wrap")
 
-    # the probability of each step of a block, taken as the step ends
-    rows = _block_rows(1, g.arc_count)
-    probs = np.empty(rows)
+    # a block's marked amplitudes, a row a step, as views bound once
+    picked = np.empty((_block_rows(idxs.size, g.arc_count), idxs.size))
+    picked_rows = list(picked)
 
     def gather(r: int) -> None:
-        probs[r] = _arc_probability(states[at], idxs)
+        states[at].take(idxs, None, picked_rows[r], "wrap")
 
     return _Walk(
         states[0],
-        rows,
+        picked,
         advance,
         gather,
         lambda: float(s.sum()) - 2.0 * float(marked_s.sum()),
-        lambda m: probs[:m],
         lambda: float(marked_s.sum()),
         # the memoryview of the flat buffer hands fsum Python floats without a list
         lambda: math.fsum(states[at].data),
@@ -571,9 +568,10 @@ def run_graph_walk(
     vertices subtracted twice, not from the arc amplitudes, so it can
     differ from a direct sum in the last bits, about 3e-16; where that
     decides the sign, :func:`_drive` takes the exact sum as the step ends,
-    as :func:`run_walk` does. Each step's probability is reduced as the
-    step ends; the block only holds it. Without ``record_overlap`` the sign comes from a
-    running overlap, and ``deadline`` stops the run, as in :func:`run_walk`.
+    as :func:`run_walk` does. The probabilities are squared and added once
+    per block, in numpy's pairwise order, as on the torus. Without
+    ``record_overlap`` the sign comes from a running overlap, and
+    ``deadline`` stops the run, as in :func:`run_walk`.
     """
     return _drive(_graph_walk(g, marked, scheme), horizon, record_overlap, stop_at_halt, deadline)
 
@@ -666,13 +664,8 @@ def reproduce_tables(
                 if _expired(deadline):
                     report.truncated.append(f"{cell}: skipped, time budget exceeded")
                     continue
-                series = _drive(
-                    _torus_walk(n, centered_block(n, side, side), scheme),
-                    cap,
-                    record_overlap=False,
-                    stop_at_halt=True,
-                    deadline=deadline,
-                )
+                block = centered_block(n, side, side)
+                series = run_walk(n, block, scheme, cap, record_overlap=False, stop_at_halt=True, deadline=deadline)
                 if series.halt_step is not None:
                     report.rows.append(
                         TableRow(

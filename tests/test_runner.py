@@ -220,6 +220,10 @@ class TestRunWalk:
             assert_array_equal(series.probability, np.zeros(51))
             assert series.halt_step is None
             assert series.peak_step == 0
+        # a graph with no marked vertex: its block rows have no column, and sum to 0.0
+        series = run_graph_walk(parse_edge_list((DATA / "graph.txt").read_text()), [], CoinScheme.GROVER, 50)
+        assert_same_bits(series.probability, np.zeros(51))
+        assert series.halt_step is None
 
     def test_table_cell_overlaps_are_the_flat_total(self):
         # n = 100 9x9 Grover to its halt step: every overlap the run records is the flat sum
@@ -340,6 +344,25 @@ class TestRunWalk:
         assert series.peak_step == int(np.argmax(prob))
         np.testing.assert_allclose(series.probability, prob, rtol=1e-12)
         np.testing.assert_allclose(series.overlap, overlap, rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", list(CoinScheme))
+    @pytest.mark.parametrize("name", ["graph", "hub"])
+    def test_graph_probability_is_the_pairwise_sum(self, name, scheme):
+        # every step's probability is numpy's pairwise sum of the squared marked amplitudes,
+        # as on the torus; a BLAS dot product adds in its own order and misses it by an ulp
+        # at about half the steps
+        g = parse_edge_list((DATA / f"{name}.txt").read_text())
+        marked = parse_vertex_ids((DATA / f"{name}_marked.txt").read_text())
+        idxs = g.marked_arc_indices(marked)
+        horizon = 300
+        series = run_graph_walk(g, marked, scheme, horizon)
+        state, want = graph_uniform_state(g), []
+        for t in range(horizon + 1):
+            if t:
+                state = graph_step(state, marked, scheme)
+            sel = state.amp[idxs]
+            want.append(np.add.reduce(sel * sel))
+        assert_same_bits(series.probability, np.array(want))
 
 
 class TestMirrorBand:
@@ -794,7 +817,8 @@ class TestCertifiedSign:
         def total():
             return exact_overlap(t) / a0
 
-        walk = runner._Walk(np.full(4, a0), _DEADLINE_EVERY, advance, lambda r: None, total, np.zeros, marked_sum, total)
+        block = np.empty((_DEADLINE_EVERY, 0))
+        walk = runner._Walk(np.full(4, a0), block, advance, lambda r: None, total, marked_sum, total)
         series = runner._drive(walk, 100, record_overlap=False, stop_at_halt=True)
         assert series.halt_step == 40
 
@@ -828,7 +852,7 @@ class TestBlocks:
     @pytest.mark.parametrize("stop_at_halt", [False, True])
     @pytest.mark.parametrize("scheme", list(CoinScheme))
     @pytest.mark.parametrize("n,last", [(16, True), (20, False), (128, True)])
-    def test_doubtful_step_runs_its_block_again(self, n, last, scheme, stop_at_halt):
+    def test_doubtful_step_takes_the_exact_sum(self, n, last, scheme, stop_at_halt):
         # the AR08 diagonal's fast overlap is zero up to rounding at t = n/2, here the last
         # step of a block at n = 16 and 128 and inside one at n = 20; the run takes that
         # step's overlap from the exact sum of its state as the step ends, and steps on as if
@@ -837,9 +861,10 @@ class TestBlocks:
         walk = runner._torus_walk(n, marked, scheme)
         at = n // 2
         if last:
-            walk = walk._replace(rows=math.gcd(at, walk.rows))
-        horizon = at + 2 * walk.rows
-        assert (at % walk.rows == 0) == last
+            walk = walk._replace(block=walk.block[: math.gcd(at, len(walk.block))])
+        rows = len(walk.block)
+        horizon = at + 2 * rows
+        assert (at % rows == 0) == last
         calls = []
 
         def exact():
@@ -861,14 +886,14 @@ class TestBlocks:
     @pytest.mark.parametrize("stop_at_halt", [False, True])
     @pytest.mark.parametrize("scheme", list(CoinScheme))
     @pytest.mark.parametrize("n", [16, 20, 128])
-    def test_doubtful_graph_step_runs_its_block_again(self, n, scheme, stop_at_halt):
+    def test_doubtful_graph_step_takes_the_exact_sum(self, n, scheme, stop_at_halt):
         # the graph twin of the test above: the AR08 diagonal on torus_graph(n) has the same
         # doubtful step t = n/2, the last step of a block at n = 128 and inside one at n = 16
         # and 20 in the blocks the run picks
         g, marked = torus_graph(n), [x * n + x for x in range(n)]
         walk = _graph_walk(g, marked, scheme)
-        at, horizon = n // 2, n // 2 + 2 * walk.rows
-        assert (at % walk.rows == 0) == (n == 128)
+        at, horizon = n // 2, n // 2 + 2 * len(walk.block)
+        assert (at % len(walk.block) == 0) == (n == 128)
         calls = []
 
         def exact():
@@ -889,7 +914,8 @@ class TestBlocks:
         # blocks of one step start on odd and on even steps, and so do blocks of three (not a
         # length a run picks): where a block ends moves no bit
         for rows in (1, 3):
-            again = runner._drive(_graph_walk(g, marked, scheme)._replace(rows=rows), horizon, True, stop_at_halt)
+            walk = _graph_walk(g, marked, scheme)
+            again = runner._drive(walk._replace(block=walk.block[:rows]), horizon, True, stop_at_halt)
             assert_same_bits(again.probability, series.probability)
             assert_same_bits(again.overlap, series.overlap)
             assert again.halt_step == series.halt_step
@@ -953,7 +979,7 @@ class TestBlocks:
             band = _Band.of(marked)
             # a step's row of marked amplitudes, against the band's values
             per_step, held = 4 * len(marked), 4 * band.x.size * band.y.size
-            assert walk.rows == rows
+            assert len(walk.block) == rows
             assert rows == 1 or rows * per_step <= min(held, runner._BLOCK_VALUES)
 
 
